@@ -1,0 +1,136 @@
+"""Time the RNG block and the ensemble kernels across block budgets.
+
+montecarlo._BLOCK_ELEMENTS caps how many uniforms one rng.uniform_block
+call fills (whole rows of a chunk's paths).  This script reproduces the
+measurement behind that constant, and behind montecarlo._MIN_CHUNK_PATHS:
+
+1. rng.uniform_block alone, filling reused buffers, in ns per draw, for
+   20000 and 500 paths at each budget;
+2. one run_ensemble (threads=1) per benchmark workload shape (see
+   urnbench/workloads.py) at each budget, in million path-steps per second,
+   the median of --repeats runs;
+3. the toy urn at several path counts with threads=1 and threads=2, the
+   latter forced into two chunks, to find where splitting starts to pay.
+
+It prints the usable core count and the L2 cache size first, read from
+os.sched_getaffinity and /sys/devices/system/cpu/cpu0/cache; it sets
+nothing on the machine.  The constants are restored before it exits.
+
+    PYTHONPATH=src python3 scripts/block_sweep.py [--repeats 3] [--min-exp 12] [--max-exp 21]
+
+Takes a few minutes at the defaults on a 2-core machine.
+"""
+
+import argparse
+import os
+import statistics
+import time
+from pathlib import Path
+
+import numpy as np
+
+from urnsa import EnsembleConfig, ReplacementMatrix, SyntheticProcess, rng
+from urnsa import montecarlo
+
+# the three workload shapes of the benchmark (urnbench/workloads.py)
+SHAPES = {
+    "urn-wide": dict(
+        matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1, paths=20_000, horizon=5_000
+    ),
+    "urn-narrow": dict(
+        matrix=ReplacementMatrix(3, 0, 2, 5), w0=4, b0=4, paths=500, horizon=1 << 15
+    ),
+    "synthetic-wide": dict(
+        synthetic=SyntheticProcess(big_gamma=1.0, sigma2=1.0),
+        paths=20_000,
+        horizon=4_096,
+    ),
+}
+SEED = 20110221
+
+
+def machine() -> str:
+    cores = len(os.sched_getaffinity(0))
+    l2 = "unknown"
+    for index in sorted(Path("/sys/devices/system/cpu/cpu0/cache").glob("index*")):
+        try:
+            if (index / "level").read_text().strip() == "2":
+                l2 = (index / "size").read_text().strip()
+                break
+        except OSError:
+            continue
+    return f"usable cores {cores}, L2 per core (cpu0) {l2}"
+
+
+def time_uniform_block(k: int, budget: int, min_draws: int = 1 << 24) -> float:
+    """ns per draw of refilling one budget-sized block with reused buffers."""
+    keys = rng.path_keys(SEED, 0, k)
+    rows = max(1, budget // k)
+    out = np.empty((rows, k), dtype=np.float64)
+    scratch = np.empty(rows * k, dtype=np.uint64)
+    calls = max(3, min_draws // (rows * k))
+    rng.uniform_block(keys, 1, rows, out=out, scratch=scratch)
+    t0 = time.perf_counter()
+    for c in range(calls):
+        rng.uniform_block(keys, 1 + c * rows, rows, out=out, scratch=scratch)
+    return (time.perf_counter() - t0) / (calls * rows * k) * 1e9
+
+
+def time_ensemble(shape: dict, repeats: int, threads: int = 1) -> float:
+    """Median million path-steps per second of run_ensemble."""
+    cfg = EnsembleConfig(master_seed=SEED, threads=threads, **shape)
+    rates = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        montecarlo.run_ensemble(cfg)
+        rates.append(cfg.paths * cfg.horizon / (time.perf_counter() - t0) / 1e6)
+    return statistics.median(rates)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--min-exp", type=int, default=12)
+    ap.add_argument("--max-exp", type=int, default=21)
+    args = ap.parse_args()
+    budgets = [1 << e for e in range(args.min_exp, args.max_exp + 1)]
+    saved = montecarlo._BLOCK_ELEMENTS, montecarlo._MIN_CHUNK_PATHS
+    print(machine())
+    print(f"current _BLOCK_ELEMENTS = 2^{saved[0].bit_length() - 1}, "
+          f"_MIN_CHUNK_PATHS = {saved[1]}")
+    try:
+        print("\nrng.uniform_block, ns/draw (reused out= and scratch= buffers)")
+        print(f"{'budget':>8} {'k=20000':>9} {'k=500':>9}")
+        for b in budgets:
+            wide = time_uniform_block(20_000, b)
+            narrow = time_uniform_block(500, b)
+            print(f"{'2^%d' % (b.bit_length() - 1):>8} {wide:>9.2f} {narrow:>9.2f}")
+
+        print("\nrun_ensemble, threads=1, M path-steps/s "
+              f"(median of {args.repeats})")
+        print(f"{'budget':>8}" + "".join(f"{n:>16}" for n in SHAPES))
+        for b in budgets:
+            montecarlo._BLOCK_ELEMENTS = b
+            rates = [time_ensemble(s, args.repeats) for s in SHAPES.values()]
+            print(f"{'2^%d' % (b.bit_length() - 1):>8}"
+                  + "".join(f"{r:>16.1f}" for r in rates))
+        montecarlo._BLOCK_ELEMENTS = saved[0]
+
+        print("\ntoy urn (4,5;3,2), 2^24 path-steps, threads=2 split into two "
+              f"chunks vs threads=1, M path-steps/s (median of {args.repeats})")
+        print(f"{'paths':>8} {'threads=1':>10} {'threads=2':>10}")
+        montecarlo._MIN_CHUNK_PATHS = 1
+        for paths in (500, 2_000, 8_000, 20_000):
+            shape = dict(
+                matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1,
+                paths=paths, horizon=(1 << 24) // paths,
+            )
+            one = time_ensemble(shape, args.repeats, threads=1)
+            two = time_ensemble(shape, args.repeats, threads=2)
+            print(f"{paths:>8} {one:>10.1f} {two:>10.1f}")
+    finally:
+        montecarlo._BLOCK_ELEMENTS, montecarlo._MIN_CHUNK_PATHS = saved
+
+
+if __name__ == "__main__":
+    main()

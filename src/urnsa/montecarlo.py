@@ -38,7 +38,17 @@ from .urn import (
 KS_CONSTANTS = {0.05: 1.358, 0.01: 1.628}
 
 _CHUNK_PATHS = 262144
-_BLOCK_ELEMENTS = 1 << 21
+# Below about 10000 paths per chunk, two threads ran slower than one on the
+# toy urn: split into two chunks, 500, 2000 and 8000 paths lost to one chunk
+# and 20000 won (scripts/block_sweep.py; 12000 also lost, 14000-16000 broke
+# even, 2-core Xeon).  Smaller ensembles stay in one chunk.
+_MIN_CHUNK_PATHS = 10_000
+# RNG block budget in uniforms (whole rows of a chunk's paths): 2^16 float64
+# plus their uint64 scratch is 1 MiB, which fits a 2 MiB L2.  In two runs of
+# scripts/block_sweep.py (2-core Xeon, 2 MiB L2 per core) 2^15-2^16 filled
+# blocks at 4.3-5.4 ns/draw against 7.6-8.8 from 2^18 up, and the three
+# benchmark shapes ran within noise of their best there.
+_BLOCK_ELEMENTS = 1 << 16
 
 _SCALED_REGIMES = (
     Regime.CLT_SQRT_N,
@@ -315,6 +325,18 @@ def gamma_hat_rate_check(
 # vectorized kernels
 
 
+def _block_buffers(k: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform block and its RNG scratch, allocated once per chunk.
+
+    A block holds up to _BLOCK_ELEMENTS draws (whole rows of k paths, at
+    least one row, no more rows than steps), so the block and its scratch
+    stay in cache while the step loop reads them.
+    """
+    rows = max(1, min(_BLOCK_ELEMENTS // max(k, 1), steps))
+    u = np.empty((rows, k), dtype=np.float64)
+    return u, np.empty(u.size, dtype=np.uint64)
+
+
 def _run_urn_chunk(
     m: ReplacementMatrix,
     w0: float,
@@ -350,11 +372,12 @@ def _run_urn_chunk(
     exact = all(float(v).is_integer() for v in (a, m.b, c, m.d, w0, b0))
     if not exact:
         bl = np.full(k, b0, dtype=np.float64)
-    block = max(1, _BLOCK_ELEMENTS // max(k, 1))
+    u, scratch = _block_buffers(k, horizon)
+    block = u.shape[0]
     j = 1
     while j <= horizon:
         count = min(block, horizon - j + 1)
-        u = rng.uniform_block(keys, j, count)
+        rng.uniform_block(keys, j, count, out=u, scratch=scratch)
         for r in range(count):
             np.divide(w, t, out=x)
             np.less(u[r], x, out=white)
@@ -369,8 +392,12 @@ def _run_urn_chunk(
                     t += tmp
                     t += row_b
             else:
-                w += np.where(white, a, c)
-                bl += np.where(white, m.b, m.d)
+                tmp.fill(c)
+                np.copyto(tmp, a, where=white)
+                w += tmp
+                tmp.fill(m.d)
+                np.copyto(tmp, m.b, where=white)
+                bl += tmp
                 np.add(w, bl, out=t)
             if ci < n_cp and cps[ci] == j:
                 np.divide(w, t, out=cp_x[ci])
@@ -399,11 +426,12 @@ def _run_synthetic_chunk(
     size = proc.noise_size
     white = np.empty(k, dtype=bool)
     tmp = np.empty(k, dtype=np.float64)
-    block = max(1, _BLOCK_ELEMENTS // max(k, 1))
+    u, scratch = _block_buffers(k, horizon - start)
+    block = u.shape[0]
     n = start
     while n < horizon:
         count = min(block, horizon - n)
-        u = rng.uniform_block(keys, n + 1, count)
+        rng.uniform_block(keys, n + 1, count, out=u, scratch=scratch)
         for r in range(count):
             g = proc.family.value_at(n)
             step = size / math.sqrt(g)
@@ -444,6 +472,25 @@ def _resolve_scaling(config: EnsembleConfig, pred: LimitPrediction | None):
     return pred.scaling, pred.p
 
 
+def _chunk_plan(n_paths: int, threads: int) -> list[tuple[int, int]]:
+    """(start, count) path chunks, one per thread where splitting pays.
+
+    One chunk per worker keeps numpy dispatch overhead off the hot loop.
+    A chunk keeps about _MIN_CHUNK_PATHS paths or more, and none holds more
+    than _CHUNK_PATHS.  Path streams are keyed by absolute path index, so
+    the plan never affects the numbers.
+    """
+    n_chunks = max(
+        1,
+        min(threads, n_paths // _MIN_CHUNK_PATHS),
+        -(-n_paths // _CHUNK_PATHS),
+    )
+    per = -(-n_paths // n_chunks)
+    return [
+        (start, min(per, n_paths - start)) for start in range(0, n_paths, per)
+    ]
+
+
 def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Simulate an ensemble and summarize it against the predicted limit.
 
@@ -454,18 +501,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
     n_paths = config.paths
 
-    # one chunk per worker keeps numpy dispatch overhead off the hot loop;
-    # path streams are keyed by absolute path index, so the split never
-    # affects the numbers
-    if config.threads > 1:
-        per = -(-n_paths // config.threads)
-    else:
-        per = n_paths
-    per = max(1, min(per, _CHUNK_PATHS))
-    chunks = []
-    for start in range(0, n_paths, per):
-        count = min(per, n_paths - start)
-        chunks.append((start, count))
+    chunks = _chunk_plan(n_paths, config.threads)
 
     def work(chunk: tuple[int, int]):
         start, count = chunk

@@ -8,6 +8,16 @@ on any worker, and the ensemble output never depends on scheduling.
 
 The generator is fixed per release; bit-exact streams are promised for a
 given version of this module, not across versions.
+
+uniform_block fills a float64 (rows, paths) block, one row per draw index.
+Called with out= it writes into a caller-owned buffer instead of returning
+a new one: out must be a C-contiguous float64 array with one column per key
+and at least `count` rows; only its first `count` rows are written, and the
+SplitMix64 state lives in their own memory, viewed as uint64.  The shifts go
+through a uint64 scratch with at least count * len(keys) elements, which the
+caller may pass as scratch= so that refilling the same buffers allocates
+nothing of the block's size.  A buffer of the wrong dtype, layout or size
+raises ValueError.  The values do not depend on which form is used.
 """
 from __future__ import annotations
 
@@ -56,23 +66,66 @@ def path_keys(master_seed: int, start: int, count: int) -> np.ndarray:
     return _mix64_vec(z)
 
 
-def uniform_block(keys: np.ndarray, first_draw: int, count: int) -> np.ndarray:
+def uniform_block(
+    keys: np.ndarray,
+    first_draw: int,
+    count: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Uniforms for draws first_draw..first_draw+count-1 of several paths.
 
     Returns shape (count, len(keys)); row r column i equals
-    uniform_draw(keys[i], first_draw + r) bit for bit.
+    uniform_draw(keys[i], first_draw + r) bit for bit.  With out= the rows
+    are written into out[:count], which is returned (see the module
+    docstring for the buffer contract).
     """
+    k = len(keys)
+    if out is None:
+        out = np.empty((count, k), dtype=np.float64)
+    else:
+        _check_buffer(out, np.float64, "out")
+        if out.ndim != 2 or out.shape[1] != k or out.shape[0] < count:
+            raise ValueError(
+                f"out has shape {out.shape}, need at least ({count}, {k})"
+            )
+        out = out[:count]
+    if scratch is None:
+        scratch = np.empty(count * k, dtype=np.uint64)
+    else:
+        _check_buffer(scratch, np.uint64, "scratch")
+        if scratch.size < count * k:
+            raise ValueError(
+                f"scratch holds {scratch.size} elements, need {count * k}"
+            )
+    t = scratch.reshape(-1)[: count * k].reshape(count, k)
+    z = out.view(np.uint64)
     draws = np.arange(first_draw, first_draw + count, dtype=np.uint64)
-    z = keys[np.newaxis, :] + draws[:, np.newaxis] * _U64_DRAW_STRIDE
-    z = _mix64_vec(z)
-    return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    np.add(keys[np.newaxis, :], (draws * _U64_DRAW_STRIDE)[:, np.newaxis], out=z)
+    _mix64_vec(z, t)
+    # out and t never overlap, so the int-to-float multiply needs no copy
+    np.right_shift(z, np.uint64(11), out=t)
+    np.multiply(t, _TO_UNIT, out=out)
+    return out
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    # mutates z in place; both callers hand over freshly built temporaries
-    z ^= z >> np.uint64(30)
+def _check_buffer(buf: np.ndarray, dtype, name: str) -> None:
+    if not isinstance(buf, np.ndarray) or buf.dtype != dtype:
+        raise ValueError(f"{name} must be a numpy {np.dtype(dtype)} array")
+    if not buf.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
+
+
+def _mix64_vec(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer on z in place; t is uint64 scratch shaped like z."""
+    if t is None:
+        t = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
     return z

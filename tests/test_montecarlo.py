@@ -14,6 +14,8 @@ import jsonschema
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from urnsa import (
     ConfigError,
@@ -42,6 +44,7 @@ from urnsa import (
     values_csv,
     weight,
 )
+from urnsa import montecarlo
 from urnsa.montecarlo import as_convergence_check
 
 
@@ -292,6 +295,19 @@ class TestKernelEquivalence:
         "m,w0,b0", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
     )
     def test_urn_final_states_match_scalar(self, m, w0, b0):
+        self._check_urn(m, w0, b0)
+
+    @pytest.mark.parametrize(
+        "m,w0,b0", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    )
+    def test_urn_final_states_match_scalar_across_blocks(
+        self, m, w0, b0, monkeypatch
+    ):
+        counts = self._small_blocks(monkeypatch)
+        self._check_urn(m, w0, b0)
+        self._assert_crossed_blocks(counts, steps=300)
+
+    def _check_urn(self, m, w0, b0):
         horizon, paths, seed = 300, 7, 2024
         cfg = EnsembleConfig(
             matrix=m, w0=w0, b0=b0, horizon=horizon, paths=paths, master_seed=seed
@@ -302,6 +318,29 @@ class TestKernelEquivalence:
                 m, w0, b0, horizon, rng.path_key(seed, i)
             )
             assert res.final_x[i] == states[-1].fraction
+
+    @staticmethod
+    def _small_blocks(monkeypatch) -> list[int]:
+        """Shrink RNG blocks to 14 rows of 7 (or 20 rows of 5) paths.
+
+        Returns the list that records the count of every block drawn.
+        """
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 100)
+        counts: list[int] = []
+        block = rng.uniform_block
+
+        def counting(keys, first_draw, count, *args, **kwargs):
+            counts.append(count)
+            return block(keys, first_draw, count, *args, **kwargs)
+
+        monkeypatch.setattr(rng, "uniform_block", counting)
+        return counts
+
+    @staticmethod
+    def _assert_crossed_blocks(counts: list[int], steps: int):
+        assert sum(counts) == steps
+        assert len(counts) >= 11  # at least ten block boundaries
+        assert 0 < counts[-1] < counts[0]  # a ragged last block
 
     def test_urn_checkpoints_match_scalar(self, toy_matrix):
         horizon, seed = 200, 11
@@ -324,10 +363,21 @@ class TestKernelEquivalence:
                 assert data.t[j] == states[n].total
                 assert data.x_prev[j] == states[n - 1].fraction
 
+    SYNTHETIC = SyntheticProcess(
+        big_gamma=0.75, sigma2=2.0, family=StepFamily.N_LOG_N, z0=0.25
+    )
+
     def test_synthetic_matches_scalar(self):
-        proc = SyntheticProcess(
-            big_gamma=0.75, sigma2=2.0, family=StepFamily.N_LOG_N, z0=0.25
-        )
+        self._check_synthetic()
+
+    def test_synthetic_matches_scalar_across_blocks(self, monkeypatch):
+        counts = self._small_blocks(monkeypatch)
+        self._check_synthetic()
+        start = self.SYNTHETIC.family.first_positive_index()
+        self._assert_crossed_blocks(counts, steps=300 - start)
+
+    def _check_synthetic(self):
+        proc = self.SYNTHETIC
         horizon, paths, seed = 300, 5, 99
         cfg = EnsembleConfig(
             synthetic=proc, horizon=horizon, paths=paths, master_seed=seed
@@ -384,6 +434,22 @@ class TestDeterminism:
             outs.append(summary_json(res))
         assert outs[0] == outs[1]
 
+    def test_split_chunks_are_invisible(self, toy_matrix, monkeypatch):
+        # ensembles this small run in one chunk; force the multi-chunk path
+        monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATHS", 1)
+        proc = SyntheticProcess(big_gamma=1.0, sigma2=1.0)
+        for source in (dict(matrix=toy_matrix), dict(synthetic=proc)):
+            outs = []
+            for threads in (1, 3):
+                cfg = EnsembleConfig(
+                    **source, horizon=150, paths=23, master_seed=17,
+                    threads=threads,
+                )
+                res = run_ensemble(cfg)
+                outs.append((summary_json(res), values_csv(res)))
+            assert outs[0] == outs[1]
+        assert montecarlo._chunk_plan(23, 3) == [(0, 8), (8, 8), (16, 7)]
+
     def test_rerun_is_identical(self, toy_matrix):
         cfg = EnsembleConfig(
             matrix=toy_matrix, w0=1, b0=1, horizon=100, paths=10, master_seed=1
@@ -405,6 +471,33 @@ class TestDeterminism:
             for s in (1, 2)
         ]
         assert not np.array_equal(results[0].values, results[1].values)
+
+
+class TestChunkPlan:
+    def test_narrow_ensemble_stays_in_one_chunk(self):
+        assert montecarlo._chunk_plan(500, 2) == [(0, 500)]
+
+    def test_wide_ensemble_splits_per_thread(self):
+        assert montecarlo._chunk_plan(20_000, 2) == [(0, 10_000), (10_000, 10_000)]
+
+    def test_chunks_keep_the_minimum(self):
+        # three threads, but only two chunks of at least the minimum fit
+        assert montecarlo._chunk_plan(25_000, 3) == [(0, 12_500), (12_500, 12_500)]
+
+    def test_chunk_cap_applies_with_one_thread(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 100)
+        assert montecarlo._chunk_plan(250, 1) == [(0, 84), (84, 84), (168, 82)]
+
+    @given(st.integers(1, 10**6), st.integers(1, 8))
+    def test_chunks_tile_the_paths(self, n_paths, threads):
+        plan = montecarlo._chunk_plan(n_paths, threads)
+        assert plan[0][0] == 0
+        for (s0, c0), (s1, _) in zip(plan, plan[1:]):
+            assert s1 == s0 + c0
+        assert sum(c for _, c in plan) == n_paths
+        assert all(0 < c <= montecarlo._CHUNK_PATHS for _, c in plan)
+        if n_paths <= montecarlo._CHUNK_PATHS:
+            assert len(plan) <= threads
 
 
 class TestScaledValues:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -69,6 +72,96 @@ def test_uniform_block_chunking_never_changes_values():
         [rng.uniform_block(keys, 1 + lo, 25) for lo in range(0, 100, 25)]
     )
     assert np.array_equal(whole, pieces)
+
+
+def _assert_block_matches_draws(block, keys, first_draw):
+    for r in range(block.shape[0]):
+        for i, key in enumerate(keys):
+            assert block[r, i] == rng.uniform_draw(int(key), first_draw + r)
+
+
+def test_uniform_block_out_fills_the_leading_rows_only():
+    keys = rng.path_keys(17, 0, 6)
+    out = np.full((10, 6), -1.0)
+    got = rng.uniform_block(keys, 3, 4, out=out)
+    assert got.shape == (4, 6)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(out[:4], rng.uniform_block(keys, 3, 4))
+    assert np.all(out[4:] == -1.0)
+    _assert_block_matches_draws(out[:4], keys, 3)
+
+
+def test_uniform_block_out_reuse_matches_allocating_form():
+    keys = rng.path_keys(5, 0, 7)
+    out = np.empty((8, 7))
+    scratch = np.empty(8 * 7, dtype=np.uint64)
+    for first, count in ((1, 8), (9, 8), (17, 3)):
+        got = rng.uniform_block(keys, first, count, out=out, scratch=scratch)
+        assert np.array_equal(got, rng.uniform_block(keys, first, count))
+
+
+def test_uniform_block_out_wraps_keys_and_large_draw_indices():
+    keys = np.array([2**64 - 1, 0, 2**63, 12345], dtype=np.uint64)
+    for first in (1, 2**32 - 2, 2**32 + 5, 2**40 + 3):
+        out = np.empty((5, 4))
+        rng.uniform_block(keys, first, 5, out=out)
+        assert np.array_equal(out, rng.uniform_block(keys, first, 5))
+        _assert_block_matches_draws(out, keys, first)
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((4, 3), dtype=np.float32),
+        np.empty((4, 3), dtype=np.uint64),
+        np.empty((4, 6))[:, ::2],
+        np.empty((4, 3), order="F"),
+        np.empty((3, 3)),
+        np.empty((4, 2)),
+        np.empty(12),
+        [[0.0] * 3] * 4,
+    ],
+    ids=[
+        "float32", "uint64", "strided", "fortran", "too-few-rows",
+        "wrong-columns", "one-dimensional", "list",
+    ],
+)
+def test_uniform_block_rejects_bad_out(out):
+    keys = rng.path_keys(1, 0, 3)
+    before = np.array(out, copy=True)
+    with pytest.raises(ValueError):
+        rng.uniform_block(keys, 1, 4, out=out)
+    assert np.array_equal(np.asarray(out), before, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "scratch",
+    [
+        np.empty(12, dtype=np.int64),
+        np.empty(11, dtype=np.uint64),
+        np.empty(24, dtype=np.uint64)[::2],
+    ],
+    ids=["int64", "too-small", "strided"],
+)
+def test_uniform_block_rejects_bad_scratch(scratch):
+    keys = rng.path_keys(1, 0, 3)
+    with pytest.raises(ValueError):
+        rng.uniform_block(keys, 1, 4, out=np.empty((4, 3)), scratch=scratch)
+
+
+def test_uniform_block_refill_allocates_no_block_sized_memory():
+    keys = rng.path_keys(9, 0, 1 << 10)
+    out = np.empty((256, 1 << 10))
+    scratch = np.empty(out.size, dtype=np.uint64)
+    rng.uniform_block(keys, 1, 256, out=out, scratch=scratch)
+    tracemalloc.start()
+    try:
+        rng.uniform_block(keys, 257, 256, out=out, scratch=scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # numpy's own cast buffers, a fixed size, are all that may show up
+    assert peak < out.nbytes // 8
 
 
 def test_distinct_paths_have_distinct_streams():

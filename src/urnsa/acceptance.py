@@ -21,6 +21,8 @@ from .errors import UrnsaError
 from .limits import damped_recursion, decay_product, variance_alpha0
 from .montecarlo import (
     EnsembleConfig,
+    PathCheckpointData,
+    _traces,
     deviation_split,
     gamma_hat_rate_check,
     run_ensemble,
@@ -368,16 +370,6 @@ def exact_invariants() -> CriterionResult:
     return CriterionResult(7, "exact_invariants", passed, detail)
 
 
-class _CheckpointTail:
-    """View of the tail half of a path's checkpoint data."""
-
-    def __init__(self, data, lo: int):
-        self.ns = data.ns[lo:]
-        self.x = data.x[lo:]
-        self.t = data.t[lo:]
-        self.x_prev = data.x_prev[lo:]
-
-
 def as_convergence_witness() -> CriterionResult:
     """Power-law urn paths settle: scaled deviations shrink checkpoint to
     checkpoint, and critical urns approach the 1/2 rate at log speed.
@@ -401,8 +393,7 @@ def as_convergence_witness() -> CriterionResult:
     lo = res.checkpoints.index(1 << 10)
     settled = 0
     for i in range(cfg.paths):
-        data = res.path_checkpoints(i)
-        cps = [(int(n), x) for n, x in zip(data.ns[lo:], data.x[lo:])]
+        cps = list(zip(res.checkpoints[lo:], res.cp_x[lo:, i]))
         head, tail = deviation_split(cps, p, exponent)
         if tail < 2.0 * head:
             settled += 1
@@ -420,11 +411,17 @@ def as_convergence_witness() -> CriterionResult:
     worst_gap = 0.0
     worst_exact = 0.0
     tail_lo = len(crit.checkpoints) // 2
-    for i in range(crit_cfg.paths):
-        data = crit.path_checkpoints(i)
-        report = gamma_hat_rate_check(
-            _CheckpointTail(data, tail_lo), crit_cfg.matrix, crit.prediction
+    # all 8 traces in one kernel call: one replay per path costs 10x more
+    keys = rng.path_keys(crit_cfg.master_seed, 0, crit_cfg.paths)
+    for data in _traces(
+        crit_cfg.matrix, crit_cfg.w0, crit_cfg.b0, crit_cfg.horizon, keys,
+        crit.checkpoints,
+    ):
+        tail = PathCheckpointData(
+            data.ns[tail_lo:], data.x[tail_lo:], data.t[tail_lo:],
+            data.x_prev[tail_lo:],
         )
+        report = gamma_hat_rate_check(tail, crit_cfg.matrix, crit.prediction)
         worst_gap = max(worst_gap, report.max_critical_gap)
         # the realized rate has the closed form 1/2 - 1/(2+4n) here
         for j in range(tail_lo, data.ns.size):
@@ -442,13 +439,16 @@ def as_convergence_witness() -> CriterionResult:
 
 
 def determinism() -> CriterionResult:
-    """Byte-identical outputs across repeats and thread counts."""
+    """Byte-identical outputs across repeats and thread counts.
+
+    20000 paths make the threaded runs split into two chunks, so the
+    check crosses a chunk seam."""
     urn_base = dict(
         matrix=ReplacementMatrix(4, 5, 3, 2),
         w0=1,
         b0=1,
         horizon=2000,
-        paths=2000,
+        paths=20_000,
         master_seed=ACCEPTANCE_SEED,
     )
     urn_runs = [
@@ -463,7 +463,7 @@ def determinism() -> CriterionResult:
             EnsembleConfig(
                 synthetic=proc,
                 horizon=2000,
-                paths=2000,
+                paths=20_000,
                 master_seed=ACCEPTANCE_SEED,
                 threads=th,
             )

@@ -4,7 +4,9 @@ Every path's randomness is a pure function of (master_seed, path_index),
 so an ensemble is simulated in path chunks that can be assigned to any
 number of worker threads in any order: results are reassembled by path
 index and reduced in a fixed order.  Running the same EnsembleConfig twice,
-with any thread count, produces bit-identical results.
+with any thread count, produces bit-identical results.  So a result keeps
+only X_n at the checkpoints; a path's full trace is replayed from its key.
+Urn and synthetic runs share one pipeline once their source is resolved.
 
 The per-step urn update is vectorized across the paths of a chunk; the
 scalar urn_step in the urn module defines the semantics and the kernel here
@@ -159,7 +161,10 @@ class PathCheckpointData:
 
 @dataclass(eq=False)
 class EnsembleResult:
-    """Everything a run produces; arrays are ordered by path index."""
+    """Everything a run produces; arrays are ordered by path index.
+
+    cp_x holds X_n by checkpoint (rows) and path (columns).
+    """
 
     config: EnsembleConfig
     prediction: LimitPrediction | None
@@ -172,19 +177,18 @@ class EnsembleResult:
     checkpoints: list[int]
     checkpoint_summaries: list[CheckpointSummary]
     cp_x: np.ndarray
-    cp_t: np.ndarray | None
-    cp_x_prev: np.ndarray | None
     reference_scaled_mean: float | None = None
 
     def path_checkpoints(self, path_index: int) -> PathCheckpointData:
-        if self.cp_t is None or self.cp_x_prev is None:
-            raise ConfigError("checkpoint totals only recorded for urn runs")
-        return PathCheckpointData(
-            ns=np.asarray(self.checkpoints, dtype=np.int64),
-            x=self.cp_x[:, path_index].copy(),
-            t=self.cp_t[:, path_index].copy(),
-            x_prev=self.cp_x_prev[:, path_index].copy(),
+        """Checkpoint trace of one path of an urn run, replayed from its key."""
+        cfg = self.config
+        if cfg.matrix is None:
+            raise ConfigError("checkpoint traces exist only for urn runs")
+        keys = rng.path_keys(cfg.master_seed, range(cfg.paths)[path_index], 1)
+        (trace,) = _traces(
+            cfg.matrix, cfg.w0, cfg.b0, cfg.horizon, keys, self.checkpoints
         )
+        return trace
 
 
 def sample_moments(values: Sequence[float]) -> Moments:
@@ -210,9 +214,10 @@ def sample_moments(values: Sequence[float]) -> Moments:
 
 
 def _summary_moments(values: np.ndarray) -> Moments:
+    """sample_moments, with zero variance for one value or no spread."""
     try:
         return sample_moments(values)
-    except DegenerateVarianceError:
+    except (ConfigError, DegenerateVarianceError):
         mean = float(np.mean(values))
         return Moments(mean=mean, variance=0.0, skewness=None, count=values.size)
 
@@ -251,18 +256,6 @@ def ks_report(
         pass_at_1=d <= t1,
         reference=reference,
     )
-
-
-def as_convergence_check(
-    checkpoints: Sequence[tuple[int, float]], p: float, exponent: float
-) -> float:
-    """Max successive deviation of s_k = n_k^exponent (x_k - p), tail half.
-
-    Small values witness path-wise convergence of the scaled sequence.
-    Needs at least four checkpoints.
-    """
-    _, tail = deviation_split(checkpoints, p, exponent)
-    return tail
 
 
 def deviation_split(
@@ -304,21 +297,29 @@ def gamma_hat_rate_check(
     if prediction.p is None or prediction.gamma_hat is None:
         raise ConfigError("rate check needs a prediction with a target")
     drift = drift_from_matrix(m)
-    p = prediction.p
     sup_ratio = 0.0
     max_gap = 0.0
-    for i in range(data.ns.size):
-        n = int(data.ns[i])
+    for n, x, t, x_prev in zip(data.ns, data.x, data.t, data.x_prev):
+        n = int(n)
         if n < 1:
             continue
-        gh_n = n / data.t[i] * drift.h(float(data.x_prev[i]), p)
-        envelope = abs(float(data.x[i]) - p) + 1.0 / n
-        sup_ratio = max(sup_ratio, abs(gh_n - prediction.gamma_hat) / envelope)
+        gh_n, ratio = _gamma_hat_n(n, x, t, x_prev, drift, prediction)
+        sup_ratio = max(sup_ratio, ratio)
         max_gap = max(max_gap, abs(gh_n - 0.5) * math.log(n))
     critical = prediction.regime is Regime.CLT_SQRT_N_OVER_LOG
     return RateReport(
         sup_ratio=sup_ratio, max_critical_gap=max_gap if critical else None
     )
+
+
+def _gamma_hat_n(
+    n: int, x: float, t: float, x_prev: float, drift: DriftPoly, pred: LimitPrediction
+) -> tuple[float, float]:
+    """gamma_hat_n = n / T_n * h(X_{n-1}) and its envelope ratio
+    |gamma_hat_n - gamma_hat| / (|X_n - p| + 1/n), as Python floats."""
+    gh_n = n / float(t) * drift.h(float(x_prev), pred.p)
+    envelope = abs(float(x) - pred.p) + 1.0 / n
+    return gh_n, abs(gh_n - pred.gamma_hat) / envelope
 
 
 # ---------------------------------------------------------------------------
@@ -446,30 +447,95 @@ def _run_synthetic_chunk(
             if ci < n_cp and cps[ci] == n:
                 cp_z[ci] = z
                 ci += 1
-    return z.copy(), cp_z
+    return z, cp_z
+
+
+def _traces(
+    m: ReplacementMatrix, w0: float, b0: float, horizon: int,
+    keys: np.ndarray, cps: list[int],
+) -> list[PathCheckpointData]:
+    """Replay the urn paths with these keys in one kernel call.
+
+    A path is a pure function of its key, so this repeats, bit for bit,
+    the checkpoints the ensemble computed for the same paths.
+    """
+    _, *rows = _run_urn_chunk(m, w0, b0, horizon, keys, cps)
+    ns = np.asarray(cps, dtype=np.int64)
+    return [
+        PathCheckpointData(ns, *(a[:, j].copy() for a in rows))
+        for j in range(keys.size)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # ensemble runner
 
 
-def _resolve_scaling(config: EnsembleConfig, pred: LimitPrediction | None):
-    if config.synthetic is not None:
-        return (0.0, 0.0), 0.0
-    if config.forced_scaling is not None:
-        center = config.forced_center
-        if center is None:
-            center = pred.p if pred is not None and pred.p is not None else None
-        if center is None:
-            raise ConfigError("forced scaling needs a center for this regime")
-        return config.forced_scaling, center
-    if pred is None or pred.regime not in _SCALED_REGIMES:
-        regime = pred.regime.value if pred is not None else "unknown"
+def _scaling_and_center(
+    pred: LimitPrediction,
+    forced_scaling: tuple[float, float] | None,
+    forced_center: float | None,
+) -> tuple[tuple[float, float], float]:
+    """Weight exponents and center of the scaled statistic.
+
+    Forced values win; otherwise the prediction's scaling, which is (0, 0)
+    for regimes without a distributional one, around the target p, or
+    around 0 when there is no target.
+    """
+    scaling = forced_scaling if forced_scaling is not None else pred.scaling
+    if forced_scaling is not None and forced_center is not None:
+        return scaling, forced_center
+    return scaling, pred.p if pred.p is not None else 0.0
+
+
+@dataclass(frozen=True)
+class _Source:
+    """What run_ensemble needs to know about an urn or synthetic run.
+
+    kernel maps a chunk's path keys to (final X, checkpoint X by rows).
+    """
+
+    kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    prediction: LimitPrediction | None
+    scaling: tuple[float, float]
+    center: float
+    predicted_variance: float | None
+    reference_mean: float | None
+
+
+def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
+    horizon = config.horizon
+    proc = config.synthetic
+    if proc is not None:
+        # the synthetic process is already centered and normalized
+        return _Source(
+            kernel=lambda keys: _run_synthetic_chunk(proc, horizon, keys, cps),
+            prediction=None,
+            scaling=(0.0, 0.0),
+            center=0.0,
+            predicted_variance=proc.limit_variance,
+            reference_mean=None,
+        )
+    m, w0, b0 = config.matrix, config.w0, config.b0
+    pred = classify(m)
+    if config.forced_scaling is None and pred.regime not in _SCALED_REGIMES:
         raise ConfigError(
-            f"regime {regime} has no distributional scaling; "
+            f"regime {pred.regime.value} has no distributional scaling; "
             "pass forced_scaling (and forced_center) to simulate it anyway"
         )
-    return pred.scaling, pred.p
+    if config.forced_center is None and pred.p is None:
+        raise ConfigError("forced scaling needs a center for this regime")
+    scaling, center = _scaling_and_center(
+        pred, config.forced_scaling, config.forced_center
+    )
+    return _Source(
+        kernel=lambda keys: _run_urn_chunk(m, w0, b0, horizon, keys, cps)[:2],
+        prediction=pred,
+        scaling=scaling,
+        center=center,
+        predicted_variance=pred.predicted_variance,
+        reference_mean=reference_prediction(m, w0, b0),
+    )
 
 
 def _chunk_plan(n_paths: int, threads: int) -> list[tuple[int, int]]:
@@ -496,118 +562,54 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
 
     Results are a pure function of the config minus the threads field.
     """
-    pred = classify(config.matrix) if config.matrix is not None else None
-    scaling, center = _resolve_scaling(config, pred)
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
-    n_paths = config.paths
-
-    chunks = _chunk_plan(n_paths, config.threads)
+    src = _source(config, cps)
+    chunks = _chunk_plan(config.paths, config.threads)
 
     def work(chunk: tuple[int, int]):
         start, count = chunk
-        keys = rng.path_keys(config.master_seed, start, count)
-        if config.matrix is not None:
-            return _run_urn_chunk(
-                config.matrix, config.w0, config.b0, config.horizon, keys, cps
-            )
-        return _run_synthetic_chunk(config.synthetic, config.horizon, keys, cps)
+        return src.kernel(rng.path_keys(config.master_seed, start, count))
 
     if config.threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             pieces = list(pool.map(work, chunks))
     else:
         pieces = [work(ch) for ch in chunks]
+    final = np.concatenate([piece[0] for piece in pieces])
+    cp_x = np.concatenate([piece[1] for piece in pieces], axis=1)
 
-    n_cp = len(cps)
-    if len(pieces) == 1:
-        final = pieces[0][0]
-        cp_x = pieces[0][1]
-        cp_t = pieces[0][2] if config.matrix is not None else None
-        cp_x_prev = pieces[0][3] if config.matrix is not None else None
-    else:
-        final = np.empty(n_paths, dtype=np.float64)
-        cp_x = np.empty((n_cp, n_paths), dtype=np.float64)
-        if config.matrix is not None:
-            cp_t = np.empty((n_cp, n_paths), dtype=np.float64)
-            cp_x_prev = np.empty((n_cp, n_paths), dtype=np.float64)
-        else:
-            cp_t = None
-            cp_x_prev = None
-        for (start, count), piece in zip(chunks, pieces):
-            final[start : start + count] = piece[0]
-            cp_x[:, start : start + count] = piece[1]
-            if config.matrix is not None:
-                cp_t[:, start : start + count] = piece[2]
-                cp_x_prev[:, start : start + count] = piece[3]
-
-    sx, sy = scaling
-    if config.matrix is not None:
-        values = weight(config.horizon, sx, sy) * (final - center)
-    else:
-        values = final.copy()
-
-    if n_paths >= 2:
-        moments = _summary_moments(values)
-    else:
-        moments = Moments(
-            mean=float(values[0]), variance=0.0, skewness=None, count=1
-        )
-
-    ks = _reference_ks(config, pred, values, moments)
-
+    sx, sy = src.scaling
+    values = weight(config.horizon, sx, sy) * (final - src.center)
+    moments = _summary_moments(values)
     summaries = []
-    for i, n in enumerate(cps):
-        if config.matrix is not None:
-            scaled = weight(n, sx, sy) * (cp_x[i] - center)
-        else:
-            scaled = cp_x[i]
-        if n_paths >= 2:
-            cm = _summary_moments(scaled)
-            summaries.append(
-                CheckpointSummary(n=n, mean=cm.mean, variance=cm.variance)
-            )
-        else:
-            summaries.append(
-                CheckpointSummary(n=n, mean=float(scaled[0]), variance=0.0)
-            )
-
-    ref_mean = None
-    if config.matrix is not None:
-        ref_mean = reference_prediction(config.matrix, config.w0, config.b0)
+    for n, row in zip(cps, cp_x):
+        cm = _summary_moments(weight(n, sx, sy) * (row - src.center))
+        summaries.append(CheckpointSummary(n=n, mean=cm.mean, variance=cm.variance))
 
     return EnsembleResult(
         config=config,
-        prediction=pred,
-        scaling=scaling,
-        center=center,
+        prediction=src.prediction,
+        scaling=src.scaling,
+        center=src.center,
         values=values,
         final_x=final,
         moments=moments,
-        ks=ks,
+        ks=_reference_ks(values, moments, src.predicted_variance),
         checkpoints=cps,
         checkpoint_summaries=summaries,
         cp_x=cp_x,
-        cp_t=cp_t,
-        cp_x_prev=cp_x_prev,
-        reference_scaled_mean=ref_mean,
+        reference_scaled_mean=src.reference_mean,
     )
 
 
 def _reference_ks(
-    config: EnsembleConfig,
-    pred: LimitPrediction | None,
-    values: np.ndarray,
-    moments: Moments,
+    values: np.ndarray, moments: Moments, predicted_variance: float | None
 ) -> KSReport | None:
+    """KS against the predicted normal, or the fitted one without a prediction."""
     if values.size < 2:
         return None
-    if config.synthetic is not None:
-        target = config.synthetic.limit_variance
-        return ks_report(
-            values, lambda z: normal_cdf(z, 0.0, target), "predicted-normal"
-        )
-    if pred is not None and pred.predicted_variance is not None:
-        target = pred.predicted_variance
+    if predicted_variance is not None:
+        target = predicted_variance
         return ks_report(
             values, lambda z: normal_cdf(z, 0.0, target), "predicted-normal"
         )
@@ -649,34 +651,20 @@ def inspect_path(
     remains usable for singular and degenerate matrices.
     """
     pred = classify(m)
-    if forced_scaling is not None:
-        sx, sy = forced_scaling
-        center = forced_center
-        if center is None:
-            center = pred.p if pred.p is not None else 0.0
-    elif pred.regime in _SCALED_REGIMES:
-        sx, sy = pred.scaling
-        center = pred.p
-    else:
-        sx, sy = 0.0, 0.0
-        center = pred.p if pred.p is not None else 0.0
+    (sx, sy), center = _scaling_and_center(pred, forced_scaling, forced_center)
     cps = checkpoint_schedule(horizon, checkpoint_factor)
     keys = rng.path_keys(master_seed, 0, 1)
-    final, cp_x, cp_t, cp_x_prev = _run_urn_chunk(m, w0, b0, horizon, keys, cps)
+    data = _traces(m, w0, b0, horizon, keys, cps)[0]
     drift = drift_from_matrix(m)
+    rated = pred.p is not None and pred.gamma_hat is not None
     rows = []
-    for i, n in enumerate(cps):
-        x = float(cp_x[i, 0])
+    for n, x, t, x_prev in zip(cps, data.x, data.t, data.x_prev):
+        x = float(x)
+        gh_n = ratio = None
+        if n >= 1 and rated:
+            gh_n, ratio = _gamma_hat_n(n, x, t, x_prev, drift, pred)
         scaled = weight(n, sx, sy) * (x - center)
-        if n >= 1 and pred.p is not None and pred.gamma_hat is not None:
-            gh_n = n / float(cp_t[i, 0]) * drift.h(float(cp_x_prev[i, 0]), pred.p)
-            ratio = abs(gh_n - pred.gamma_hat) / (abs(x - pred.p) + 1.0 / n)
-        else:
-            gh_n = None
-            ratio = None
-        rows.append(
-            PathRow(n=n, x=x, scaled=scaled, gamma_hat_n=gh_n, envelope_ratio=ratio)
-        )
+        rows.append(PathRow(n, x, scaled, gamma_hat_n=gh_n, envelope_ratio=ratio))
     return pred, rows
 
 

@@ -13,18 +13,16 @@ from urnsa import (
     DomainViolationError,
     DriftPoly,
     ReplacementMatrix,
-    SAConstants,
     SAPath,
     StepFamily,
     SyntheticProcess,
-    q_step,
     rng,
     run_path_scalar,
-    sa_constants,
     sa_step,
-    synthetic_step,
     weight,
 )
+from urnsa.sa import SAConstants, q_step, synthetic_step
+from urnsa.urn import sa_constants
 
 
 class TestSaStep:

@@ -20,7 +20,6 @@ from urnsa import (
     ZeroDriftError,
     drift_from_matrix,
     error_poly_from_matrix,
-    gamma_deviation,
     gamma_hat,
     gamma_limit,
     rng,
@@ -29,6 +28,7 @@ from urnsa import (
     urn_noise,
     urn_step,
 )
+from urnsa.urn import gamma_deviation
 
 entry = st.integers(0, 9).map(float)
 positive_entry = st.integers(1, 9).map(float)

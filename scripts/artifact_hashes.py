@@ -4,8 +4,8 @@ Two checkouts that print the same lines produce byte-identical summary JSON
 and values CSV for every ensemble below, and the same `urnsa path` tables
 and `analyze --json` reports.  Covered:
 
-1. every ensemble that acceptance.run_suite runs, captured by wrapping
-   acceptance.run_ensemble, so the configs are the suite's own;
+1. every ensemble that acceptance.run_suite("full") runs, captured by
+   wrapping acceptance.run_ensemble, so the configs are the suite's own;
 2. the three benchmark workload commands (urnbench/workloads.py), at the
    benchmark's default seed;
 3. `urnsa path` and `analyze --json` over the regime gallery matrices
@@ -18,13 +18,11 @@ and `analyze --json` reports.  Covered:
 One line per artifact: label, artifact name, sha256.  Acceptance verdict
 lines go to stderr.
 
-    PYTHONPATH=src python3 scripts/artifact_hashes.py [--suite full|quick]
+    PYTHONPATH=src python3 scripts/artifact_hashes.py
 
-The full suite takes about 20 minutes on a 2-core Xeon; --suite quick runs
-only the quick criteria's ensembles and leaves the rest unchanged.
+It takes about 7.5 minutes on a 2-core Xeon, most of it in the suite.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -106,7 +104,7 @@ def cli_stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def acceptance_runs(suite: str) -> None:
+def acceptance_runs() -> None:
     original = acceptance.run_ensemble
     runs = itertools.count()
 
@@ -117,7 +115,7 @@ def acceptance_runs(suite: str) -> None:
 
     acceptance.run_ensemble = recording
     try:
-        acceptance.run_suite(suite, stream=sys.stderr)
+        acceptance.run_suite("full", stream=sys.stderr)
     finally:
         acceptance.run_ensemble = original
 
@@ -211,13 +209,10 @@ def edge_runs() -> None:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--suite", choices=("full", "quick"), default="full")
-    args = ap.parse_args()
     edge_runs()
     gallery_runs()
     workload_runs()
-    acceptance_runs(args.suite)
+    acceptance_runs()
 
 
 if __name__ == "__main__":

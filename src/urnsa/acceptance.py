@@ -412,11 +412,7 @@ def as_convergence_witness() -> CriterionResult:
     worst_exact = 0.0
     tail_lo = len(crit.checkpoints) // 2
     # all 8 traces in one kernel call: one replay per path costs 10x more
-    keys = rng.path_keys(crit_cfg.master_seed, 0, crit_cfg.paths)
-    for data in _traces(
-        crit_cfg.matrix, crit_cfg.w0, crit_cfg.b0, crit_cfg.horizon, keys,
-        crit.checkpoints,
-    ):
+    for data in _traces(crit_cfg, range(crit_cfg.paths)):
         tail = PathCheckpointData(
             data.ns[tail_lo:], data.x[tail_lo:], data.t[tail_lo:],
             data.x_prev[tail_lo:],

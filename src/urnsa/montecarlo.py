@@ -19,7 +19,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -180,14 +180,17 @@ class EnsembleResult:
     reference_scaled_mean: float | None = None
 
     def path_checkpoints(self, path_index: int) -> PathCheckpointData:
-        """Checkpoint trace of one path of an urn run, replayed from its key."""
+        """Checkpoint trace of one path of an urn run, replayed from its key.
+
+        Each call replays the path's whole horizon, O(horizon) work; a
+        caller that needs many traces should replay them in one call of
+        the private montecarlo._traces.
+        """
         cfg = self.config
         if cfg.matrix is None:
             raise ConfigError("checkpoint traces exist only for urn runs")
-        keys = rng.path_keys(cfg.master_seed, range(cfg.paths)[path_index], 1)
-        (trace,) = _traces(
-            cfg.matrix, cfg.w0, cfg.b0, cfg.horizon, keys, self.checkpoints
-        )
+        i = range(cfg.paths)[path_index]
+        (trace,) = _traces(cfg, range(i, i + 1))
         return trace
 
 
@@ -338,31 +341,32 @@ def _block_buffers(k: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return u, np.empty(u.size, dtype=np.uint64)
 
 
-def _run_urn_chunk(
+def _urn_states(
     m: ReplacementMatrix,
     w0: float,
     b0: float,
     horizon: int,
     keys: np.ndarray,
     cps: list[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Step the urn paths with these keys; yield (W_n, T_n, X_{n-1}) at
+    each checkpoint n (X_{n-1} is NaN at n = 0).
+
+    The yielded arrays are the kernel's live buffers: read or copy them
+    before asking for the next checkpoint.
+    """
     k = keys.size
-    n_cp = len(cps)
     w = np.full(k, w0, dtype=np.float64)
     t = np.full(k, w0 + b0, dtype=np.float64)
-    cp_x = np.empty((n_cp, k), dtype=np.float64)
-    cp_t = np.empty((n_cp, k), dtype=np.float64)
-    cp_x_prev = np.empty((n_cp, k), dtype=np.float64)
+    x = np.full(k, np.nan)
     ci = 0
     if cps[0] == 0:
-        cp_x[0] = w / t
-        cp_t[0] = t
-        cp_x_prev[0] = np.nan
+        yield w, t, x
         ci = 1
+    n_cp = len(cps)
     a, c = m.a, m.c
     row_w, row_b = m.row_white, m.row_black
     # reusable buffers keep the per-step loop allocation-free
-    x = np.empty(k, dtype=np.float64)
     white = np.empty(k, dtype=bool)
     tmp = np.empty(k, dtype=np.float64)
     balanced = row_w == row_b
@@ -401,12 +405,9 @@ def _run_urn_chunk(
                 bl += tmp
                 np.add(w, bl, out=t)
             if ci < n_cp and cps[ci] == j:
-                np.divide(w, t, out=cp_x[ci])
-                cp_t[ci] = t
-                cp_x_prev[ci] = x
+                yield w, t, x
                 ci += 1
             j += 1
-    return w / t, cp_x, cp_t, cp_x_prev
 
 
 def _run_synthetic_chunk(
@@ -414,7 +415,8 @@ def _run_synthetic_chunk(
     horizon: int,
     keys: np.ndarray,
     cps: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
+    """Z_n of the synthetic paths with these keys, by checkpoint (rows)."""
     k = keys.size
     n_cp = len(cps)
     z = np.full(k, proc.z0, dtype=np.float64)
@@ -447,19 +449,25 @@ def _run_synthetic_chunk(
             if ci < n_cp and cps[ci] == n:
                 cp_z[ci] = z
                 ci += 1
-    return z, cp_z
+    return cp_z
 
 
-def _traces(
-    m: ReplacementMatrix, w0: float, b0: float, horizon: int,
-    keys: np.ndarray, cps: list[int],
-) -> list[PathCheckpointData]:
-    """Replay the urn paths with these keys in one kernel call.
+def _traces(config: EnsembleConfig, indices: range) -> list[PathCheckpointData]:
+    """Checkpoint traces of the urn paths `indices` of this config's runs.
 
-    A path is a pure function of its key, so this repeats, bit for bit,
-    the checkpoints the ensemble computed for the same paths.
+    A path is a pure function of (master_seed, path index), so one kernel
+    call over the paths' keys repeats, bit for bit, what the ensemble
+    computed for them; it costs the paths' whole horizon.
     """
-    _, *rows = _run_urn_chunk(m, w0, b0, horizon, keys, cps)
+    cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
+    keys = rng.path_keys(config.master_seed, indices.start, len(indices))
+    rows = [np.empty((len(cps), keys.size)) for _ in range(3)]
+    m, w0, b0 = config.matrix, config.w0, config.b0
+    for ci, (w, t, x_prev) in enumerate(
+        _urn_states(m, w0, b0, config.horizon, keys, cps)
+    ):
+        np.divide(w, t, out=rows[0][ci])
+        rows[1][ci], rows[2][ci] = t, x_prev
     ns = np.asarray(cps, dtype=np.int64)
     return [
         PathCheckpointData(ns, *(a[:, j].copy() for a in rows))
@@ -492,10 +500,11 @@ def _scaling_and_center(
 class _Source:
     """What run_ensemble needs to know about an urn or synthetic run.
 
-    kernel maps a chunk's path keys to (final X, checkpoint X by rows).
+    kernel maps a chunk's path keys to X by checkpoint (rows) and path;
+    the last checkpoint is the horizon.
     """
 
-    kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    kernel: Callable[[np.ndarray], np.ndarray]
     prediction: LimitPrediction | None
     scaling: tuple[float, float]
     center: float
@@ -528,8 +537,16 @@ def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
     scaling, center = _scaling_and_center(
         pred, config.forced_scaling, config.forced_center
     )
+
+    def kernel(keys: np.ndarray) -> np.ndarray:
+        cp_x = np.empty((len(cps), keys.size), dtype=np.float64)
+        states = _urn_states(m, w0, b0, horizon, keys, cps)
+        for row, (w, t, _) in zip(cp_x, states):
+            np.divide(w, t, out=row)
+        return cp_x
+
     return _Source(
-        kernel=lambda keys: _run_urn_chunk(m, w0, b0, horizon, keys, cps)[:2],
+        kernel=kernel,
         prediction=pred,
         scaling=scaling,
         center=center,
@@ -575,8 +592,8 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
             pieces = list(pool.map(work, chunks))
     else:
         pieces = [work(ch) for ch in chunks]
-    final = np.concatenate([piece[0] for piece in pieces])
-    cp_x = np.concatenate([piece[1] for piece in pieces], axis=1)
+    cp_x = np.concatenate(pieces, axis=1)
+    final = cp_x[-1].copy()
 
     sx, sy = src.scaling
     values = weight(config.horizon, sx, sy) * (final - src.center)
@@ -650,15 +667,18 @@ def inspect_path(
     around the target (or around 0 when no target exists), so the command
     remains usable for singular and degenerate matrices.
     """
+    # the ensemble's validation: positive counts, exact-count horizon
+    config = EnsembleConfig(
+        matrix=m, w0=w0, b0=b0, horizon=horizon, paths=1,
+        master_seed=master_seed, checkpoint_factor=checkpoint_factor,
+    )
     pred = classify(m)
     (sx, sy), center = _scaling_and_center(pred, forced_scaling, forced_center)
-    cps = checkpoint_schedule(horizon, checkpoint_factor)
-    keys = rng.path_keys(master_seed, 0, 1)
-    data = _traces(m, w0, b0, horizon, keys, cps)[0]
+    (data,) = _traces(config, range(1))
     drift = drift_from_matrix(m)
     rated = pred.p is not None and pred.gamma_hat is not None
     rows = []
-    for n, x, t, x_prev in zip(cps, data.x, data.t, data.x_prev):
+    for n, x, t, x_prev in zip(data.ns.tolist(), data.x, data.t, data.x_prev):
         x = float(x)
         gh_n = ratio = None
         if n >= 1 and rated:

@@ -353,6 +353,14 @@ class TestPath:
         assert len(table) == 1
         assert table[0][0] == "0"
 
+    def test_invalid_counts_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "path", "-m", "4,5,3,2", "--w0", "0", "--horizon", "4"
+        )
+        assert code == 1
+        assert out == ""
+        assert "initial counts must be positive" in err
+
     def test_out_file_equals_stdout(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("URNSA_OUT_DIR", str(tmp_path))
         args = ("path", "-m", "3,1,1,3", "--horizon", "32", "--seed", "9")

@@ -734,6 +734,24 @@ class TestInspectPath:
         assert rows[0].x == 0.5
         assert rows[0].gamma_hat_n is None
 
+    @pytest.mark.parametrize(
+        "w0, b0, horizon, message",
+        [
+            (0.0, 1.0, 4, "initial counts must be positive"),
+            (1.0, -2.0, 4, "initial counts must be positive"),
+            (1.0, 1.0, 2**53 // 9 + 1, "exact double range"),
+        ],
+    )
+    def test_refuses_what_the_ensemble_refuses(
+        self, toy_matrix, w0, b0, horizon, message
+    ):
+        with pytest.raises(ConfigError, match=message):
+            EnsembleConfig(
+                matrix=toy_matrix, w0=w0, b0=b0, horizon=horizon, paths=1
+            )
+        with pytest.raises(ConfigError, match=message):
+            inspect_path(toy_matrix, w0, b0, horizon, 0)
+
 
 SUMMARY_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",

@@ -12,7 +12,8 @@ and `analyze --json` reports.  Covered:
    (scripts/regime_gallery.py), plus forced-scaling `path` tables;
 4. edge configs: horizon 0, one path, forced scaling and center,
    fractional matrix and counts, and a multi-chunk split forced by
-   lowering montecarlo._MIN_CHUNK_PATHS; for urn configs, also the
+   lowering montecarlo._MIN_CHUNK_PATHS and patching
+   montecarlo._usable_cores to 3; for urn configs, also the
    checkpoint traces (path_checkpoints) of three paths.
 
 One line per artifact: label, artifact name, sha256.  Acceptance verdict
@@ -74,8 +75,7 @@ def describe(cfg: EnsembleConfig) -> str:
         extra += f" center={cfg.forced_center:g}"
     return (
         f"{source} horizon={cfg.horizon} paths={cfg.paths} "
-        f"seed={cfg.master_seed} factor={cfg.checkpoint_factor}"
-        f"{extra} threads={cfg.threads}"
+        f"seed={cfg.master_seed} factor={cfg.checkpoint_factor}{extra}"
     )
 
 
@@ -195,17 +195,16 @@ def edge_run(label: str, cfg: EnsembleConfig) -> None:
 def edge_runs() -> None:
     for cfg in edge_configs():
         edge_run(f"edge {describe(cfg)}", cfg)
-    # the same configs split into several chunks; threads never change
-    # the numbers, so these lines must equal the one-chunk lines above
-    saved = montecarlo._MIN_CHUNK_PATHS
-    montecarlo._MIN_CHUNK_PATHS = 1
+    # the same configs split into up to three chunks; the chunk shape never
+    # changes the numbers, so these lines must equal the one-chunk lines
+    saved = montecarlo._MIN_CHUNK_PATHS, montecarlo._usable_cores
+    montecarlo._MIN_CHUNK_PATHS, montecarlo._usable_cores = 1, lambda: 3
     try:
         for cfg in edge_configs():
-            cfg = EnsembleConfig(**{**cfg.__dict__, "threads": 3})
-            chunks = len(montecarlo._chunk_plan(cfg.paths, cfg.threads))
+            chunks = len(montecarlo._chunk_plan(cfg.paths, 3))
             edge_run(f"edge {describe(cfg)} chunks={chunks}", cfg)
     finally:
-        montecarlo._MIN_CHUNK_PATHS = saved
+        montecarlo._MIN_CHUNK_PATHS, montecarlo._usable_cores = saved
 
 
 def main() -> None:

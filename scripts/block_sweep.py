@@ -6,15 +6,17 @@ measurement behind that constant, and behind montecarlo._MIN_CHUNK_PATHS:
 
 1. rng.uniform_block alone, filling reused buffers, in ns per draw, for
    20000 and 500 paths at each budget;
-2. one run_ensemble (threads=1) per benchmark workload shape (see
+2. one single-chunk run_ensemble per benchmark workload shape (see
    urnbench/workloads.py) at each budget, in million path-steps per second,
    the median of --repeats runs;
-3. the toy urn at several path counts with threads=1 and threads=2, the
-   latter forced into two chunks, to find where splitting starts to pay.
+3. the toy urn at several path counts in one chunk and forced into two
+   chunks on two worker threads, to find where splitting starts to pay.
 
+Chunk counts are forced by patching montecarlo._usable_cores (and
+lowering montecarlo._MIN_CHUNK_PATHS for step 3), not by the machine.
 It prints the usable core count and the L2 cache size first, read from
-os.sched_getaffinity and /sys/devices/system/cpu/cpu0/cache; it sets
-nothing on the machine.  The constants are restored before it exits.
+the affinity mask and /sys/devices/system/cpu/cpu0/cache; it sets nothing
+on the machine.  The constants are restored before it exits.
 
     PYTHONPATH=src python3 scripts/block_sweep.py [--repeats 3] [--min-exp 12] [--max-exp 21]
 
@@ -22,7 +24,6 @@ Takes a few minutes at the defaults on a 2-core machine.
 """
 
 import argparse
-import os
 import statistics
 import time
 from pathlib import Path
@@ -50,7 +51,7 @@ SEED = 20110221
 
 
 def machine() -> str:
-    cores = len(os.sched_getaffinity(0))
+    cores = montecarlo._usable_cores()
     l2 = "unknown"
     for index in sorted(Path("/sys/devices/system/cpu/cpu0/cache").glob("index*")):
         try:
@@ -76,14 +77,20 @@ def time_uniform_block(k: int, budget: int, min_draws: int = 1 << 24) -> float:
     return (time.perf_counter() - t0) / (calls * rows * k) * 1e9
 
 
-def time_ensemble(shape: dict, repeats: int, threads: int = 1) -> float:
-    """Median million path-steps per second of run_ensemble."""
-    cfg = EnsembleConfig(master_seed=SEED, threads=threads, **shape)
-    rates = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        montecarlo.run_ensemble(cfg)
-        rates.append(cfg.paths * cfg.horizon / (time.perf_counter() - t0) / 1e6)
+def time_ensemble(shape: dict, repeats: int, workers: int = 1) -> float:
+    """Median million path-steps per second of run_ensemble, planned as if
+    `workers` cores were usable."""
+    cfg = EnsembleConfig(master_seed=SEED, **shape)
+    saved = montecarlo._usable_cores
+    montecarlo._usable_cores = lambda: workers
+    try:
+        rates = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            montecarlo.run_ensemble(cfg)
+            rates.append(cfg.paths * cfg.horizon / (time.perf_counter() - t0) / 1e6)
+    finally:
+        montecarlo._usable_cores = saved
     return statistics.median(rates)
 
 
@@ -106,7 +113,7 @@ def main() -> None:
             narrow = time_uniform_block(500, b)
             print(f"{'2^%d' % (b.bit_length() - 1):>8} {wide:>9.2f} {narrow:>9.2f}")
 
-        print("\nrun_ensemble, threads=1, M path-steps/s "
+        print("\nrun_ensemble, one chunk, M path-steps/s "
               f"(median of {args.repeats})")
         print(f"{'budget':>8}" + "".join(f"{n:>16}" for n in SHAPES))
         for b in budgets:
@@ -116,17 +123,17 @@ def main() -> None:
                   + "".join(f"{r:>16.1f}" for r in rates))
         montecarlo._BLOCK_ELEMENTS = saved[0]
 
-        print("\ntoy urn (4,5;3,2), 2^24 path-steps, threads=2 split into two "
-              f"chunks vs threads=1, M path-steps/s (median of {args.repeats})")
-        print(f"{'paths':>8} {'threads=1':>10} {'threads=2':>10}")
+        print("\ntoy urn (4,5;3,2), 2^24 path-steps, one chunk vs two chunks "
+              f"on two threads, M path-steps/s (median of {args.repeats})")
+        print(f"{'paths':>8} {'1 chunk':>10} {'2 chunks':>10}")
         montecarlo._MIN_CHUNK_PATHS = 1
         for paths in (500, 2_000, 8_000, 20_000):
             shape = dict(
                 matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1,
                 paths=paths, horizon=(1 << 24) // paths,
             )
-            one = time_ensemble(shape, args.repeats, threads=1)
-            two = time_ensemble(shape, args.repeats, threads=2)
+            one = time_ensemble(shape, args.repeats, workers=1)
+            two = time_ensemble(shape, args.repeats, workers=2)
             print(f"{paths:>8} {one:>10.1f} {two:>10.1f}")
     finally:
         montecarlo._BLOCK_ELEMENTS, montecarlo._MIN_CHUNK_PATHS = saved

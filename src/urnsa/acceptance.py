@@ -5,7 +5,7 @@ run_suite executes a named subset and prints one verdict line per
 criterion.  Tolerances are part of the contract and are deliberately
 hard-coded here rather than configurable.
 
-The full suite is several minutes of single-core compute; the quick
+The full suite is several minutes of compute; the quick
 suite covers the exact invariants and determinism checks in seconds.
 """
 
@@ -22,7 +22,9 @@ from .limits import damped_recursion, decay_product, variance_alpha0
 from .montecarlo import (
     EnsembleConfig,
     PathCheckpointData,
+    _chunk_plan,
     _traces,
+    _usable_cores,
     deviation_split,
     gamma_hat_rate_check,
     run_ensemble,
@@ -435,49 +437,45 @@ def as_convergence_witness() -> CriterionResult:
 
 
 def determinism() -> CriterionResult:
-    """Byte-identical outputs across repeats and thread counts.
+    """Byte-identical outputs across repeats and chunk shapes.
 
-    20000 paths make the threaded runs split into two chunks, so the
-    check crosses a chunk seam."""
-    urn_base = dict(
-        matrix=ReplacementMatrix(4, 5, 3, 2),
-        w0=1,
-        b0=1,
-        horizon=2000,
-        paths=20_000,
-        master_seed=ACCEPTANCE_SEED,
-    )
-    urn_runs = [
-        run_ensemble(EnsembleConfig(**urn_base, threads=th))
-        for th in (1, 1, 4)
-    ]
+    Each source runs 20000 paths twice and 15000 paths once.  On two or
+    more usable cores the 20000-path runs split into two 10000-path
+    chunks, while 15000 paths always run as one, so paths 10000-14999 sit
+    in a second chunk of one run and inside the only chunk of the other.
+    """
     proc = SyntheticProcess(
         big_gamma=1.0, sigma2=1.0, family=StepFamily.N, z0=0.0
     )
-    syn_runs = [
-        run_ensemble(
-            EnsembleConfig(
-                synthetic=proc,
-                horizon=2000,
-                paths=20_000,
-                master_seed=ACCEPTANCE_SEED,
-                threads=th,
-            )
-        )
-        for th in (1, 3)
-    ]
-    distinct = [
-        len({summary_json(r) for r in urn_runs}),
-        len({values_csv(r) for r in urn_runs}),
-        len({summary_json(r) for r in syn_runs}),
-        len({values_csv(r) for r in syn_runs}),
-    ]
-    passed = distinct == [1, 1, 1, 1]
-    detail = (
-        "repeat and threaded runs byte-identical"
-        if passed
-        else f"distinct outputs per group: {distinct}"
+    sources = (
+        dict(matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1),
+        dict(synthetic=proc),
     )
+    distinct = []
+    prefix_equal = []
+    for source in sources:
+        base = dict(**source, horizon=2000, master_seed=ACCEPTANCE_SEED)
+        wide = [
+            run_ensemble(EnsembleConfig(**base, paths=20_000)) for _ in range(2)
+        ]
+        narrow = run_ensemble(EnsembleConfig(**base, paths=15_000))
+        distinct += [
+            len({summary_json(r) for r in wide}),
+            len({values_csv(r) for r in wide}),
+        ]
+        prefix_equal.append(
+            wide[0].cp_x[:, :15_000].tobytes() == narrow.cp_x.tobytes()
+            and wide[0].values[:15_000].tobytes() == narrow.values.tobytes()
+        )
+    chunks = len(_chunk_plan(20_000, _usable_cores()))
+    passed = distinct == [1, 1, 1, 1] and all(prefix_equal)
+    detail = (
+        "repeat runs byte-identical, first 15000 paths equal a 15000-path run"
+        if passed
+        else f"distinct outputs per group: {distinct}, "
+        f"prefix equal per source: {prefix_equal}"
+    )
+    detail += f"; chunks for 20000 paths: {chunks}"
     return CriterionResult(9, "determinism", passed, detail)
 
 

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage or validation error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -17,6 +16,7 @@ from . import acceptance
 from .errors import UrnsaError
 from .montecarlo import (
     EnsembleConfig,
+    analyze_dict,
     analyze_json,
     inspect_path,
     run_ensemble,
@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="both",
             help="which artifacts to emit (default both)",
         )
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("analyze", help="closed-form limit prediction")
     add_matrix(p)
@@ -171,11 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    text = analyze_json(args.matrix, args.w0, args.b0)
     if args.json:
-        sys.stdout.write(text)
+        sys.stdout.write(analyze_json(args.matrix, args.w0, args.b0))
         return 0
-    doc = json.loads(text)
+    doc = analyze_dict(args.matrix, args.w0, args.b0)
     pred = doc["prediction"]
     drift = doc["drift"]
     print(
@@ -228,7 +226,6 @@ def _cmd_simulate(args) -> int:
         checkpoint_factor=args.factor,
         forced_scaling=args.force_scaling,
         forced_center=args.force_center,
-        threads=args.threads,
     )
     return _emit(args, run_ensemble(cfg))
 
@@ -246,7 +243,6 @@ def _cmd_synthetic(args) -> int:
         paths=args.paths,
         master_seed=args.seed,
         checkpoint_factor=args.factor,
-        threads=args.threads,
     )
     return _emit(args, run_ensemble(cfg))
 

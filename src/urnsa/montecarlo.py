@@ -1,11 +1,11 @@
 """Reproducible parallel Monte Carlo for urn and synthetic ensembles.
 
 Every path's randomness is a pure function of (master_seed, path_index),
-so an ensemble is simulated in path chunks that can be assigned to any
-number of worker threads in any order: results are reassembled by path
-index and reduced in a fixed order.  Running the same EnsembleConfig twice,
-with any thread count, produces bit-identical results.  So a result keeps
-only X_n at the checkpoints; a path's full trace is replayed from its key.
+so an ensemble is simulated in path chunks on worker threads, about one
+per usable core, in any order: results are reassembled by path index and
+reduced in a fixed order.  Running the same EnsembleConfig twice, on any
+number of cores, produces bit-identical results.  So a result keeps only
+X_n at the checkpoints; a path's full trace is replayed from its key.
 Urn and synthetic runs share one pipeline once their source is resolved.
 
 The per-step urn update is vectorized across the paths of a chunk; the
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -84,8 +85,7 @@ def checkpoint_schedule(horizon: int, factor: int = 2) -> list[int]:
 class EnsembleConfig:
     """Full identity of one Monte Carlo run.
 
-    Exactly one of matrix or synthetic must be set.  threads is an
-    execution knob and never affects the produced numbers.
+    Exactly one of matrix or synthetic must be set.
     """
 
     matrix: ReplacementMatrix | None = None
@@ -98,7 +98,6 @@ class EnsembleConfig:
     checkpoint_factor: int = 2
     forced_scaling: tuple[float, float] | None = None
     forced_center: float | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if (self.matrix is None) == (self.synthetic is None):
@@ -109,8 +108,6 @@ class EnsembleConfig:
             raise ConfigError("horizon must be nonnegative")
         if self.checkpoint_factor < 2:
             raise ConfigError("checkpoint factor must be at least 2")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if self.matrix is not None:
             if self.w0 <= 0.0 or self.b0 <= 0.0:
                 raise ConfigError("initial counts must be positive")
@@ -131,7 +128,11 @@ class Moments:
 
 @dataclass(frozen=True)
 class KSReport:
-    """Kolmogorov-Smirnov distance with asymptotic pass/fail verdicts."""
+    """Kolmogorov-Smirnov distance with asymptotic pass/fail verdicts.
+
+    The thresholds use the asymptotic constants (KS_CONSTANTS), so below
+    1000 values the verdicts are approximate.
+    """
 
     d: float
     count: int
@@ -246,6 +247,11 @@ def ks_statistic(values: Sequence[float], cdf: Callable[[float], float]) -> floa
 def ks_report(
     values: np.ndarray, cdf: Callable[[float], float], reference: str
 ) -> KSReport:
+    """KS distance to cdf with pass/fail verdicts at the 5% and 1% levels.
+
+    The thresholds are the asymptotic ones, KS_CONSTANTS / sqrt(n), so the
+    verdicts are approximate below 1000 values.
+    """
     d = ks_statistic(values, cdf)
     n = values.size
     t5 = KS_CONSTANTS[0.05] / math.sqrt(n)
@@ -329,16 +335,26 @@ def _gamma_hat_n(
 # vectorized kernels
 
 
-def _block_buffers(k: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform block and its RNG scratch, allocated once per chunk.
+def _uniform_rows(
+    keys: np.ndarray, first: int, last: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (j, u_j) for draw indices j = first..last, where u_j holds
+    draw j of every path with these keys.
 
-    A block holds up to _BLOCK_ELEMENTS draws (whole rows of k paths, at
-    least one row, no more rows than steps), so the block and its scratch
-    stay in cache while the step loop reads them.
+    Rows are filled a block at a time into one block and RNG scratch,
+    allocated once: up to _BLOCK_ELEMENTS draws (whole rows, at least one,
+    no more than the range needs), so both stay in cache while the step
+    loop reads them.  A yielded row is overwritten by the next block.
     """
-    rows = max(1, min(_BLOCK_ELEMENTS // max(k, 1), steps))
+    k = keys.size
+    rows = max(1, min(_BLOCK_ELEMENTS // max(k, 1), last - first + 1))
     u = np.empty((rows, k), dtype=np.float64)
-    return u, np.empty(u.size, dtype=np.uint64)
+    scratch = np.empty(u.size, dtype=np.uint64)
+    for j in range(first, last + 1, rows):
+        count = min(rows, last - j + 1)
+        rng.uniform_block(keys, j, count, out=u, scratch=scratch)
+        for r in range(count):
+            yield j + r, u[r]
 
 
 def _urn_states(
@@ -377,37 +393,30 @@ def _urn_states(
     exact = all(float(v).is_integer() for v in (a, m.b, c, m.d, w0, b0))
     if not exact:
         bl = np.full(k, b0, dtype=np.float64)
-    u, scratch = _block_buffers(k, horizon)
-    block = u.shape[0]
-    j = 1
-    while j <= horizon:
-        count = min(block, horizon - j + 1)
-        rng.uniform_block(keys, j, count, out=u, scratch=scratch)
-        for r in range(count):
-            np.divide(w, t, out=x)
-            np.less(u[r], x, out=white)
-            if exact:
-                np.multiply(white, a - c, out=tmp)
-                w += tmp
-                w += c
-                if balanced:
-                    t += row_w
-                else:
-                    np.multiply(white, row_w - row_b, out=tmp)
-                    t += tmp
-                    t += row_b
+    for j, u in _uniform_rows(keys, 1, horizon):
+        np.divide(w, t, out=x)
+        np.less(u, x, out=white)
+        if exact:
+            np.multiply(white, a - c, out=tmp)
+            w += tmp
+            w += c
+            if balanced:
+                t += row_w
             else:
-                tmp.fill(c)
-                np.copyto(tmp, a, where=white)
-                w += tmp
-                tmp.fill(m.d)
-                np.copyto(tmp, m.b, where=white)
-                bl += tmp
-                np.add(w, bl, out=t)
-            if ci < n_cp and cps[ci] == j:
-                yield w, t, x
-                ci += 1
-            j += 1
+                np.multiply(white, row_w - row_b, out=tmp)
+                t += tmp
+                t += row_b
+        else:
+            tmp.fill(c)
+            np.copyto(tmp, a, where=white)
+            w += tmp
+            tmp.fill(m.d)
+            np.copyto(tmp, m.b, where=white)
+            bl += tmp
+            np.add(w, bl, out=t)
+        if ci < n_cp and cps[ci] == j:
+            yield w, t, x
+            ci += 1
 
 
 def _run_synthetic_chunk(
@@ -429,26 +438,20 @@ def _run_synthetic_chunk(
     size = proc.noise_size
     white = np.empty(k, dtype=bool)
     tmp = np.empty(k, dtype=np.float64)
-    u, scratch = _block_buffers(k, horizon - start)
-    block = u.shape[0]
-    n = start
-    while n < horizon:
-        count = min(block, horizon - n)
-        rng.uniform_block(keys, n + 1, count, out=u, scratch=scratch)
-        for r in range(count):
-            g = proc.family.value_at(n)
-            step = size / math.sqrt(g)
-            z *= 1.0 - proc.big_gamma / g
-            # white*(2*step) - step is exactly +-step (Sterbenz), so this
-            # matches the branch form while reusing the buffers
-            np.less(u[r], 0.5, out=white)
-            np.multiply(white, 2.0 * step, out=tmp)
-            tmp -= step
-            z += tmp
-            n += 1
-            if ci < n_cp and cps[ci] == n:
-                cp_z[ci] = z
-                ci += 1
+    # draw n moves Z_{n-1} to Z_n
+    for n, u in _uniform_rows(keys, start + 1, horizon):
+        g = proc.family.value_at(n - 1)
+        step = size / math.sqrt(g)
+        z *= 1.0 - proc.big_gamma / g
+        # white*(2*step) - step is exactly +-step (Sterbenz), so this
+        # matches the branch form while reusing the buffers
+        np.less(u, 0.5, out=white)
+        np.multiply(white, 2.0 * step, out=tmp)
+        tmp -= step
+        z += tmp
+        if ci < n_cp and cps[ci] == n:
+            cp_z[ci] = z
+            ci += 1
     return cp_z
 
 
@@ -555,8 +558,19 @@ def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
     )
 
 
-def _chunk_plan(n_paths: int, threads: int) -> list[tuple[int, int]]:
-    """(start, count) path chunks, one per thread where splitting pays.
+def _usable_cores() -> int:
+    """Cores this process may run on.
+
+    The CPU affinity mask where the platform reports one, so taskset and
+    cgroup cpusets limit it; the machine's core count otherwise.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_plan(n_paths: int, workers: int) -> list[tuple[int, int]]:
+    """(start, count) path chunks, one per worker where splitting pays.
 
     One chunk per worker keeps numpy dispatch overhead off the hot loop.
     A chunk keeps about _MIN_CHUNK_PATHS paths or more, and none holds more
@@ -565,7 +579,7 @@ def _chunk_plan(n_paths: int, threads: int) -> list[tuple[int, int]]:
     """
     n_chunks = max(
         1,
-        min(threads, n_paths // _MIN_CHUNK_PATHS),
+        min(workers, n_paths // _MIN_CHUNK_PATHS),
         -(-n_paths // _CHUNK_PATHS),
     )
     per = -(-n_paths // n_chunks)
@@ -577,18 +591,20 @@ def _chunk_plan(n_paths: int, threads: int) -> list[tuple[int, int]]:
 def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Simulate an ensemble and summarize it against the predicted limit.
 
-    Results are a pure function of the config minus the threads field.
+    The paths are split into one chunk per usable core where that pays
+    (_chunk_plan), each run on its own thread; results are a pure function
+    of the config, whatever the number of cores or the chunk shape.
     """
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
     src = _source(config, cps)
-    chunks = _chunk_plan(config.paths, config.threads)
+    chunks = _chunk_plan(config.paths, _usable_cores())
 
     def work(chunk: tuple[int, int]):
         start, count = chunk
         return src.kernel(rng.path_keys(config.master_seed, start, count))
 
-    if config.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             pieces = list(pool.map(work, chunks))
     else:
         pieces = [work(ch) for ch in chunks]
@@ -702,7 +718,7 @@ def summary_dict(result: EnsembleResult) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "urn" if cfg.matrix is not None else "synthetic",
         "config": {
-            "matrix": _matrix_dict(cfg.matrix),
+            "matrix": asdict(cfg.matrix) if cfg.matrix is not None else None,
             "w0": cfg.w0 if cfg.matrix is not None else None,
             "b0": cfg.b0 if cfg.matrix is not None else None,
             "synthetic": _synthetic_dict(cfg.synthetic),
@@ -722,19 +738,10 @@ def summary_dict(result: EnsembleResult) -> dict:
             "skewness": result.moments.skewness,
             "paths": result.moments.count,
         },
-        "ks": _ks_dict(result.ks),
-        "checkpoints": [
-            {"n": s.n, "mean": s.mean, "variance": s.variance}
-            for s in result.checkpoint_summaries
-        ],
+        "ks": asdict(result.ks) if result.ks is not None else None,
+        "checkpoints": [asdict(s) for s in result.checkpoint_summaries],
     }
     return doc
-
-
-def _matrix_dict(m: ReplacementMatrix | None) -> dict | None:
-    if m is None:
-        return None
-    return {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
 
 
 def _synthetic_dict(proc: SyntheticProcess | None) -> dict | None:
@@ -801,7 +808,7 @@ def analyze_dict(
         ref = reference_prediction(m, w0, b0)
     return {
         "schema_version": SCHEMA_VERSION,
-        "matrix": _matrix_dict(m),
+        "matrix": asdict(m),
         "drift": {"quad": drift.quad, "lin": drift.lin, "const": drift.const},
         "error_poly": {"a_minus_c": err.a_minus_c, "alpha": err.alpha},
         "prediction": _urn_prediction_dict(pred, pred.scaling, ref),
@@ -812,20 +819,6 @@ def analyze_json(
     m: ReplacementMatrix, w0: float | None = None, b0: float | None = None
 ) -> str:
     return json.dumps(analyze_dict(m, w0, b0), indent=2, sort_keys=True) + "\n"
-
-
-def _ks_dict(ks: KSReport | None) -> dict | None:
-    if ks is None:
-        return None
-    return {
-        "d": ks.d,
-        "count": ks.count,
-        "threshold_5": ks.threshold_5,
-        "threshold_1": ks.threshold_1,
-        "pass_at_5": ks.pass_at_5,
-        "pass_at_1": ks.pass_at_1,
-        "reference": ks.reference,
-    }
 
 
 def summary_json(result: EnsembleResult) -> str:

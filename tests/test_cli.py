@@ -25,7 +25,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 
 import urnsa
 from test_montecarlo import ANALYZE_SCHEMA, SUMMARY_SCHEMA
-from urnsa import cli
+from urnsa import cli, montecarlo
 from urnsa.acceptance import CriterionResult
 from urnsa.montecarlo import (
     EnsembleConfig,
@@ -205,7 +205,7 @@ SIM_ARGS = (
 )
 
 
-def sim_config(threads: int = 1) -> EnsembleConfig:
+def sim_config() -> EnsembleConfig:
     # float entries mirror the CLI's matrix parsing
     return EnsembleConfig(
         matrix=ReplacementMatrix(4.0, 5.0, 3.0, 2.0),
@@ -215,7 +215,6 @@ def sim_config(threads: int = 1) -> EnsembleConfig:
         paths=23,
         master_seed=5,
         checkpoint_factor=4,
-        threads=threads,
     )
 
 
@@ -301,12 +300,20 @@ class TestSimulate:
 
     def test_thread_determinism_files(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("URNSA_OUT_DIR", str(tmp_path))
-        run_cli(capsys, *SIM_ARGS, "--out", "t1", "--threads", "1")
-        run_cli(capsys, *SIM_ARGS, "--out", "t3", "--threads", "3")
+        # 23 paths run as one chunk; force one chunk per core
+        monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATHS", 1)
+        assert len(montecarlo._chunk_plan(23, 3)) > 1
+        for cores in (1, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+            run_cli(capsys, *SIM_ARGS, "--out", f"t{cores}")
         for ext in (".json", ".csv"):
             assert (tmp_path / f"t1{ext}").read_bytes() == (
                 tmp_path / f"t3{ext}"
             ).read_bytes()
+
+    def test_threads_option_is_gone(self, capsys):
+        err = usage_error(capsys, *SIM_ARGS, "--threads", "2")
+        assert "unrecognized arguments: --threads 2" in err
 
     def test_seed_changes_output(self, capsys):
         base = list(SIM_ARGS)

@@ -1,14 +1,17 @@
 """Ensemble machinery: schedules, statistics, kernels, serialization.
 
 The reproducibility contract under test: every number an ensemble produces
-is a pure function of (config minus threads), the vectorized kernels agree
-bit for bit with the scalar steppers, and thread count never changes output.
+is a pure function of the config, the vectorized kernels agree bit for bit
+with the scalar steppers, and neither the usable core count nor the chunk
+shape ever changes output.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from dataclasses import fields
 
 import jsonschema
 import numpy as np
@@ -263,11 +266,14 @@ class TestEnsembleConfig:
         with pytest.raises(ConfigError):
             EnsembleConfig(matrix=toy_matrix, horizon=-1)
         with pytest.raises(ConfigError):
-            EnsembleConfig(matrix=toy_matrix, threads=0)
-        with pytest.raises(ConfigError):
             EnsembleConfig(matrix=toy_matrix, w0=0.0)
         with pytest.raises(ConfigError):
             EnsembleConfig(matrix=toy_matrix, checkpoint_factor=1)
+
+    def test_no_thread_count_field(self, toy_matrix):
+        assert "threads" not in {f.name for f in fields(EnsembleConfig)}
+        with pytest.raises(TypeError):
+            EnsembleConfig(matrix=toy_matrix, threads=2)
 
     def test_unscaled_regime_needs_forcing(self):
         cfg = EnsembleConfig(
@@ -405,12 +411,11 @@ class TestKernelEquivalence:
     def test_replayed_trace_in_second_chunk_matches_scalar(
         self, toy_matrix, monkeypatch
     ):
-        monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATHS", 1)
+        split_into(monkeypatch, 3)
         cfg = EnsembleConfig(
             matrix=toy_matrix, w0=1, b0=1, horizon=200, paths=23, master_seed=11,
-            threads=3,
         )
-        _, (start, count), _ = montecarlo._chunk_plan(cfg.paths, cfg.threads)
+        _, (start, count), _ = montecarlo._chunk_plan(cfg.paths, 3)
         res = run_ensemble(cfg)
         i = start + count // 2
         self._assert_trace_matches_scalar(res, i)
@@ -466,53 +471,58 @@ class TestKernelEquivalence:
             assert res.values[i] == z
 
 
+def split_into(monkeypatch, cores: int) -> None:
+    """Make run_ensemble see `cores` usable cores and split even small
+    ensembles, one chunk per core."""
+    monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATHS", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+
+
 class TestDeterminism:
-    def test_thread_count_is_invisible_urn(self, toy_matrix):
+    def test_thread_count_is_invisible_urn(self, toy_matrix, monkeypatch):
+        cfg = EnsembleConfig(
+            matrix=toy_matrix,
+            w0=1,
+            b0=1,
+            horizon=200,
+            paths=37,
+            master_seed=5,
+        )
         outs = []
-        for threads in (1, 2, 3):
-            cfg = EnsembleConfig(
-                matrix=toy_matrix,
-                w0=1,
-                b0=1,
-                horizon=200,
-                paths=37,
-                master_seed=5,
-                threads=threads,
-            )
+        for cores in (1, 2, 3):
+            split_into(monkeypatch, cores)
             res = run_ensemble(cfg)
             outs.append((summary_json(res), values_csv(res), res))
+        assert len(montecarlo._chunk_plan(cfg.paths, 3)) > 1
         assert len({o[0] for o in outs}) == 1
         assert len({o[1] for o in outs}) == 1
         for o in outs[1:]:
             assert np.array_equal(o[2].values, outs[0][2].values)
             assert np.array_equal(o[2].cp_x, outs[0][2].cp_x)
 
-    def test_thread_count_is_invisible_synthetic(self):
+    def test_thread_count_is_invisible_synthetic(self, monkeypatch):
         proc = SyntheticProcess(big_gamma=1.0, sigma2=1.0)
+        cfg = EnsembleConfig(
+            synthetic=proc,
+            horizon=150,
+            paths=23,
+            master_seed=17,
+        )
         outs = []
-        for threads in (1, 3):
-            cfg = EnsembleConfig(
-                synthetic=proc,
-                horizon=150,
-                paths=23,
-                master_seed=17,
-                threads=threads,
-            )
-            res = run_ensemble(cfg)
-            outs.append(summary_json(res))
+        for cores in (1, 3):
+            split_into(monkeypatch, cores)
+            outs.append(summary_json(run_ensemble(cfg)))
+        assert len(montecarlo._chunk_plan(cfg.paths, 3)) > 1
         assert outs[0] == outs[1]
 
     def test_split_chunks_are_invisible(self, toy_matrix, monkeypatch):
         # ensembles this small run in one chunk; force the multi-chunk path
-        monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATHS", 1)
         proc = SyntheticProcess(big_gamma=1.0, sigma2=1.0)
         for source in (dict(matrix=toy_matrix), dict(synthetic=proc)):
+            cfg = EnsembleConfig(**source, horizon=150, paths=23, master_seed=17)
             outs = []
-            for threads in (1, 3):
-                cfg = EnsembleConfig(
-                    **source, horizon=150, paths=23, master_seed=17,
-                    threads=threads,
-                )
+            for cores in (1, 3):
+                split_into(monkeypatch, cores)
                 res = run_ensemble(cfg)
                 outs.append((summary_json(res), values_csv(res)))
             assert outs[0] == outs[1]
@@ -539,6 +549,48 @@ class TestDeterminism:
             for s in (1, 2)
         ]
         assert not np.array_equal(results[0].values, results[1].values)
+
+
+class TestUsableCores:
+    def test_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert montecarlo._usable_cores() == len(os.sched_getaffinity(0))
+        else:
+            assert montecarlo._usable_cores() == (os.cpu_count() or 1)
+
+    def test_core_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert montecarlo._usable_cores() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cores() == 1
+
+    @pytest.mark.parametrize("cores,chunks", [(1, 1), (2, 2), (8, 2)])
+    def test_wide_ensemble_runs_one_chunk_per_core(
+        self, toy_matrix, monkeypatch, cores, chunks
+    ):
+        """urn-wide's path count: one chunk on one core, two chunks of
+        10000 on two or more, each on its own pool thread."""
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+        starts, pools = [], []
+        path_keys = rng.path_keys
+        pool_class = montecarlo.ThreadPoolExecutor
+
+        def recording_keys(seed, start, count):
+            starts.append((start, count))
+            return path_keys(seed, start, count)
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        monkeypatch.setattr(rng, "path_keys", recording_keys)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=4, paths=20_000)
+        run_ensemble(cfg)
+        assert len(starts) == chunks
+        assert sorted(starts) == montecarlo._chunk_plan(20_000, cores)
+        assert pools == ([] if chunks == 1 else [chunks])
 
 
 class TestChunkPlan:

@@ -11,7 +11,8 @@ and `analyze --json` reports.  Covered:
 3. `urnsa path` and `analyze --json` over the regime gallery matrices
    (scripts/regime_gallery.py), plus forced-scaling `path` tables;
 4. edge configs: horizon 0, one path, forced scaling and center,
-   fractional matrix and counts, and a multi-chunk split forced by
+   fractional matrix and counts, a < c, a = c, counts near the exact
+   double range (w0 = 2^52), and a multi-chunk split forced by
    lowering montecarlo._MIN_CHUNK_PATHS and patching
    montecarlo._usable_cores to 3; for urn configs, also the
    checkpoint traces (path_checkpoints) of three paths.
@@ -180,6 +181,9 @@ def edge_configs() -> list[EnsembleConfig]:
         EnsembleConfig(matrix=ReplacementMatrix(0.1, 0.7, 0.3, 0.2), **base),
         EnsembleConfig(matrix=toy, w0=2.5, b0=3.5, **base),
         EnsembleConfig(matrix=ReplacementMatrix(3, 0, 2, 5), w0=4, b0=4, **base),
+        EnsembleConfig(matrix=ReplacementMatrix(1, 6, 4, 2), **base),
+        EnsembleConfig(matrix=ReplacementMatrix(2, 1, 2, 3), **base),
+        EnsembleConfig(matrix=toy, w0=2.0**52, **base),
         EnsembleConfig(synthetic=proc, **base),
         EnsembleConfig(synthetic=SyntheticProcess(big_gamma=1.0, sigma2=1.0), **base),
     ]

@@ -18,7 +18,11 @@ UNSTABLE = "unstable"
 DOUBLE = "double"
 
 _COEFF_TOL = 1e-12
-_DERIV_TOL = 1e-12
+# Rounding the coefficients by a few ulps moves the discriminant by ~1e-15
+# of scale^2, so the slope at two nearly equal roots by ~1e-8 of scale: a
+# smaller tolerance would split a double zero of an integer matrix scaled
+# by a non-power of two into a stable and an unstable zero.
+_DERIV_TOL = 1e-6
 
 
 @dataclass(frozen=True)

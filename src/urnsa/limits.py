@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .drift import DOUBLE, STABLE, DriftPoly, RootInfo, stable_zeros
 from .errors import (
@@ -92,11 +92,35 @@ def classify(m: ReplacementMatrix) -> LimitPrediction:
     """Map a replacement matrix to its limit regime and parameters.
 
     Classification is invariant under scaling the matrix by any positive
-    factor.  Boundary drift zeros are reported in roots but yield
-    NOT_APPLICABLE; |gamma_hat - 1/2| <= 1e-12 counts as the critical
-    log regime.
+    factor: it runs on the matrix scaled exactly, by a power of two, to a
+    largest entry in [1, 2), and only gamma and h(p) are scaled back.  A
+    matrix whose gamma, h(p), gamma_hat or sigma2 is not a finite double
+    (its entries span too wide a range) raises ConfigError.
+    Drift zeros within 1e-12 of 0 or 1 are boundary zeros, reported in
+    roots but yielding NOT_APPLICABLE; |gamma_hat - 1/2| <= 1e-12 counts
+    as the critical log regime.
     """
     m.require_sa()
+    e = math.frexp(max(m.entries()))[1] - 1
+    pred = _classify_unit(
+        ReplacementMatrix(*(math.ldexp(v, -e) for v in m.entries()))
+    )
+    if pred.gamma is None:
+        return pred
+    try:
+        gamma, h_p = math.ldexp(pred.gamma, -e), math.ldexp(pred.h_p, e)
+    except OverflowError:
+        gamma = h_p = math.inf
+    if not all(map(math.isfinite, (gamma, h_p, pred.gamma_hat, pred.sigma2))):
+        raise ConfigError(
+            f"matrix {m.entries()}: gamma, h(p), gamma_hat or sigma2 "
+            "is not a finite double"
+        )
+    return replace(pred, gamma=gamma, h_p=h_p)
+
+
+def _classify_unit(m: ReplacementMatrix) -> LimitPrediction:
+    """classify for a matrix whose largest entry lies in [1, 2)."""
     drift = drift_from_matrix(m)
     if drift.is_zero():
         return LimitPrediction(regime=Regime.ZERO_DRIFT_BETA, scaling=(0.0, 0.0))
@@ -134,7 +158,11 @@ def classify(m: ReplacementMatrix) -> LimitPrediction:
             sigma2=gamma * gamma * err(p),
             roots=roots,
         )
-    interior = [r for r in roots if r.stability == STABLE and r.interior]
+    interior = [
+        r
+        for r in roots
+        if r.stability == STABLE and boundary_tol < r.value < 1.0 - boundary_tol
+    ]
     if not interior:
         return LimitPrediction(
             regime=Regime.NOT_APPLICABLE, scaling=(0.0, 0.0), roots=roots

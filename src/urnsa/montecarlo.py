@@ -8,13 +8,14 @@ number of cores, produces bit-identical results.  So a result keeps only
 X_n at the checkpoints; a path's full trace is replayed from its key.
 Urn and synthetic runs share one pipeline once their source is resolved.
 
-The per-step urn update is vectorized across the paths of a chunk; the
-scalar urn_step in the urn module defines the semantics and the kernel here
-reproduces it decision for decision (white iff u < W/T, counts advanced by
-matrix rows).
+The per-step urn update is vectorized across the paths of a chunk and
+reproduces the scalar urn_step decision for decision (white iff u < W/T).
+With integer entries and counts the kernel steps the white-draw count and
+derives the counts from it; otherwise it advances them by matrix rows.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -369,54 +370,54 @@ def _urn_states(
     each checkpoint n (X_{n-1} is NaN at n = 0).
 
     The yielded arrays are the kernel's live buffers: read or copy them
-    before asking for the next checkpoint.
+    before asking for the next checkpoint.  Each of the two step loops,
+    chosen once, leaves W_n, T_n in w, t and X_{n-1} in x.
     """
-    k = keys.size
-    w = np.full(k, w0, dtype=np.float64)
-    t = np.full(k, w0 + b0, dtype=np.float64)
-    x = np.full(k, np.nan)
-    ci = 0
-    if cps[0] == 0:
+    size = keys.size
+    w = np.full(size, w0, dtype=np.float64)
+    t = np.full(size, w0 + b0, dtype=np.float64)
+    x = np.full(size, np.nan)
+    white = np.empty(size, dtype=bool)
+    a, b, c, d = m.entries()
+    if all(float(v).is_integer() for v in (a, b, c, d, w0, b0)):
+        # W_n = (a-c) k + w0 + c n and T_n = -alpha k + w0 + b0 + (c+d) n
+        # from the white-draw count k: every term is an integer below
+        # COUNT_LIMIT, so W_n, T_n and X_n equal urn_step's bit for bit
+        k = np.zeros(size)
+        a_c, neg_alpha, t0, row_b = a - c, -m.alpha, w0 + b0, c + d
+
+        def advance(rows: Iterator[tuple[int, np.ndarray]]) -> None:
+            for n, u in rows:
+                np.divide(w, t, out=x)
+                np.less(u, x, out=white)
+                np.add(k, white, out=k)
+                np.multiply(k, a_c, out=w)
+                np.add(w, w0 + c * n, out=w)
+                np.multiply(k, neg_alpha, out=t)
+                np.add(t, t0 + row_b * n, out=t)
+
+    else:
+        # fractional entries or counts: tally black separately so the total
+        # keeps the scalar grouping (w + a) + (black + b)
+        bl = np.full(size, b0, dtype=np.float64)
+        tmp = np.empty(size, dtype=np.float64)
+
+        def advance(rows: Iterator[tuple[int, np.ndarray]]) -> None:
+            for _, u in rows:
+                np.divide(w, t, out=x)
+                np.less(u, x, out=white)
+                tmp.fill(c)
+                np.copyto(tmp, a, where=white)
+                np.add(w, tmp, out=w)
+                tmp.fill(d)
+                np.copyto(tmp, b, where=white)
+                np.add(bl, tmp, out=bl)
+                np.add(w, bl, out=t)
+
+    rows = _uniform_rows(keys, 1, horizon)
+    for prev, n in zip([0, *cps], cps):
+        advance(itertools.islice(rows, n - prev))
         yield w, t, x
-        ci = 1
-    n_cp = len(cps)
-    a, c = m.a, m.c
-    row_w, row_b = m.row_white, m.row_black
-    # reusable buffers keep the per-step loop allocation-free
-    white = np.empty(k, dtype=bool)
-    tmp = np.empty(k, dtype=np.float64)
-    balanced = row_w == row_b
-    # integer-valued counts make every addition exact, so the cheap split
-    # update (add the delta, then add the base) is bit-identical to the
-    # scalar stepper; fractional entries pay for a separate black tally so
-    # the total keeps the scalar grouping (w + a) + (black + b)
-    exact = all(float(v).is_integer() for v in (a, m.b, c, m.d, w0, b0))
-    if not exact:
-        bl = np.full(k, b0, dtype=np.float64)
-    for j, u in _uniform_rows(keys, 1, horizon):
-        np.divide(w, t, out=x)
-        np.less(u, x, out=white)
-        if exact:
-            np.multiply(white, a - c, out=tmp)
-            w += tmp
-            w += c
-            if balanced:
-                t += row_w
-            else:
-                np.multiply(white, row_w - row_b, out=tmp)
-                t += tmp
-                t += row_b
-        else:
-            tmp.fill(c)
-            np.copyto(tmp, a, where=white)
-            w += tmp
-            tmp.fill(m.d)
-            np.copyto(tmp, m.b, where=white)
-            bl += tmp
-            np.add(w, bl, out=t)
-        if ci < n_cp and cps[ci] == j:
-            yield w, t, x
-            ci += 1
 
 
 def _run_synthetic_chunk(
@@ -466,9 +467,8 @@ def _traces(config: EnsembleConfig, indices: range) -> list[PathCheckpointData]:
     keys = rng.path_keys(config.master_seed, indices.start, len(indices))
     rows = [np.empty((len(cps), keys.size)) for _ in range(3)]
     m, w0, b0 = config.matrix, config.w0, config.b0
-    for ci, (w, t, x_prev) in enumerate(
-        _urn_states(m, w0, b0, config.horizon, keys, cps)
-    ):
+    states = _urn_states(m, w0, b0, config.horizon, keys, cps)
+    for ci, (w, t, x_prev) in enumerate(states):
         np.divide(w, t, out=rows[0][ci])
         rows[1][ci], rows[2][ci] = t, x_prev
     ns = np.asarray(cps, dtype=np.int64)

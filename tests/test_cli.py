@@ -158,6 +158,16 @@ class TestAnalyze:
         assert "sigma2: 0\n" in out
         assert "drift roots" not in out
 
+    def test_extreme_entry_scales(self, capsys):
+        huge, tiny = "4e170,5e170,3e170,2e170", "4e-320,5e-320,3e-320,2e-320"
+        code, out, err = run_cli(capsys, "analyze", "-m", huge)
+        assert (code, err) == (0, "")
+        assert "regime: CLT_SQRT_N\n" in out
+        assert "predicted variance: 0.00396825396825\n" in out
+        code, out, err = run_cli(capsys, "analyze", "-m", tiny)
+        assert (code, out) == (1, "")
+        assert "is not a finite double" in err
+
     def test_not_applicable_regime(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "-m", "1,1,0,3")
         assert code == 0

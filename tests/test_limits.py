@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from urnsa import (
@@ -17,6 +17,7 @@ from urnsa import (
     ReplacementMatrix,
     StepFamily,
     UndefinedMeanError,
+    UrnsaError,
     classify,
     damped_recursion,
     decay_product,
@@ -133,6 +134,51 @@ class TestClassify:
         if pred.predicted_variance is not None:
             assert pred_s.predicted_variance == pytest.approx(
                 pred.predicted_variance, rel=1e-12
+            )
+
+    @given(st.tuples(*[st.floats(0.0, allow_infinity=False)] * 4))
+    @example((0.5, 0.0, 5e-324, 1.0))  # the stable zero 1e-323 is a boundary zero
+    @example((4e-320, 5e-320, 3e-320, 2e-320))  # gamma overflows
+    @example((1.7e308, 1e308, 1.5e308, 1e308))  # h(p) overflows
+    @example((1.0, 0.0, 5e-324, 0.0))  # a subnormal row sum
+    @example((0.0, 8.98846567431158e307, 0.5, 0.0))  # gamma overflows after scaling
+    def test_any_entries_classify_or_raise_named_error(self, entries):
+        try:
+            pred = classify(ReplacementMatrix(*entries))
+        except UrnsaError:
+            return
+        numbers = [
+            pred.p, pred.gamma, pred.h_p, pred.gamma_hat, pred.sigma2,
+            pred.predicted_variance, pred.as_exponent,
+        ]
+        assert all(math.isfinite(v) for v in numbers if v is not None)
+        if pred.regime in (Regime.CLT_SQRT_N, Regime.CLT_SQRT_N_OVER_LOG):
+            assert 1e-12 < pred.p < 1.0 - 1e-12
+
+    def test_boundary_zero_is_not_applicable(self):
+        pred = classify(ReplacementMatrix(0.5, 0.0, 5e-324, 1.0))
+        assert pred.regime is Regime.NOT_APPLICABLE
+        assert pred.roots[0].value == 1e-323 and pred.roots[0].stability == "stable"
+
+    @given(a=entry, b=entry, c=entry, d=entry, s=st.floats(1e-100, 1e100))
+    @example(a=4.0, b=5.0, c=3.0, d=2.0, s=1e-150)
+    @example(a=4.0, b=5.0, c=3.0, d=2.0, s=1e170)
+    def test_regime_is_invariant_at_extreme_scales(self, a, b, c, d, s):
+        m = ReplacementMatrix(a, b, c, d)
+        if not m.is_sa_eligible():
+            return
+        scaled = ReplacementMatrix(s * a, s * b, s * c, s * d)
+        assert classify(scaled).regime is classify(m).regime
+
+    def test_power_of_two_scaling_is_exact(self, toy_matrix):
+        pred = classify(toy_matrix)
+        for e in (-1000, -3, 5, 900):
+            m = ReplacementMatrix(*(math.ldexp(v, e) for v in toy_matrix.entries()))
+            pred_s = classify(m)
+            assert pred_s.gamma == math.ldexp(pred.gamma, -e)
+            assert pred_s.h_p == math.ldexp(pred.h_p, e)
+            assert (pred_s.p, pred_s.gamma_hat, pred_s.predicted_variance) == (
+                pred.p, pred.gamma_hat, pred.predicted_variance
             )
 
 

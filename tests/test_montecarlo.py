@@ -17,7 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnsa import (
@@ -317,6 +317,7 @@ class TestKernelEquivalence:
         ("integer-balanced", ReplacementMatrix(2, 1, 1, 2), 1.0, 1.0),
         ("fractional-matrix", ReplacementMatrix(0.1, 0.7, 0.3, 0.2), 1.0, 1.0),
         ("fractional-counts", ReplacementMatrix(4, 5, 3, 2), 2.5, 3.5),
+        ("integer-a-below-c", ReplacementMatrix(1, 6, 4, 2), 3.0, 2.0),
     ]
 
     @pytest.mark.parametrize(
@@ -343,6 +344,12 @@ class TestKernelEquivalence:
         st.integers(0, 2**64 - 1),
     )
     @settings(max_examples=30)
+    # a stable drift zero at 1e-323: a boundary zero, so the forced run goes on
+    @example(
+        entries=(0.5, 0.0, 5e-324, 1.0),
+        counts=(1.8500854732991492, 1.247653343403577),
+        seed=0,
+    )
     def test_fractional_urns_match_scalar_across_blocks(self, entries, counts, seed):
         m = ReplacementMatrix(*entries)
         w0, b0 = counts
@@ -358,6 +365,42 @@ class TestKernelEquivalence:
         for i in range(3):
             _, states = run_path_scalar(m, w0, b0, 40, rng.path_key(seed, i))
             assert res.final_x[i] == states[-1].fraction
+
+    @given(
+        st.tuples(*[st.integers(0, 9).map(float)] * 4).filter(
+            lambda e: min(e[0] + e[1], e[2] + e[3]) > 0.0
+        ),
+        st.tuples(*[st.integers(1, 10).map(float)] * 2),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=30)
+    @example(entries=(1.0, 6.0, 4.0, 2.0), counts=(3.0, 2.0), seed=5)  # a < c
+    @example(entries=(2.0, 1.0, 2.0, 3.0), counts=(1.0, 4.0), seed=6)  # a = c
+    @example(entries=(2.0, 1.0, 1.0, 2.0), counts=(2.0, 1.0), seed=7)  # alpha = 0
+    @example(entries=(3.0, 0.0, 2.0, 5.0), counts=(4.0, 4.0), seed=8)  # a zero entry
+    # counts at the guard: w0 + b0 + 40 * 9 = COUNT_LIMIT - 1
+    @example(
+        entries=(4.0, 5.0, 3.0, 2.0), counts=(2.0**52, 2.0**52 - 361.0), seed=9
+    )
+    def test_integer_urns_match_scalar_across_blocks(self, entries, counts, seed):
+        m = ReplacementMatrix(*entries)
+        w0, b0 = counts
+        cfg = EnsembleConfig(
+            matrix=m, w0=w0, b0=b0, horizon=40, paths=3, master_seed=seed,
+            forced_scaling=(0.0, 0.0), forced_center=0.5,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            # 3 rows of 3 paths per block: 40 steps cross 13 block boundaries
+            mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 10)
+            res = run_ensemble(cfg)
+            traces = montecarlo._traces(cfg, range(3))
+        for i, data in enumerate(traces):
+            _, states = run_path_scalar(m, w0, b0, 40, rng.path_key(seed, i))
+            assert res.final_x[i] == states[-1].fraction
+            for j, n in enumerate(data.ns):
+                assert data.x[j] == states[n].fraction
+                assert data.t[j] == states[n].total
+                assert data.x_prev[j] == states[n - 1].fraction
 
     def _check_urn(self, m, w0, b0):
         horizon, paths, seed = 300, 7, 2024

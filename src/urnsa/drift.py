@@ -9,6 +9,7 @@ limit analysis changes there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ZeroDriftError
@@ -18,11 +19,15 @@ UNSTABLE = "unstable"
 DOUBLE = "double"
 
 _COEFF_TOL = 1e-12
-# Rounding the coefficients by a few ulps moves the discriminant by ~1e-15
-# of scale^2, so the slope at two nearly equal roots by ~1e-8 of scale: a
-# smaller tolerance would split a double zero of an integer matrix scaled
-# by a non-power of two into a stable and an unstable zero.
-_DERIV_TOL = 1e-6
+# Rounding each coefficient by an ulp moves the discriminant by a few eps
+# times scale^2, so the slope +-sqrt(disc) at a double zero by a few
+# sqrt(eps) times scale (at most 1.6 sqrt(eps) for the integer matrices
+# with entries 0-6 scaled by 3500 random factors in [1e-100, 1e100]).
+# 8 sqrt(eps), about 1.2e-7, keeps such a double zero from splitting into
+# a stable and an unstable zero.
+_DERIV_TOL = 8.0 * math.sqrt(sys.float_info.epsilon)
+# zeros this close to 0 or 1 are boundary zeros
+_BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,13 @@ class RootInfo:
 
     @property
     def interior(self) -> bool:
-        return 0.0 < self.value < 1.0
+        """Inside (0, 1), farther than _BOUNDARY_TOL from either end."""
+        return _BOUNDARY_TOL < self.value < 1.0 - _BOUNDARY_TOL
+
+    @property
+    def on_unit_interval(self) -> bool:
+        """In [0, 1], or outside it by at most _BOUNDARY_TOL."""
+        return -_BOUNDARY_TOL <= self.value <= 1.0 + _BOUNDARY_TOL
 
 
 def stable_zeros(drift: DriftPoly) -> list[RootInfo]:

@@ -92,26 +92,28 @@ def classify(m: ReplacementMatrix) -> LimitPrediction:
     """Map a replacement matrix to its limit regime and parameters.
 
     Classification is invariant under scaling the matrix by any positive
-    factor: it runs on the matrix scaled exactly, by a power of two, to a
-    largest entry in [1, 2), and only gamma and h(p) are scaled back.  A
-    matrix whose gamma, h(p), gamma_hat or sigma2 is not a finite double
-    (its entries span too wide a range) raises ConfigError.
+    factor: it runs on the matrix scaled by the power of two that brings
+    its largest entry into [1, 2), and only gamma and h(p) are scaled back.
+    Where that scaling would round an entry, the largest exact one is
+    used (_unit_shift).  A matrix whose gamma, h(p), gamma_hat or sigma2
+    is not a finite double raises ConfigError.
     Drift zeros within 1e-12 of 0 or 1 are boundary zeros, reported in
     roots but yielding NOT_APPLICABLE; |gamma_hat - 1/2| <= 1e-12 counts
     as the critical log regime.
     """
     m.require_sa()
-    e = math.frexp(max(m.entries()))[1] - 1
-    pred = _classify_unit(
-        ReplacementMatrix(*(math.ldexp(v, -e) for v in m.entries()))
-    )
-    if pred.gamma is None:
-        return pred
+    e = _unit_shift(m)
     try:
+        pred = _classify_unit(
+            ReplacementMatrix(*(math.ldexp(v, -e) for v in m.entries()))
+        )
+        if pred.gamma is None:
+            return pred
         gamma, h_p = math.ldexp(pred.gamma, -e), math.ldexp(pred.h_p, e)
-    except OverflowError:
-        gamma = h_p = math.inf
-    if not all(map(math.isfinite, (gamma, h_p, pred.gamma_hat, pred.sigma2))):
+        finite = all(map(math.isfinite, (gamma, h_p, pred.gamma_hat, pred.sigma2)))
+    except ArithmeticError:  # an overflow on the way
+        finite = False
+    if not finite:
         raise ConfigError(
             f"matrix {m.entries()}: gamma, h(p), gamma_hat or sigma2 "
             "is not a finite double"
@@ -119,8 +121,30 @@ def classify(m: ReplacementMatrix) -> LimitPrediction:
     return replace(pred, gamma=gamma, h_p=h_p)
 
 
+def _unit_shift(m: ReplacementMatrix) -> int:
+    """The e for which 2^-e times the largest entry lies in [1, 2), lowered
+    as far as needed for no entry to lose a bit to underflow.
+
+    Raises ConfigError when the lowered shift leaves the largest entry
+    above 2^256; below that, products of up to three entries stay finite.
+    """
+    top = math.frexp(max(m.entries()))[1] - 1
+    e = top
+    for v in m.entries():
+        if v > 0.0:
+            num, den = v.as_integer_ratio()  # den is a power of two
+            lowest_bit = (num & -num).bit_length() - den.bit_length()
+            e = min(e, lowest_bit + 1074)  # 2^-1074: the smallest subnormal
+    if top - e > 256:
+        raise ConfigError(
+            f"matrix {m.entries()}: entries span too wide a range to classify"
+        )
+    return e
+
+
 def _classify_unit(m: ReplacementMatrix) -> LimitPrediction:
-    """classify for a matrix whose largest entry lies in [1, 2)."""
+    """classify for the matrix scaled by _unit_shift, whose largest entry
+    lies in [1, 2) unless the shift was lowered."""
     drift = drift_from_matrix(m)
     if drift.is_zero():
         return LimitPrediction(regime=Regime.ZERO_DRIFT_BETA, scaling=(0.0, 0.0))
@@ -139,12 +163,7 @@ def _classify_unit(m: ReplacementMatrix) -> LimitPrediction:
         )
     roots = tuple(stable_zeros(drift))
     err = error_poly_from_matrix(m)
-    boundary_tol = REGIME_TOL
-    doubles = [
-        r
-        for r in roots
-        if r.stability == DOUBLE and -boundary_tol <= r.value <= 1.0 + boundary_tol
-    ]
+    doubles = [r for r in roots if r.stability == DOUBLE and r.on_unit_interval]
     if doubles:
         p = min(max(doubles[0].value, 0.0), 1.0)
         gamma = gamma_limit(m, p)
@@ -158,11 +177,7 @@ def _classify_unit(m: ReplacementMatrix) -> LimitPrediction:
             sigma2=gamma * gamma * err(p),
             roots=roots,
         )
-    interior = [
-        r
-        for r in roots
-        if r.stability == STABLE and boundary_tol < r.value < 1.0 - boundary_tol
-    ]
+    interior = [r for r in roots if r.stability == STABLE and r.interior]
     if not interior:
         return LimitPrediction(
             regime=Regime.NOT_APPLICABLE, scaling=(0.0, 0.0), roots=roots

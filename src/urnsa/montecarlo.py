@@ -258,13 +258,8 @@ def ks_report(
     t5 = KS_CONSTANTS[0.05] / math.sqrt(n)
     t1 = KS_CONSTANTS[0.01] / math.sqrt(n)
     return KSReport(
-        d=d,
-        count=n,
-        threshold_5=t5,
-        threshold_1=t1,
-        pass_at_5=d <= t5,
-        pass_at_1=d <= t1,
-        reference=reference,
+        d=d, count=n, threshold_5=t5, threshold_1=t1,
+        pass_at_5=d <= t5, pass_at_1=d <= t1, reference=reference,
     )
 
 
@@ -467,8 +462,9 @@ def _traces(config: EnsembleConfig, indices: range) -> list[PathCheckpointData]:
     keys = rng.path_keys(config.master_seed, indices.start, len(indices))
     rows = [np.empty((len(cps), keys.size)) for _ in range(3)]
     m, w0, b0 = config.matrix, config.w0, config.b0
-    states = _urn_states(m, w0, b0, config.horizon, keys, cps)
-    for ci, (w, t, x_prev) in enumerate(states):
+    for ci, (w, t, x_prev) in enumerate(
+        _urn_states(m, w0, b0, config.horizon, keys, cps)
+    ):
         np.divide(w, t, out=rows[0][ci])
         rows[1][ci], rows[2][ci] = t, x_prev
     ns = np.asarray(cps, dtype=np.int64)
@@ -482,21 +478,30 @@ def _traces(config: EnsembleConfig, indices: range) -> list[PathCheckpointData]:
 # ensemble runner
 
 
-def _scaling_and_center(
-    pred: LimitPrediction,
+def _prediction_and_scaling(
+    m: ReplacementMatrix,
     forced_scaling: tuple[float, float] | None,
     forced_center: float | None,
-) -> tuple[tuple[float, float], float]:
-    """Weight exponents and center of the scaled statistic.
+) -> tuple[LimitPrediction, tuple[float, float], float]:
+    """classify(m), and the weight exponents and center of the scaled statistic.
 
     Forced values win; otherwise the prediction's scaling, which is (0, 0)
     for regimes without a distributional one, around the target p, or
-    around 0 when there is no target.
+    around 0 when there is no target.  With both forced, a matrix that
+    classify refuses (its prediction is not a finite double) runs as
+    NOT_APPLICABLE.
     """
+    forced = forced_scaling is not None and forced_center is not None
+    try:
+        pred = classify(m)
+    except ConfigError:
+        if not forced:
+            raise
+        pred = LimitPrediction(regime=Regime.NOT_APPLICABLE, scaling=(0.0, 0.0))
+    if forced:
+        return pred, forced_scaling, forced_center
     scaling = forced_scaling if forced_scaling is not None else pred.scaling
-    if forced_scaling is not None and forced_center is not None:
-        return scaling, forced_center
-    return scaling, pred.p if pred.p is not None else 0.0
+    return pred, scaling, pred.p if pred.p is not None else 0.0
 
 
 @dataclass(frozen=True)
@@ -529,7 +534,9 @@ def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
             reference_mean=None,
         )
     m, w0, b0 = config.matrix, config.w0, config.b0
-    pred = classify(m)
+    pred, scaling, center = _prediction_and_scaling(
+        m, config.forced_scaling, config.forced_center
+    )
     if config.forced_scaling is None and pred.regime not in _SCALED_REGIMES:
         raise ConfigError(
             f"regime {pred.regime.value} has no distributional scaling; "
@@ -537,9 +544,6 @@ def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
         )
     if config.forced_center is None and pred.p is None:
         raise ConfigError("forced scaling needs a center for this regime")
-    scaling, center = _scaling_and_center(
-        pred, config.forced_scaling, config.forced_center
-    )
 
     def kernel(keys: np.ndarray) -> np.ndarray:
         cp_x = np.empty((len(cps), keys.size), dtype=np.float64)
@@ -649,9 +653,7 @@ def _reference_ks(
     if moments.variance <= 0.0:
         return None
     mean, var = moments.mean, moments.variance
-    return ks_report(
-        values, lambda z: normal_cdf(z, mean, var), "fitted-normal"
-    )
+    return ks_report(values, lambda z: normal_cdf(z, mean, var), "fitted-normal")
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +690,9 @@ def inspect_path(
         matrix=m, w0=w0, b0=b0, horizon=horizon, paths=1,
         master_seed=master_seed, checkpoint_factor=checkpoint_factor,
     )
-    pred = classify(m)
-    (sx, sy), center = _scaling_and_center(pred, forced_scaling, forced_center)
+    pred, (sx, sy), center = _prediction_and_scaling(
+        m, forced_scaling, forced_center
+    )
     (data,) = _traces(config, range(1))
     drift = drift_from_matrix(m)
     rated = pred.p is not None and pred.gamma_hat is not None
@@ -714,7 +717,7 @@ SCHEMA_VERSION = 1
 def summary_dict(result: EnsembleResult) -> dict:
     """JSON-ready summary; excludes per-path arrays and execution knobs."""
     cfg = result.config
-    doc: dict = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": "urn" if cfg.matrix is not None else "synthetic",
         "config": {
@@ -741,7 +744,6 @@ def summary_dict(result: EnsembleResult) -> dict:
         "ks": asdict(result.ks) if result.ks is not None else None,
         "checkpoints": [asdict(s) for s in result.checkpoint_summaries],
     }
-    return doc
 
 
 def _synthetic_dict(proc: SyntheticProcess | None) -> dict | None:
@@ -765,9 +767,7 @@ def _prediction_dict(result: EnsembleResult) -> dict:
             "scaling": list(result.scaling),
             "predicted_variance": proc.limit_variance,
         }
-    return _urn_prediction_dict(
-        pred, result.scaling, result.reference_scaled_mean
-    )
+    return _urn_prediction_dict(pred, result.scaling, result.reference_scaled_mean)
 
 
 def _urn_prediction_dict(

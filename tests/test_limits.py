@@ -12,6 +12,7 @@ from urnsa import (
     ConfigError,
     DegenerateVarianceError,
     LimitPrediction,
+    NotStochasticApproximationError,
     Regime,
     RegimeError,
     ReplacementMatrix,
@@ -142,9 +143,16 @@ class TestClassify:
     @example((1.7e308, 1e308, 1.5e308, 1e308))  # h(p) overflows
     @example((1.0, 0.0, 5e-324, 0.0))  # a subnormal row sum
     @example((0.0, 8.98846567431158e307, 0.5, 0.0))  # gamma overflows after scaling
+    @example((2.0, 0.0, 5e-324, 0.0))  # halving would round 5e-324 to 0
+    @example((5e-324,) * 4)  # gamma = 2^1073 overflows
+    @example((1.7e308, 1.0, 5e-324, 1.0))  # no exact scaling into range
     def test_any_entries_classify_or_raise_named_error(self, entries):
+        m = ReplacementMatrix(*entries)
         try:
-            pred = classify(ReplacementMatrix(*entries))
+            pred = classify(m)
+        except NotStochasticApproximationError:
+            assert not m.is_sa_eligible()
+            return
         except UrnsaError:
             return
         numbers = [
@@ -154,6 +162,26 @@ class TestClassify:
         assert all(math.isfinite(v) for v in numbers if v is not None)
         if pred.regime in (Regime.CLT_SQRT_N, Regime.CLT_SQRT_N_OVER_LOG):
             assert 1e-12 < pred.p < 1.0 - 1e-12
+
+    def test_scaling_keeps_subnormal_entries(self):
+        # the black row (5e-324, 0) is pure white like the white row
+        pred = classify(ReplacementMatrix(2.0, 0.0, 5e-324, 0.0))
+        assert pred.regime is Regime.SINGULAR_MONOTONE
+        assert (pred.p, pred.gamma) == (1.0, 0.5)
+
+    def test_too_wide_range_raises(self):
+        with pytest.raises(ConfigError, match="too wide a range"):
+            classify(ReplacementMatrix(1.7e308, 1.0, 5e-324, 1.0))
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6])
+    def test_near_double_zero_keeps_its_regime(self, delta):
+        # zeros 1/(1+delta) (stable) and 1: slope delta at the stable one,
+        # well above the double-zero tolerance of about 1.2e-7
+        pred = classify(ReplacementMatrix(2.0, 0.0, 1.0, 2.0 + delta))
+        assert pred.regime is Regime.AS_POWER_LAW
+        # a zero where the slope is delta is found to about eps / delta
+        assert pred.p == pytest.approx(1.0 / (1.0 + delta), abs=1e-9)
+        assert pred.gamma_hat == pytest.approx(delta / 2.0, rel=1e-3)
 
     def test_boundary_zero_is_not_applicable(self):
         pred = classify(ReplacementMatrix(0.5, 0.0, 5e-324, 1.0))

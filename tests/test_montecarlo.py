@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import jsonschema
 import numpy as np
@@ -308,6 +308,23 @@ class TestEnsembleConfig:
         assert res.center == 0.5
         assert np.array_equal(res.values, res.final_x - 0.5)
 
+    def test_forced_run_needs_no_finite_prediction(self):
+        # classify refuses the toy urn scaled by 1e-320: gamma overflows
+        m = ReplacementMatrix(4e-320, 5e-320, 3e-320, 2e-320)
+        cfg = EnsembleConfig(
+            matrix=m, horizon=16, paths=2, master_seed=0, forced_scaling=(0.0, 0.0)
+        )
+        with pytest.raises(ConfigError, match="not a finite double"):
+            run_ensemble(cfg)
+        res = run_ensemble(replace(cfg, forced_center=0.5))
+        assert res.prediction.regime is Regime.NOT_APPLICABLE
+        assert np.array_equal(res.values, res.final_x - 0.5)
+        pred, rows = inspect_path(
+            m, 1.0, 1.0, 16, 0, forced_scaling=(0.0, 0.0), forced_center=0.5
+        )
+        assert pred.regime is Regime.NOT_APPLICABLE
+        assert rows[-1].x == res.final_x[0]
+
 
 class TestKernelEquivalence:
     """The vectorized chunk kernels replay the scalar steppers bit for bit."""
@@ -349,6 +366,18 @@ class TestKernelEquivalence:
         entries=(0.5, 0.0, 5e-324, 1.0),
         counts=(1.8500854732991492, 1.247653343403577),
         seed=0,
+    )
+    # exactly scaled, the black row 5e-324 does not vanish: SINGULAR_MONOTONE
+    @example(
+        entries=(2.0, 0.0, 5e-324, 0.0),
+        counts=(1.8500854732991492, 1.247653343403577),
+        seed=1,
+    )
+    # gamma overflows, so classify refuses; the forced run goes on
+    @example(
+        entries=(5e-324,) * 4,
+        counts=(1.8500854732991492, 1.247653343403577),
+        seed=2,
     )
     def test_fractional_urns_match_scalar_across_blocks(self, entries, counts, seed):
         m = ReplacementMatrix(*entries)

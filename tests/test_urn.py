@@ -201,6 +201,11 @@ class TestGammaHat:
         with pytest.raises(AnalysisError):
             gamma_hat(ReplacementMatrix(1, 1, 0, 3))
 
+    def test_stable_zero_near_boundary_raises(self):
+        # the stable zero 1e-323 is within 1e-12 of 0, as classify sees it
+        with pytest.raises(AnalysisError):
+            gamma_hat(ReplacementMatrix(0.5, 0, 5e-324, 1))
+
     def test_gamma_limit_formula(self, toy_matrix):
         assert gamma_limit(toy_matrix, 0.5) == pytest.approx(
             1.0 / (9 * 0.5 + 5 * 0.5), rel=1e-15

@@ -16,13 +16,18 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
+import numpy as np
+
 from . import rng
 from .errors import UrnsaError
-from .limits import damped_recursion, decay_product, variance_alpha0
+from .limits import classify, damped_recursion, decay_product, gamma_hat, variance_alpha0
 from .montecarlo import (
+    CheckpointSummary,
     EnsembleConfig,
+    EnsembleResult,
     PathCheckpointData,
     _chunk_plan,
+    _summary_moments,
     _traces,
     _usable_cores,
     deviation_split,
@@ -31,14 +36,13 @@ from .montecarlo import (
     summary_json,
     values_csv,
 )
-from .sa import StepFamily, SyntheticProcess
+from .sa import StepFamily, SyntheticProcess, weight
 from .special import gamma_function
 from .urn import (
     ReplacementMatrix,
     UrnState,
     drift_from_matrix,
     error_poly_from_matrix,
-    gamma_hat,
     run_path_scalar,
     urn_noise,
     urn_step,
@@ -389,14 +393,15 @@ def as_convergence_witness() -> CriterionResult:
         paths=500,
         master_seed=ACCEPTANCE_SEED,
     )
-    res = run_ensemble(cfg)
-    p = res.prediction.p
-    exponent = res.prediction.as_exponent
-    lo = res.checkpoints.index(1 << 10)
+    pred = classify(cfg.matrix)
+    # all 500 traces in one kernel call, the cost of one ensemble run
+    traces = _traces(cfg, range(cfg.paths))
+    ns = traces[0].ns.tolist()
+    lo = ns.index(1 << 10)
     settled = 0
-    for i in range(cfg.paths):
-        cps = list(zip(res.checkpoints[lo:], res.cp_x[lo:, i]))
-        head, tail = deviation_split(cps, p, exponent)
+    for data in traces:
+        cps = list(zip(ns[lo:], data.x[lo:]))
+        head, tail = deviation_split(cps, pred.p, pred.as_exponent)
         if tail < 2.0 * head:
             settled += 1
     frac = settled / cfg.paths
@@ -436,6 +441,17 @@ def as_convergence_witness() -> CriterionResult:
     return CriterionResult(8, "as_convergence_witness", passed, detail)
 
 
+def _replayed_summaries(res: EnsembleResult) -> list[CheckpointSummary]:
+    """res's checkpoint summaries, reduced from one replay of all its paths."""
+    traces = _traces(res.config, range(res.config.paths))
+    sx, sy = res.scaling
+    out = []
+    for n, row in zip(res.checkpoints, np.stack([d.x for d in traces], axis=1)):
+        m = _summary_moments(weight(n, sx, sy) * (row - res.center))
+        out.append(CheckpointSummary(n=n, mean=m.mean, variance=m.variance))
+    return out
+
+
 def determinism() -> CriterionResult:
     """Byte-identical outputs across repeats and chunk shapes.
 
@@ -443,6 +459,8 @@ def determinism() -> CriterionResult:
     more usable cores the 20000-path runs split into two 10000-path
     chunks, while 15000 paths always run as one, so paths 10000-14999 sit
     in a second chunk of one run and inside the only chunk of the other.
+    The urn run's checkpoint summaries must also equal those reduced from
+    one replay of all its paths, a single kernel call with no chunk seam.
     """
     proc = SyntheticProcess(
         big_gamma=1.0, sigma2=1.0, family=StepFamily.N, z0=0.0
@@ -453,6 +471,7 @@ def determinism() -> CriterionResult:
     )
     distinct = []
     prefix_equal = []
+    replayed = False
     for source in sources:
         base = dict(**source, horizon=2000, master_seed=ACCEPTANCE_SEED)
         wide = [
@@ -464,16 +483,20 @@ def determinism() -> CriterionResult:
             len({values_csv(r) for r in wide}),
         ]
         prefix_equal.append(
-            wide[0].cp_x[:, :15_000].tobytes() == narrow.cp_x.tobytes()
-            and wide[0].values[:15_000].tobytes() == narrow.values.tobytes()
+            wide[0].values[:15_000].tobytes() == narrow.values.tobytes()
+            and wide[0].final_x[:15_000].tobytes() == narrow.final_x.tobytes()
         )
+        if "matrix" in source:
+            replayed = wide[0].checkpoint_summaries == _replayed_summaries(wide[0])
     chunks = len(_chunk_plan(20_000, _usable_cores()))
-    passed = distinct == [1, 1, 1, 1] and all(prefix_equal)
+    passed = distinct == [1, 1, 1, 1] and all(prefix_equal) and replayed
     detail = (
-        "repeat runs byte-identical, first 15000 paths equal a 15000-path run"
+        "repeat runs byte-identical, first 15000 paths equal a 15000-path "
+        "run, urn checkpoint summaries equal a one-call replay"
         if passed
         else f"distinct outputs per group: {distinct}, "
-        f"prefix equal per source: {prefix_equal}"
+        f"prefix equal per source: {prefix_equal}, "
+        f"urn summaries equal replay: {replayed}"
     )
     detail += f"; chunks for 20000 paths: {chunks}"
     return CriterionResult(9, "determinism", passed, detail)

@@ -19,11 +19,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .drift import DOUBLE, STABLE, DriftPoly, RootInfo, stable_zeros
 from .errors import (
+    AnalysisError,
     ConfigError,
     DegenerateVarianceError,
+    DoubleZeroError,
     RegimeError,
     UndefinedMeanError,
 )
@@ -208,6 +211,29 @@ def _classify_unit(m: ReplacementMatrix) -> LimitPrediction:
         as_exponent=g_hat,
         **common,
     )
+
+
+class GammaHatResult(NamedTuple):
+    p: float
+    gamma: float
+    h_p: float
+    gamma_hat: float
+
+
+def gamma_hat(m: ReplacementMatrix) -> GammaHatResult:
+    """classify's target p, step limit gamma, restoring strength h(p) and
+    their product gamma_hat, the number that decides the scaling regime.
+
+    Raises DoubleZeroError for a double drift zero inside (0, 1) and
+    AnalysisError when the drift has no stable zero there.
+    """
+    pred = classify(m)
+    interior = pred.p is not None and RootInfo(pred.p, STABLE).interior
+    if pred.regime is Regime.DOUBLE_ZERO and interior:
+        raise DoubleZeroError(f"drift has a double zero at {pred.p}")
+    if pred.regime is Regime.DOUBLE_ZERO or not interior:
+        raise AnalysisError("drift has no stable zero inside (0,1)")
+    return GammaHatResult(pred.p, pred.gamma, pred.h_p, pred.gamma_hat)
 
 
 def variance_alpha0(m: ReplacementMatrix) -> float:

@@ -4,9 +4,10 @@ Every path's randomness is a pure function of (master_seed, path_index),
 so an ensemble is simulated in path chunks on worker threads, about one
 per usable core, in any order: results are reassembled by path index and
 reduced in a fixed order.  Running the same EnsembleConfig twice, on any
-number of cores, produces bit-identical results.  So a result keeps only
-X_n at the checkpoints; a path's full trace is replayed from its key.
-Urn and synthetic runs share one pipeline once their source is resolved.
+number of cores, produces bit-identical results.  Each checkpoint's row
+of X_n is reduced as the chunks reach it, so a result keeps only the final
+X_n and scaled values; a path's full trace is replayed from its key.  Urn
+and synthetic runs share one pipeline once their source is resolved.
 
 The per-step urn update is vectorized across the paths of a chunk and
 reproduces the scalar urn_step decision for decision (white iff u < W/T).
@@ -15,6 +16,7 @@ derives the counts from it; otherwise it advances them by matrix rows.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -53,6 +55,11 @@ _MIN_CHUNK_PATHS = 10_000
 # blocks at 4.3-5.4 ns/draw against 7.6-8.8 from 2^18 up, and the three
 # benchmark shapes ran within noise of their best there.
 _BLOCK_ELEMENTS = 1 << 16
+# Bytes per path that a run holds at once, at least: its key (8), the urn
+# kernel's w, t, x and k or black tally (4 x 8) and white mask (1), its
+# share of the RNG block and scratch (2 x 8 once a chunk's paths fill a
+# block row), and the runner's checkpoint row and scaled values (2 x 8).
+_PATH_BYTES = 73
 
 _SCALED_REGIMES = (
     Regime.CLT_SQRT_N,
@@ -86,7 +93,8 @@ def checkpoint_schedule(horizon: int, factor: int = 2) -> list[int]:
 class EnsembleConfig:
     """Full identity of one Monte Carlo run.
 
-    Exactly one of matrix or synthetic must be set.
+    Exactly one of matrix or synthetic must be set.  A path count whose
+    buffers (_PATH_BYTES each) exceed physical memory is refused.
     """
 
     matrix: ReplacementMatrix | None = None
@@ -105,10 +113,16 @@ class EnsembleConfig:
             raise ConfigError("exactly one of matrix or synthetic must be set")
         if self.paths < 1:
             raise ConfigError("need at least one path")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be nonnegative")
-        if self.checkpoint_factor < 2:
-            raise ConfigError("checkpoint factor must be at least 2")
+        checkpoint_schedule(self.horizon, self.checkpoint_factor)  # validates both
+        try:
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        except (AttributeError, ValueError, OSError):  # not reported: no bound
+            memory = None
+        if memory is not None and self.paths * _PATH_BYTES > memory:
+            raise ConfigError(
+                f"{self.paths} paths need at least {self.paths * _PATH_BYTES} bytes,"
+                f" more than the {memory} bytes of physical memory"
+            )
         if self.matrix is not None:
             if self.w0 <= 0.0 or self.b0 <= 0.0:
                 raise ConfigError("initial counts must be positive")
@@ -163,10 +177,7 @@ class PathCheckpointData:
 
 @dataclass(eq=False)
 class EnsembleResult:
-    """Everything a run produces; arrays are ordered by path index.
-
-    cp_x holds X_n by checkpoint (rows) and path (columns).
-    """
+    """Everything a run produces; arrays are ordered by path index."""
 
     config: EnsembleConfig
     prediction: LimitPrediction | None
@@ -178,7 +189,6 @@ class EnsembleResult:
     ks: KSReport | None
     checkpoints: list[int]
     checkpoint_summaries: list[CheckpointSummary]
-    cp_x: np.ndarray
     reference_scaled_mean: float | None = None
 
     def path_checkpoints(self, path_index: int) -> PathCheckpointData:
@@ -366,7 +376,8 @@ def _urn_states(
 
     The yielded arrays are the kernel's live buffers: read or copy them
     before asking for the next checkpoint.  Each of the two step loops,
-    chosen once, leaves W_n, T_n in w, t and X_{n-1} in x.
+    chosen once, leaves W_n, T_n in w, t and X_{n-1} in x, and writes x
+    before reading it, so a caller may overwrite x.
     """
     size = keys.size
     w = np.full(size, w0, dtype=np.float64)
@@ -416,39 +427,30 @@ def _urn_states(
 
 
 def _run_synthetic_chunk(
-    proc: SyntheticProcess,
-    horizon: int,
-    keys: np.ndarray,
-    cps: list[int],
-) -> np.ndarray:
-    """Z_n of the synthetic paths with these keys, by checkpoint (rows)."""
+    proc: SyntheticProcess, horizon: int, keys: np.ndarray, cps: list[int]
+) -> Iterator[np.ndarray]:
+    """Step the synthetic paths with these keys; yield Z_n at each
+    checkpoint n, as a live buffer like _urn_states'."""
     k = keys.size
-    n_cp = len(cps)
     z = np.full(k, proc.z0, dtype=np.float64)
-    cp_z = np.empty((n_cp, k), dtype=np.float64)
     start = proc.family.first_positive_index()
-    ci = 0
-    while ci < n_cp and cps[ci] <= start:
-        cp_z[ci] = z  # the process only starts moving at index `start`
-        ci += 1
     size = proc.noise_size
     white = np.empty(k, dtype=bool)
     tmp = np.empty(k, dtype=np.float64)
-    # draw n moves Z_{n-1} to Z_n
-    for n, u in _uniform_rows(keys, start + 1, horizon):
-        g = proc.family.value_at(n - 1)
-        step = size / math.sqrt(g)
-        z *= 1.0 - proc.big_gamma / g
-        # white*(2*step) - step is exactly +-step (Sterbenz), so this
-        # matches the branch form while reusing the buffers
-        np.less(u, 0.5, out=white)
-        np.multiply(white, 2.0 * step, out=tmp)
-        tmp -= step
-        z += tmp
-        if ci < n_cp and cps[ci] == n:
-            cp_z[ci] = z
-            ci += 1
-    return cp_z
+    # draw n moves Z_{n-1} to Z_n; the process only starts moving at `start`
+    rows = _uniform_rows(keys, start + 1, horizon)
+    for prev, cp in zip([0, *cps], cps):
+        for n, u in itertools.islice(rows, max(cp, start) - max(prev, start)):
+            g = proc.family.value_at(n - 1)
+            step = size / math.sqrt(g)
+            z *= 1.0 - proc.big_gamma / g
+            # white*(2*step) - step is exactly +-step (Sterbenz), so this
+            # matches the branch form while reusing the buffers
+            np.less(u, 0.5, out=white)
+            np.multiply(white, 2.0 * step, out=tmp)
+            tmp -= step
+            z += tmp
+        yield z
 
 
 def _traces(config: EnsembleConfig, indices: range) -> list[PathCheckpointData]:
@@ -508,11 +510,12 @@ def _prediction_and_scaling(
 class _Source:
     """What run_ensemble needs to know about an urn or synthetic run.
 
-    kernel maps a chunk's path keys to X by checkpoint (rows) and path;
-    the last checkpoint is the horizon.
+    kernel maps a chunk's path keys to a generator of the chunk's X row
+    at each checkpoint, the last being the horizon.  A row may be a live
+    buffer of the kernel, valid until the generator is resumed.
     """
 
-    kernel: Callable[[np.ndarray], np.ndarray]
+    kernel: Callable[[np.ndarray], Iterator[np.ndarray]]
     prediction: LimitPrediction | None
     scaling: tuple[float, float]
     center: float
@@ -545,12 +548,9 @@ def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
     if config.forced_center is None and pred.p is None:
         raise ConfigError("forced scaling needs a center for this regime")
 
-    def kernel(keys: np.ndarray) -> np.ndarray:
-        cp_x = np.empty((len(cps), keys.size), dtype=np.float64)
-        states = _urn_states(m, w0, b0, horizon, keys, cps)
-        for row, (w, t, _) in zip(cp_x, states):
-            np.divide(w, t, out=row)
-        return cp_x
+    def kernel(keys: np.ndarray) -> Iterator[np.ndarray]:
+        for w, t, x in _urn_states(m, w0, b0, horizon, keys, cps):
+            yield np.divide(w, t, out=x)
 
     return _Source(
         kernel=kernel,
@@ -596,32 +596,30 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Simulate an ensemble and summarize it against the predicted limit.
 
     The paths are split into one chunk per usable core where that pays
-    (_chunk_plan), each run on its own thread; results are a pure function
-    of the config, whatever the number of cores or the chunk shape.
+    (_chunk_plan), stepped on at most that many threads.  The chunks
+    advance in lockstep: each checkpoint's row, the chunks' parts in path
+    order, is reduced before any chunk steps further.  Results are a pure
+    function of the config, whatever the number of cores or chunk shape.
     """
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
     src = _source(config, cps)
-    chunks = _chunk_plan(config.paths, _usable_cores())
-
-    def work(chunk: tuple[int, int]):
-        start, count = chunk
-        return src.kernel(rng.path_keys(config.master_seed, start, count))
-
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            pieces = list(pool.map(work, chunks))
-    else:
-        pieces = [work(ch) for ch in chunks]
-    cp_x = np.concatenate(pieces, axis=1)
-    final = cp_x[-1].copy()
-
+    cores = _usable_cores()
+    streams = [
+        src.kernel(rng.path_keys(config.master_seed, start, count))
+        for start, count in _chunk_plan(config.paths, cores)
+    ]
     sx, sy = src.scaling
-    values = weight(config.horizon, sx, sy) * (final - src.center)
-    moments = _summary_moments(values)
     summaries = []
-    for n, row in zip(cps, cp_x):
-        cm = _summary_moments(weight(n, sx, sy) * (row - src.center))
-        summaries.append(CheckpointSummary(n=n, mean=cm.mean, variance=cm.variance))
+    with contextlib.ExitStack() as stack:
+        step = map
+        if len(streams) > 1:
+            workers = min(len(streams), cores)
+            step = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        for n in cps:
+            x = np.concatenate(list(step(next, streams)))
+            values = weight(n, sx, sy) * (x - src.center)
+            moments = _summary_moments(values)
+            summaries.append(CheckpointSummary(n, moments.mean, moments.variance))
 
     return EnsembleResult(
         config=config,
@@ -629,12 +627,11 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         scaling=src.scaling,
         center=src.center,
         values=values,
-        final_x=final,
+        final_x=x,
         moments=moments,
         ks=_reference_ks(values, moments, src.predicted_variance),
         checkpoints=cps,
         checkpoint_summaries=summaries,
-        cp_x=cp_x,
         reference_scaled_mean=src.reference_mean,
     )
 

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import rng
-from .drift import DOUBLE, STABLE, DriftPoly, stable_zeros
+from .drift import DriftPoly
 from .errors import (
-    AnalysisError,
     ConfigError,
-    DoubleZeroError,
     InvalidStateError,
     NotStochasticApproximationError,
 )
@@ -191,63 +188,6 @@ def gamma_limit(m: ReplacementMatrix, p: float) -> float:
     m.require_sa()
     denom = m.row_white * p + m.row_black * (1.0 - p)
     return 1.0 / denom
-
-
-class GammaHatResult(NamedTuple):
-    p: float
-    gamma: float
-    h_p: float
-    gamma_hat: float
-
-
-def gamma_hat(m: ReplacementMatrix) -> GammaHatResult:
-    """Target p, step limit gamma, restoring strength h(p) and their product.
-
-    gamma_hat = gamma * h(p) is the single number that decides the scaling
-    regime of the centered process.
-    """
-    m.require_sa()
-    drift = drift_from_matrix(m)
-    roots = stable_zeros(drift)
-    interior_double = [r for r in roots if r.stability == DOUBLE and r.interior]
-    if interior_double:
-        raise DoubleZeroError(
-            f"drift has a double zero at {interior_double[0].value}"
-        )
-    interior_stable = [r for r in roots if r.stability == STABLE and r.interior]
-    if not interior_stable:
-        raise AnalysisError("drift has no stable zero inside (0,1)")
-    p = interior_stable[0].value
-    gamma = gamma_limit(m, p)
-    h_p = drift.h(p, p)
-    return GammaHatResult(p=p, gamma=gamma, h_p=h_p, gamma_hat=gamma * h_p)
-
-
-def gamma_deviation(
-    state: UrnState, m: ReplacementMatrix, p: float, gamma: float
-) -> tuple[float, float]:
-    """Deviation n/T_n - gamma, directly and through the bookkeeping identity.
-
-    The identity rewrites the deviation in terms of the white-draw average:
-
-        n/T_n - gamma = (alpha*(k/n - p) - T0/n)
-                        / ((c+d - alpha*p) * (T0/n + c+d - alpha*k/n))
-
-    with k the number of white draws and T0 recovered from the state's
-    bookkeeping.  Both routes agree to 1e-12 and the identity makes
-    visible that the deviation is O(|X_n - p| + 1/n).
-    """
-    if state.n < 1:
-        raise ConfigError("deviation needs at least one completed draw")
-    n = state.n
-    alpha = m.alpha
-    row_b = m.row_black
-    t0 = state.total - row_b * n + alpha * state.white_draws
-    direct = n / state.total - gamma
-    k_over_n = state.white_draws / n
-    numer = alpha * (k_over_n - p) - t0 / n
-    denom = (row_b - alpha * p) * (t0 / n + row_b - alpha * k_over_n)
-    return direct, numer / denom
 
 
 def sa_constants(m: ReplacementMatrix, w0: float, b0: float) -> SAConstants:

@@ -290,6 +290,17 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("urnsa:")
 
+    def test_paths_beyond_memory_exit_1(self, capsys, monkeypatch):
+        def forbidden(config):
+            raise AssertionError("a refused config reached run_ensemble")
+
+        monkeypatch.setattr(cli, "run_ensemble", forbidden)
+        code, out, err = run_cli(capsys, *SIM_ARGS, "--paths", str(10**13))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("urnsa:")
+        assert "physical memory" in err
+
     def test_forced_scaling_singular(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
+import tracemalloc
 from dataclasses import fields, replace
 
 import jsonschema
@@ -46,7 +48,7 @@ from urnsa import (
     values_csv,
     weight,
 )
-from urnsa import montecarlo
+from urnsa import acceptance, montecarlo
 from urnsa.sa import synthetic_step
 from urnsa.urn import COUNT_LIMIT
 
@@ -270,6 +272,31 @@ class TestEnsembleConfig:
         with pytest.raises(ConfigError):
             EnsembleConfig(matrix=toy_matrix, checkpoint_factor=1)
 
+    def test_path_count_beyond_memory_refused(self, toy_matrix):
+        """10^13 paths are refused by the config, before any key, buffer or
+        thread exists (the config is never built, so never run)."""
+        threads = threading.active_count()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="physical memory"):
+                EnsembleConfig(matrix=toy_matrix, paths=10**13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert threading.active_count() == threads
+
+    def test_memory_bound_boundary(self, toy_matrix, monkeypatch):
+        """Physical memory of ten paths' bytes: ten paths run, eleven are
+        refused; where sysconf is missing there is no bound."""
+        pages = {"SC_PHYS_PAGES": 10, "SC_PAGE_SIZE": montecarlo._PATH_BYTES}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
+        EnsembleConfig(matrix=toy_matrix, paths=10)
+        with pytest.raises(ConfigError, match="physical memory"):
+            EnsembleConfig(matrix=toy_matrix, paths=11)
+        monkeypatch.delattr(os, "sysconf")
+        EnsembleConfig(matrix=toy_matrix, paths=10**13)
+
     def test_no_thread_count_field(self, toy_matrix):
         assert "threads" not in {f.name for f in fields(EnsembleConfig)}
         with pytest.raises(TypeError):
@@ -491,7 +518,9 @@ class TestKernelEquivalence:
         res = run_ensemble(cfg)
         i = start + count // 2
         self._assert_trace_matches_scalar(res, i)
-        assert np.array_equal(res.path_checkpoints(-1).x, res.cp_x[:, -1])
+        last = res.path_checkpoints(-1)
+        assert np.array_equal(last.x, res.path_checkpoints(cfg.paths - 1).x)
+        assert last.x[-1] == res.final_x[-1]
         with pytest.raises(IndexError):
             res.path_checkpoints(cfg.paths)
 
@@ -503,7 +532,7 @@ class TestKernelEquivalence:
             rng.path_key(cfg.master_seed, i),
         )
         data = res.path_checkpoints(i)
-        assert np.array_equal(data.x, res.cp_x[:, i])
+        assert data.x[-1] == res.final_x[i]
         for j, n in enumerate(data.ns):
             assert data.x[j] == states[n].fraction
             assert data.t[j] == states[n].total
@@ -570,7 +599,7 @@ class TestDeterminism:
         assert len({o[1] for o in outs}) == 1
         for o in outs[1:]:
             assert np.array_equal(o[2].values, outs[0][2].values)
-            assert np.array_equal(o[2].cp_x, outs[0][2].cp_x)
+            assert np.array_equal(o[2].final_x, outs[0][2].final_x)
 
     def test_thread_count_is_invisible_synthetic(self, monkeypatch):
         proc = SyntheticProcess(big_gamma=1.0, sigma2=1.0)
@@ -599,6 +628,15 @@ class TestDeterminism:
                 outs.append((summary_json(res), values_csv(res)))
             assert outs[0] == outs[1]
         assert montecarlo._chunk_plan(23, 3) == [(0, 8), (8, 8), (16, 7)]
+
+    def test_summaries_equal_one_call_replay(self, toy_matrix, monkeypatch):
+        # rows reduced as three chunks yield them equal one seamless replay
+        split_into(monkeypatch, 3)
+        cfg = EnsembleConfig(
+            matrix=toy_matrix, w0=1, b0=1, horizon=200, paths=23, master_seed=11,
+        )
+        res = run_ensemble(cfg)
+        assert res.checkpoint_summaries == acceptance._replayed_summaries(res)
 
     def test_rerun_is_identical(self, toy_matrix):
         cfg = EnsembleConfig(
@@ -637,13 +675,10 @@ class TestUsableCores:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert montecarlo._usable_cores() == 1
 
-    @pytest.mark.parametrize("cores,chunks", [(1, 1), (2, 2), (8, 2)])
-    def test_wide_ensemble_runs_one_chunk_per_core(
-        self, toy_matrix, monkeypatch, cores, chunks
-    ):
-        """urn-wide's path count: one chunk on one core, two chunks of
-        10000 on two or more, each on its own pool thread."""
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+    @staticmethod
+    def _record_chunks_and_pools(monkeypatch):
+        """Record the (start, count) of every chunk keyed and the
+        max_workers of every pool made; return both lists."""
         starts, pools = [], []
         path_keys = rng.path_keys
         pool_class = montecarlo.ThreadPoolExecutor
@@ -658,11 +693,58 @@ class TestUsableCores:
 
         monkeypatch.setattr(rng, "path_keys", recording_keys)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+        return starts, pools
+
+    @pytest.mark.parametrize("cores,chunks", [(1, 1), (2, 2), (8, 2)])
+    def test_wide_ensemble_runs_one_chunk_per_core(
+        self, toy_matrix, monkeypatch, cores, chunks
+    ):
+        """urn-wide's path count: one chunk on one core, two chunks of
+        10000 on two or more, each on its own pool thread."""
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+        starts, pools = self._record_chunks_and_pools(monkeypatch)
         cfg = EnsembleConfig(matrix=toy_matrix, horizon=4, paths=20_000)
         run_ensemble(cfg)
         assert len(starts) == chunks
         assert sorted(starts) == montecarlo._chunk_plan(20_000, cores)
         assert pools == ([] if chunks == 1 else [chunks])
+
+    def test_pool_threads_never_exceed_cores(self, toy_matrix, monkeypatch):
+        """Ten capped chunks on two cores share a two-thread pool and give
+        the one-chunk run's output."""
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=64, paths=1000)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        one = run_ensemble(cfg)
+        monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 100)
+        starts, pools = self._record_chunks_and_pools(monkeypatch)
+        res = run_ensemble(cfg)
+        assert len(starts) == 10
+        assert pools == [2]
+        assert summary_json(res) == summary_json(one)
+        assert values_csv(res) == values_csv(one)
+
+
+class TestMemory:
+    @staticmethod
+    def _traced_peak(cfg: EnsembleConfig) -> int:
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_checkpoints(self, toy_matrix):
+        """Rows are reduced as the chunks yield them: 13 checkpoints cost
+        less than one more row per chunk than 7, and a run holds at least
+        the bytes per path that EnsembleConfig's memory bound assumes."""
+        paths = 20_000
+        chunks = len(montecarlo._chunk_plan(paths, montecarlo._usable_cores()))
+        base = dict(matrix=toy_matrix, paths=paths, master_seed=3)
+        short = self._traced_peak(EnsembleConfig(**base, horizon=1 << 6))
+        long = self._traced_peak(EnsembleConfig(**base, horizon=1 << 12))
+        assert long - short < chunks * (paths // chunks) * 8
+        assert short >= paths * montecarlo._PATH_BYTES
 
 
 class TestChunkPlan:
@@ -829,8 +911,10 @@ class TestInspectPath:
         res = run_ensemble(cfg)
         assert pred.regime is res.prediction.regime
         assert [r.n for r in rows] == res.checkpoints
+        assert rows[-1].x == res.final_x[0]
+        replayed = res.path_checkpoints(0)
         for j, row in enumerate(rows):
-            assert row.x == res.cp_x[j, 0]
+            assert row.x == replayed.x[j]
             assert row.scaled == weight(row.n, 0.5, 0.0) * (row.x - 0.5)
             if row.n >= 1:
                 # Python floats: the `urnsa path` CSV prints their repr

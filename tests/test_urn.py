@@ -13,11 +13,13 @@ from urnsa import (
     ConfigError,
     DoubleZeroError,
     DriftPoly,
+    GammaHatResult,
     InvalidStateError,
     NotStochasticApproximationError,
     ReplacementMatrix,
     UrnState,
     ZeroDriftError,
+    classify,
     drift_from_matrix,
     error_poly_from_matrix,
     gamma_hat,
@@ -28,7 +30,6 @@ from urnsa import (
     urn_noise,
     urn_step,
 )
-from urnsa.urn import gamma_deviation
 
 entry = st.integers(0, 9).map(float)
 positive_entry = st.integers(1, 9).map(float)
@@ -206,10 +207,58 @@ class TestGammaHat:
         with pytest.raises(AnalysisError):
             gamma_hat(ReplacementMatrix(0.5, 0, 5e-324, 1))
 
+    @pytest.mark.parametrize(
+        "m, scale",
+        [
+            (ReplacementMatrix(4e170, 5e170, 3e170, 2e170), 1e170),
+            (ReplacementMatrix(*(v * 1e-150 for v in (4, 5, 3, 2))), 1e-150),
+        ],
+    )
+    def test_scaled_toy_example(self, m, scale):
+        # the raw drift coefficients overflow at 1e170 and look zero at
+        # 1e-150; classify's power-of-two scaling sees the toy urn
+        r = gamma_hat(m)
+        assert r == GammaHatResult(*(getattr(classify(m), f) for f in r._fields))
+        assert r.p == pytest.approx(0.5, rel=1e-14)
+        assert r.gamma == pytest.approx(1.0 / 7.0 / scale, rel=1e-14)
+        assert r.h_p == pytest.approx(8.0 * scale, rel=1e-14)
+        assert r.gamma_hat == pytest.approx(8.0 / 7.0, rel=1e-14)
+
+    def test_zero_drift_raises_analysis(self):
+        with pytest.raises(AnalysisError):
+            gamma_hat(ReplacementMatrix(1, 0, 0, 1))
+
     def test_gamma_limit_formula(self, toy_matrix):
         assert gamma_limit(toy_matrix, 0.5) == pytest.approx(
             1.0 / (9 * 0.5 + 5 * 0.5), rel=1e-15
         )
+
+
+def gamma_deviation(
+    state: UrnState, m: ReplacementMatrix, p: float, gamma: float
+) -> tuple[float, float]:
+    """Deviation n/T_n - gamma, directly and through the bookkeeping identity.
+
+    The identity rewrites the deviation in terms of the white-draw average:
+
+        n/T_n - gamma = (alpha*(k/n - p) - T0/n)
+                        / ((c+d - alpha*p) * (T0/n + c+d - alpha*k/n))
+
+    with k the number of white draws and T0 recovered from the state's
+    bookkeeping.  Both routes agree to 1e-12 and the identity makes
+    visible that the deviation is O(|X_n - p| + 1/n).
+    """
+    if state.n < 1:
+        raise ConfigError("deviation needs at least one completed draw")
+    n = state.n
+    alpha = m.alpha
+    row_b = m.row_black
+    t0 = state.total - row_b * n + alpha * state.white_draws
+    direct = n / state.total - gamma
+    k_over_n = state.white_draws / n
+    numer = alpha * (k_over_n - p) - t0 / n
+    denom = (row_b - alpha * p) * (t0 / n + row_b - alpha * k_over_n)
+    return direct, numer / denom
 
 
 class TestBookkeeping:

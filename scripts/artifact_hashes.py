@@ -17,8 +17,9 @@ and `analyze --json` reports.  Covered:
    montecarlo._usable_cores to 3; for urn configs, also the
    checkpoint traces (path_checkpoints) of three paths.
 
-One line per artifact: label, artifact name, sha256.  Acceptance verdict
-lines go to stderr.
+One line per artifact: label, artifact name, sha256.  After the suite's
+artifact lines, each acceptance verdict line follows as `verdict <line>`,
+so two checkouts that print the same lines also give the same verdicts.
 
     PYTHONPATH=src python3 scripts/artifact_hashes.py
 
@@ -116,9 +117,11 @@ def acceptance_runs() -> None:
 
     acceptance.run_ensemble = recording
     try:
-        acceptance.run_suite("full", stream=sys.stderr)
+        results = acceptance.run_suite("full", stream=io.StringIO())
     finally:
         acceptance.run_ensemble = original
+    for result in results:
+        print(f"verdict {result.line()}")
 
 
 def workload_runs() -> None:

@@ -67,65 +67,51 @@ def _rel_err(value: float, target: float) -> float:
     return abs(value - target) / abs(target)
 
 
-def _clt_criterion(
-    number: int,
-    name: str,
-    matrix: ReplacementMatrix,
-    predicted_variance: float,
+def _suite_config(**fields) -> EnsembleConfig:
+    """An ensemble config with the suite's defaults for the fields not given."""
+    defaults = dict(w0=1, b0=1, horizon=100_000, paths=20_000)
+    return EnsembleConfig(**{**defaults, **fields}, master_seed=ACCEPTANCE_SEED)
+
+
+def _variance_criterion(
+    number: int, name: str, cfg: EnsembleConfig, target: float, tol: float, ks: bool
 ) -> CriterionResult:
-    cfg = EnsembleConfig(
-        matrix=matrix,
-        w0=1,
-        b0=1,
-        horizon=100_000,
-        paths=20_000,
-        master_seed=ACCEPTANCE_SEED,
-    )
+    """The ensemble's variance within relative tol of target and, if ks, its
+    values normal at the 1% KS level."""
     res = run_ensemble(cfg)
-    rel = _rel_err(res.moments.variance, predicted_variance)
-    passed = rel <= 0.10 and res.ks.pass_at_1
+    rel = _rel_err(res.moments.variance, target)
+    passed = rel <= tol
     detail = (
-        f"variance {res.moments.variance:.6g} vs {predicted_variance:.6g} "
-        f"(rel err {rel:.3f}, tol 0.10); "
-        f"KS d={res.ks.d:.4f} vs 1% threshold {res.ks.threshold_1:.4f} "
-        f"({'pass' if res.ks.pass_at_1 else 'fail'})"
+        f"variance {res.moments.variance:.6g} vs {target:.6g} "
+        f"(rel err {rel:.3f}, tol {tol:.2f})"
     )
+    if ks:
+        passed = passed and res.ks.pass_at_1
+        detail += (
+            f"; KS d={res.ks.d:.4f} vs 1% threshold {res.ks.threshold_1:.4f} "
+            f"({'pass' if res.ks.pass_at_1 else 'fail'})"
+        )
     return CriterionResult(number, name, passed, detail)
 
 
 def toy_urn_clt() -> CriterionResult:
     """Root-n CLT for the (4,5;3,2) urn against its closed-form variance."""
-    return _clt_criterion(
-        1, "toy_urn_clt", ReplacementMatrix(4, 5, 3, 2), 1.0 / 252.0
-    )
+    cfg = _suite_config(matrix=ReplacementMatrix(4, 5, 3, 2))
+    return _variance_criterion(1, "toy_urn_clt", cfg, 1.0 / 252.0, 0.10, ks=True)
 
 
 def balanced_urn_clt() -> CriterionResult:
     """Root-n CLT for the balanced (2,1;1,2) urn, variance 1/12."""
-    return _clt_criterion(
-        2, "balanced_urn_clt", ReplacementMatrix(2, 1, 1, 2), 1.0 / 12.0
-    )
+    cfg = _suite_config(matrix=ReplacementMatrix(2, 1, 1, 2))
+    return _variance_criterion(2, "balanced_urn_clt", cfg, 1.0 / 12.0, 0.10, ks=True)
 
 
 def critical_log_clt() -> CriterionResult:
     """Critical urn (3,1;1,3): sqrt(n/log n) scaling with variance 1/16."""
-    cfg = EnsembleConfig(
-        matrix=ReplacementMatrix(3, 1, 1, 3),
-        w0=1,
-        b0=1,
-        horizon=1_000_000,
-        paths=10_000,
-        master_seed=ACCEPTANCE_SEED,
+    cfg = _suite_config(
+        matrix=ReplacementMatrix(3, 1, 1, 3), horizon=1_000_000, paths=10_000
     )
-    res = run_ensemble(cfg)
-    target = 1.0 / 16.0
-    rel = _rel_err(res.moments.variance, target)
-    passed = rel <= 0.20
-    detail = (
-        f"variance {res.moments.variance:.6g} vs {target:.6g} "
-        f"(rel err {rel:.3f}, tol 0.20)"
-    )
-    return CriterionResult(3, "critical_log_clt", passed, detail)
+    return _variance_criterion(3, "critical_log_clt", cfg, 1.0 / 16.0, 0.20, ks=False)
 
 
 # Exact E[n^(2/5) (X_n - 1/2)] at n = 1e6 for the (3,0;2,5) urn started at
@@ -149,13 +135,8 @@ def power_law_mean() -> CriterionResult:
     Kolmogorov-Smirnov test against the best-fitting normal must fail,
     witnessing that the limit law of this regime is not Gaussian.
     """
-    cfg = EnsembleConfig(
-        matrix=ReplacementMatrix(3, 0, 2, 5),
-        w0=4,
-        b0=4,
-        horizon=1_000_000,
-        paths=20_000,
-        master_seed=ACCEPTANCE_SEED,
+    cfg = _suite_config(
+        matrix=ReplacementMatrix(3, 0, 2, 5), w0=4, b0=4, horizon=1_000_000
     )
     res = run_ensemble(cfg)
     mean = res.moments.mean
@@ -175,15 +156,7 @@ def power_law_mean() -> CriterionResult:
 def symmetric_skewness() -> CriterionResult:
     """Friedman urn (1,2;2,1) from a balanced start: the scaled statistic
     is symmetric, so its empirical skewness must be near zero."""
-    cfg = EnsembleConfig(
-        matrix=ReplacementMatrix(1, 2, 2, 1),
-        w0=1,
-        b0=1,
-        horizon=100_000,
-        paths=20_000,
-        master_seed=ACCEPTANCE_SEED,
-    )
-    res = run_ensemble(cfg)
+    res = run_ensemble(_suite_config(matrix=ReplacementMatrix(1, 2, 2, 1)))
     skew = res.moments.skewness
     if skew is None:
         return CriterionResult(
@@ -200,23 +173,10 @@ def synthetic_clt() -> CriterionResult:
     proc = SyntheticProcess(
         big_gamma=1.0, sigma2=1.0, family=StepFamily.N, z0=0.0
     )
-    cfg = EnsembleConfig(
-        synthetic=proc,
-        horizon=100_000,
-        paths=20_000,
-        master_seed=ACCEPTANCE_SEED,
+    cfg = _suite_config(synthetic=proc)
+    return _variance_criterion(
+        6, "synthetic_clt", cfg, proc.limit_variance, 0.05, ks=True
     )
-    res = run_ensemble(cfg)
-    target = proc.limit_variance
-    rel = _rel_err(res.moments.variance, target)
-    passed = rel <= 0.05 and res.ks.pass_at_1
-    detail = (
-        f"variance {res.moments.variance:.6g} vs {target:.6g} "
-        f"(rel err {rel:.3f}, tol 0.05); "
-        f"KS d={res.ks.d:.4f} vs 1% threshold {res.ks.threshold_1:.4f} "
-        f"({'pass' if res.ks.pass_at_1 else 'fail'})"
-    )
-    return CriterionResult(6, "synthetic_clt", passed, detail)
 
 
 def exact_invariants() -> CriterionResult:
@@ -385,13 +345,8 @@ def as_convergence_witness() -> CriterionResult:
     over the head-half max (frozen from a calibration run: a strict
     decrease holds on only ~80% of paths, factor 2.0 on ~98%, while a
     wrong scaling exponent drops the rate below 60%)."""
-    cfg = EnsembleConfig(
-        matrix=ReplacementMatrix(3, 0, 2, 5),
-        w0=4,
-        b0=4,
-        horizon=1 << 22,
-        paths=500,
-        master_seed=ACCEPTANCE_SEED,
+    cfg = _suite_config(
+        matrix=ReplacementMatrix(3, 0, 2, 5), w0=4, b0=4, horizon=1 << 22, paths=500
     )
     pred = classify(cfg.matrix)
     # all 500 traces in one kernel call, the cost of one ensemble run
@@ -406,25 +361,21 @@ def as_convergence_witness() -> CriterionResult:
             settled += 1
     frac = settled / cfg.paths
 
-    crit_cfg = EnsembleConfig(
-        matrix=ReplacementMatrix(3, 1, 1, 3),
-        w0=1,
-        b0=1,
-        horizon=1 << 16,
-        paths=8,
-        master_seed=ACCEPTANCE_SEED,
+    crit_cfg = _suite_config(
+        matrix=ReplacementMatrix(3, 1, 1, 3), horizon=1 << 16, paths=8
     )
-    crit = run_ensemble(crit_cfg)
+    crit_pred = classify(crit_cfg.matrix)
     worst_gap = 0.0
     worst_exact = 0.0
-    tail_lo = len(crit.checkpoints) // 2
     # all 8 traces in one kernel call: one replay per path costs 10x more
-    for data in _traces(crit_cfg, range(crit_cfg.paths)):
+    crit_traces = _traces(crit_cfg, range(crit_cfg.paths))
+    tail_lo = crit_traces[0].ns.size // 2
+    for data in crit_traces:
         tail = PathCheckpointData(
             data.ns[tail_lo:], data.x[tail_lo:], data.t[tail_lo:],
             data.x_prev[tail_lo:],
         )
-        report = gamma_hat_rate_check(tail, crit_cfg.matrix, crit.prediction)
+        report = gamma_hat_rate_check(tail, crit_cfg.matrix, crit_pred)
         worst_gap = max(worst_gap, report.max_critical_gap)
         # the realized rate has the closed form 1/2 - 1/(2+4n) here
         for j in range(tail_lo, data.ns.size):
@@ -465,19 +416,15 @@ def determinism() -> CriterionResult:
     proc = SyntheticProcess(
         big_gamma=1.0, sigma2=1.0, family=StepFamily.N, z0=0.0
     )
-    sources = (
-        dict(matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1),
-        dict(synthetic=proc),
-    )
+    sources = (dict(matrix=ReplacementMatrix(4, 5, 3, 2)), dict(synthetic=proc))
     distinct = []
     prefix_equal = []
     replayed = False
     for source in sources:
-        base = dict(**source, horizon=2000, master_seed=ACCEPTANCE_SEED)
         wide = [
-            run_ensemble(EnsembleConfig(**base, paths=20_000)) for _ in range(2)
+            run_ensemble(_suite_config(**source, horizon=2000)) for _ in range(2)
         ]
-        narrow = run_ensemble(EnsembleConfig(**base, paths=15_000))
+        narrow = run_ensemble(_suite_config(**source, horizon=2000, paths=15_000))
         distinct += [
             len({summary_json(r) for r in wide}),
             len({values_csv(r) for r in wide}),

@@ -59,8 +59,6 @@ class DriftPoly:
         Evaluated through the factored form so the removable singularity
         at x = p causes no cancellation; h(p) equals -f'(p) exactly.
         """
-        if self.is_zero():
-            raise ZeroDriftError("restoring strength undefined for zero drift")
         if x == p:
             return -self.derivative(p)
         if self.quad == 0.0:

@@ -17,6 +17,7 @@ derives the counts from it; otherwise it advances them by matrix rows.
 from __future__ import annotations
 
 import contextlib
+import enum
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ from . import rng
 from .drift import DriftPoly
 from .errors import ConfigError, DegenerateVarianceError
 from .limits import LimitPrediction, Regime, classify, reference_prediction
-from .sa import StepFamily, SyntheticProcess, weight
+from .sa import SyntheticProcess, weight
 from .special import normal_cdf
 from .urn import (
     COUNT_LIMIT,
@@ -43,7 +44,6 @@ from .urn import (
 # asymptotic Kolmogorov-Smirnov critical constants, valid for n >= 1000
 KS_CONSTANTS = {0.05: 1.358, 0.01: 1.628}
 
-_CHUNK_PATHS = 262144
 # Below about 10000 paths per chunk, two threads ran slower than one on the
 # toy urn: split into two chunks, 500, 2000 and 8000 paths lost to one chunk
 # and 20000 won (scripts/block_sweep.py; 12000 also lost, 14000-16000 broke
@@ -576,16 +576,11 @@ def _usable_cores() -> int:
 def _chunk_plan(n_paths: int, workers: int) -> list[tuple[int, int]]:
     """(start, count) path chunks, one per worker where splitting pays.
 
-    One chunk per worker keeps numpy dispatch overhead off the hot loop.
-    A chunk keeps about _MIN_CHUNK_PATHS paths or more, and none holds more
-    than _CHUNK_PATHS.  Path streams are keyed by absolute path index, so
-    the plan never affects the numbers.
+    One chunk per worker keeps numpy dispatch overhead off the hot loop,
+    and a chunk keeps about _MIN_CHUNK_PATHS paths or more.  Path streams
+    are keyed by absolute path index, so the plan never affects the numbers.
     """
-    n_chunks = max(
-        1,
-        min(workers, n_paths // _MIN_CHUNK_PATHS),
-        -(-n_paths // _CHUNK_PATHS),
-    )
+    n_chunks = max(1, min(workers, n_paths // _MIN_CHUNK_PATHS))
     per = -(-n_paths // n_chunks)
     return [
         (start, min(per, n_paths - start)) for start in range(0, n_paths, per)
@@ -596,25 +591,23 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Simulate an ensemble and summarize it against the predicted limit.
 
     The paths are split into one chunk per usable core where that pays
-    (_chunk_plan), stepped on at most that many threads.  The chunks
-    advance in lockstep: each checkpoint's row, the chunks' parts in path
-    order, is reduced before any chunk steps further.  Results are a pure
+    (_chunk_plan), each stepped on its own thread.  The chunks advance in
+    lockstep: each checkpoint's row, the chunks' parts in path order, is
+    reduced before any chunk steps further.  Results are a pure
     function of the config, whatever the number of cores or chunk shape.
     """
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
     src = _source(config, cps)
-    cores = _usable_cores()
     streams = [
         src.kernel(rng.path_keys(config.master_seed, start, count))
-        for start, count in _chunk_plan(config.paths, cores)
+        for start, count in _chunk_plan(config.paths, _usable_cores())
     ]
     sx, sy = src.scaling
     summaries = []
     with contextlib.ExitStack() as stack:
         step = map
         if len(streams) > 1:
-            workers = min(len(streams), cores)
-            step = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+            step = stack.enter_context(ThreadPoolExecutor(len(streams))).map
         for n in cps:
             x = np.concatenate(list(step(next, streams)))
             values = weight(n, sx, sy) * (x - src.center)
@@ -713,102 +706,58 @@ SCHEMA_VERSION = 1
 
 def summary_dict(result: EnsembleResult) -> dict:
     """JSON-ready summary; excludes per-path arrays and execution knobs."""
-    cfg = result.config
+    config, proc = _record(result.config), result.config.synthetic
+    if proc is None:
+        ref = result.reference_scaled_mean
+        prediction = _prediction_dict(result.prediction, result.scaling, ref)
+    else:
+        config.update(w0=None, b0=None)
+        config["synthetic"]["limit_variance"] = limit = proc.limit_variance
+        prediction = dict(
+            regime="SYNTHETIC", scaling=list(result.scaling), predicted_variance=limit
+        )
+    estimates = _record(result.moments)
+    estimates["paths"] = estimates.pop("count")
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": "urn" if cfg.matrix is not None else "synthetic",
-        "config": {
-            "matrix": asdict(cfg.matrix) if cfg.matrix is not None else None,
-            "w0": cfg.w0 if cfg.matrix is not None else None,
-            "b0": cfg.b0 if cfg.matrix is not None else None,
-            "synthetic": _synthetic_dict(cfg.synthetic),
-            "horizon": cfg.horizon,
-            "paths": cfg.paths,
-            "master_seed": cfg.master_seed,
-            "checkpoint_factor": cfg.checkpoint_factor,
-            "forced_scaling": list(cfg.forced_scaling)
-            if cfg.forced_scaling is not None
-            else None,
-            "forced_center": cfg.forced_center,
-        },
-        "prediction": _prediction_dict(result),
-        "estimates": {
-            "mean": result.moments.mean,
-            "variance": result.moments.variance,
-            "skewness": result.moments.skewness,
-            "paths": result.moments.count,
-        },
-        "ks": asdict(result.ks) if result.ks is not None else None,
-        "checkpoints": [asdict(s) for s in result.checkpoint_summaries],
+        "kind": "urn" if proc is None else "synthetic",
+        "config": config,
+        "prediction": prediction,
+        "estimates": estimates,
+        "ks": _record(result.ks) if result.ks is not None else None,
+        "checkpoints": [_record(s) for s in result.checkpoint_summaries],
     }
 
 
-def _synthetic_dict(proc: SyntheticProcess | None) -> dict | None:
-    if proc is None:
-        return None
-    return {
-        "big_gamma": proc.big_gamma,
-        "sigma2": proc.sigma2,
-        "family": proc.family.value,
-        "z0": proc.z0,
-        "limit_variance": proc.limit_variance,
-    }
+def _record(obj) -> dict:
+    """asdict(obj) as JSON reads it back: tuples as lists, enums as values."""
+    return asdict(obj, dict_factory=lambda items: {k: _plain(v) for k, v in items})
 
 
-def _prediction_dict(result: EnsembleResult) -> dict:
-    pred = result.prediction
-    if pred is None:
-        proc = result.config.synthetic
-        return {
-            "regime": "SYNTHETIC",
-            "scaling": list(result.scaling),
-            "predicted_variance": proc.limit_variance,
-        }
-    return _urn_prediction_dict(pred, result.scaling, result.reference_scaled_mean)
+def _plain(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
 
-def _urn_prediction_dict(
-    pred: LimitPrediction,
-    scaling: tuple[float, float],
-    reference_scaled_mean: float | None,
-) -> dict:
-    return {
-        "regime": pred.regime.value,
-        "scaling": list(scaling),
-        "p": pred.p,
-        "gamma": pred.gamma,
-        "h_p": pred.h_p,
-        "gamma_hat": pred.gamma_hat,
-        "sigma2": pred.sigma2,
-        "predicted_variance": pred.predicted_variance,
-        "as_exponent": pred.as_exponent,
-        "reference_scaled_mean": reference_scaled_mean,
-        "roots": [
-            {"value": r.value, "stability": r.stability} for r in pred.roots
-        ],
-    }
+def _prediction_dict(pred: LimitPrediction, scaling, reference_scaled_mean) -> dict:
+    record = dict(_record(pred), scaling=list(scaling))
+    return dict(record, reference_scaled_mean=reference_scaled_mean)
 
 
 def analyze_dict(
     m: ReplacementMatrix, w0: float | None = None, b0: float | None = None
 ) -> dict:
-    """JSON-ready analytic report: drift, error polynomial, prediction.
-
-    Initial counts are optional; when given they feed the reference
-    scaled-mean formula where one applies.
-    """
+    """JSON-ready analytic report: drift, error polynomial, prediction; the
+    initial counts, when given, feed the reference scaled mean if one applies."""
     pred = classify(m)
-    drift = drift_from_matrix(m)
-    err = error_poly_from_matrix(m)
-    ref = None
-    if w0 is not None and b0 is not None:
-        ref = reference_prediction(m, w0, b0)
+    ref = None if w0 is None or b0 is None else reference_prediction(m, w0, b0)
     return {
         "schema_version": SCHEMA_VERSION,
-        "matrix": asdict(m),
-        "drift": {"quad": drift.quad, "lin": drift.lin, "const": drift.const},
-        "error_poly": {"a_minus_c": err.a_minus_c, "alpha": err.alpha},
-        "prediction": _urn_prediction_dict(pred, pred.scaling, ref),
+        "matrix": _record(m),
+        "drift": _record(drift_from_matrix(m)),
+        "error_poly": _record(error_poly_from_matrix(m)),
+        "prediction": _prediction_dict(pred, pred.scaling, ref),
     }
 
 

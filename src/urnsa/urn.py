@@ -70,7 +70,9 @@ class ReplacementMatrix:
         return self.a * self.d - self.b * self.c
 
     def entry_scale(self) -> float:
-        return max(1.0, self.a, self.b, self.c, self.d)
+        """The largest entry: tolerances relative to it do not change when
+        the matrix is scaled."""
+        return max(self.a, self.b, self.c, self.d)
 
     def is_sa_eligible(self) -> bool:
         """Both rows add mass, so draw steps are bounded below."""

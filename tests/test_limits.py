@@ -285,6 +285,14 @@ class TestVarianceAlpha0:
         with pytest.raises(RegimeError):
             variance_alpha0(toy_matrix)
 
+    def test_small_unbalanced_rejected(self):
+        with pytest.raises(RegimeError, match="not balanced"):
+            variance_alpha0(ReplacementMatrix(2e-13, 1e-13, 1e-13, 5e-14))
+
+    def test_value_does_not_depend_on_the_scale(self):
+        small = ReplacementMatrix(*(math.ldexp(v, -60) for v in (2, 1, 1, 2)))
+        assert variance_alpha0(small) == variance_alpha0(ReplacementMatrix(2, 1, 1, 2))
+
 
 class TestDecayProduct:
     def test_small_product_exact(self):

@@ -10,7 +10,8 @@ measurement behind that constant, and behind montecarlo._MIN_CHUNK_PATHS:
    urnbench/workloads.py) at each budget, in million path-steps per second,
    the median of --repeats runs;
 3. the toy urn at several path counts in one chunk and forced into two
-   chunks on two worker threads, to find where splitting starts to pay.
+   chunks, the second stepped in a forked worker process, to find where
+   splitting starts to pay.
 
 Chunk counts are forced by patching montecarlo._usable_cores (and
 lowering montecarlo._MIN_CHUNK_PATHS for step 3), not by the machine.
@@ -124,10 +125,10 @@ def main() -> None:
         montecarlo._BLOCK_ELEMENTS = saved[0]
 
         print("\ntoy urn (4,5;3,2), 2^24 path-steps, one chunk vs two chunks "
-              f"on two threads, M path-steps/s (median of {args.repeats})")
+              f"(one forked worker), M path-steps/s (median of {args.repeats})")
         print(f"{'paths':>8} {'1 chunk':>10} {'2 chunks':>10}")
         montecarlo._MIN_CHUNK_PATHS = 1
-        for paths in (500, 2_000, 8_000, 20_000):
+        for paths in (500, 2_000, 4_000, 8_000, 12_000, 16_000, 20_000):
             shape = dict(
                 matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1,
                 paths=paths, horizon=(1 << 24) // paths,

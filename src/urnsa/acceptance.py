@@ -407,9 +407,9 @@ def determinism() -> CriterionResult:
     """Byte-identical outputs across repeats and chunk shapes.
 
     Each source runs 20000 paths twice and 15000 paths once.  On two or
-    more usable cores the 20000-path runs split into two 10000-path
-    chunks, while 15000 paths always run as one, so paths 10000-14999 sit
-    in a second chunk of one run and inside the only chunk of the other.
+    more usable cores both split into one chunk per core, so the two path
+    counts put their chunk seams at different paths (10000 against 7500
+    on two cores) and the first 15000 paths are cut differently.
     The urn run's checkpoint summaries must also equal those reduced from
     one replay of all its paths, a single kernel call with no chunk seam.
     """

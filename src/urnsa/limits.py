@@ -34,6 +34,7 @@ from .special import gamma_function
 from .sa import StepFamily
 from .urn import (
     ReplacementMatrix,
+    _unit_shift,
     drift_from_matrix,
     error_poly_from_matrix,
     gamma_limit,
@@ -122,27 +123,6 @@ def classify(m: ReplacementMatrix) -> LimitPrediction:
             "is not a finite double"
         )
     return replace(pred, gamma=gamma, h_p=h_p)
-
-
-def _unit_shift(m: ReplacementMatrix) -> int:
-    """The e for which 2^-e times the largest entry lies in [1, 2), lowered
-    as far as needed for no entry to lose a bit to underflow.
-
-    Raises ConfigError when the lowered shift leaves the largest entry
-    above 2^256; below that, products of up to three entries stay finite.
-    """
-    top = math.frexp(max(m.entries()))[1] - 1
-    e = top
-    for v in m.entries():
-        if v > 0.0:
-            num, den = v.as_integer_ratio()  # den is a power of two
-            lowest_bit = (num & -num).bit_length() - den.bit_length()
-            e = min(e, lowest_bit + 1074)  # 2^-1074: the smallest subnormal
-    if top - e > 256:
-        raise ConfigError(
-            f"matrix {m.entries()}: entries span too wide a range to classify"
-        )
-    return e
 
 
 def _classify_unit(m: ReplacementMatrix) -> LimitPrediction:

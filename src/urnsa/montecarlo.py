@@ -1,13 +1,15 @@
 """Reproducible parallel Monte Carlo for urn and synthetic ensembles.
 
 Every path's randomness is a pure function of (master_seed, path_index),
-so an ensemble is simulated in path chunks on worker threads, about one
-per usable core, in any order: results are reassembled by path index and
-reduced in a fixed order.  Running the same EnsembleConfig twice, on any
-number of cores, produces bit-identical results.  Each checkpoint's row
-of X_n is reduced as the chunks reach it, so a result keeps only the final
-X_n and scaled values; a path's full trace is replayed from its key.  Urn
-and synthetic runs share one pipeline once their source is resolved.
+so an ensemble is simulated in path chunks, about one per usable core: the
+first in the calling process, each other in a forked worker process that
+sends its rows back over a pipe.  Rows are reassembled by path index and
+reduced in a fixed order, so running the same EnsembleConfig twice, on any
+number of cores, produces bit-identical results.  Where os.fork does not
+exist, a run is one chunk.  Each checkpoint's row of X_n is reduced as the
+chunks reach it, so a result keeps only the final X_n and scaled values; a
+path's full trace is replayed from its key.  Urn and synthetic runs share
+one pipeline once their source is resolved.
 
 The per-step urn update is vectorized across the paths of a chunk and
 reproduces the scalar urn_step decision for decision (white iff u < W/T).
@@ -22,15 +24,17 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import traceback
+import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from . import rng
 from .drift import DriftPoly
-from .errors import ConfigError, DegenerateVarianceError
+from .errors import ConfigError, DegenerateVarianceError, UrnsaError
 from .limits import LimitPrediction, Regime, classify, reference_prediction
 from .sa import SyntheticProcess, weight
 from .special import normal_cdf
@@ -44,21 +48,26 @@ from .urn import (
 # asymptotic Kolmogorov-Smirnov critical constants, valid for n >= 1000
 KS_CONSTANTS = {0.05: 1.358, 0.01: 1.628}
 
-# Below about 10000 paths per chunk, two threads ran slower than one on the
-# toy urn: split into two chunks, 500, 2000 and 8000 paths lost to one chunk
-# and 20000 won (scripts/block_sweep.py; 12000 also lost, 14000-16000 broke
-# even, 2-core Xeon).  Smaller ensembles stay in one chunk.
-_MIN_CHUNK_PATHS = 10_000
+# A chunk in a forked worker pays from about 1000 paths.  Toy urn at 2^24
+# path-steps, two chunks against one (scripts/block_sweep.py, 2-core Xeon):
+# 1.2-2.0x from 1500 paths up, 1.05-1.25x at 1000 and 0.98-1.10x at 500,
+# as was the 500-path urn-narrow shape (38.5 vs 38.8 and 40.2 vs 42.6 M
+# path-steps/s), so ensembles below 2000 paths stay in one chunk.  A fork
+# costs 4-20 ms, more in a larger process, so short horizons lose: split,
+# 2000 paths x 1024 steps broke even and 20000 x 16 ran 1.5-2x slower.
+_MIN_CHUNK_PATHS = 1_000
 # RNG block budget in uniforms (whole rows of a chunk's paths): 2^16 float64
 # plus their uint64 scratch is 1 MiB, which fits a 2 MiB L2.  In two runs of
 # scripts/block_sweep.py (2-core Xeon, 2 MiB L2 per core) 2^15-2^16 filled
 # blocks at 4.3-5.4 ns/draw against 7.6-8.8 from 2^18 up, and the three
 # benchmark shapes ran within noise of their best there.
 _BLOCK_ELEMENTS = 1 << 16
-# Bytes per path that a run holds at once, at least: its key (8), the urn
-# kernel's w, t, x and k or black tally (4 x 8) and white mask (1), its
-# share of the RNG block and scratch (2 x 8 once a chunk's paths fill a
-# block row), and the runner's checkpoint row and scaled values (2 x 8).
+# Bytes per path that a run holds at once, at least, summed over the calling
+# process and its workers: its key (8), the urn kernel's w, t, x and k or
+# black tally (4 x 8) and white mask (1), its share of the RNG block and
+# scratch (2 x 8 once a chunk's paths fill a block row), and the runner's
+# checkpoint row and scaled values (2 x 8).  The caller's receive buffers
+# (8) hold only the workers' paths, so they do not raise this lower bound.
 _PATH_BYTES = 73
 
 _SCALED_REGIMES = (
@@ -591,25 +600,26 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     """Simulate an ensemble and summarize it against the predicted limit.
 
     The paths are split into one chunk per usable core where that pays
-    (_chunk_plan), each stepped on its own thread.  The chunks advance in
-    lockstep: each checkpoint's row, the chunks' parts in path order, is
-    reduced before any chunk steps further.  Results are a pure
-    function of the config, whatever the number of cores or chunk shape.
+    (_chunk_plan).  This process steps the first chunk and a forked worker
+    process steps each other one (_forked_rows); where os.fork does not
+    exist the plan has one chunk.  The chunks advance in lockstep: each
+    checkpoint's row, the chunks' parts in path order, is reduced before
+    this process steps further.  Results are a pure function of the config,
+    whatever the number of cores or chunk shape.
     """
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
     src = _source(config, cps)
-    streams = [
+    cores = _usable_cores() if hasattr(os, "fork") else 1
+    plan = _chunk_plan(config.paths, cores)
+    first, *rest = (
         src.kernel(rng.path_keys(config.master_seed, start, count))
-        for start, count in _chunk_plan(config.paths, _usable_cores())
-    ]
+        for start, count in plan
+    )
     sx, sy = src.scaling
     summaries = []
-    with contextlib.ExitStack() as stack:
-        step = map
-        if len(streams) > 1:
-            step = stack.enter_context(ThreadPoolExecutor(len(streams))).map
+    with _forked_rows(rest, plan[1:]) as worker_rows:
         for n in cps:
-            x = np.concatenate(list(step(next, streams)))
+            x = np.concatenate([next(first), *worker_rows()])
             values = weight(n, sx, sy) * (x - src.center)
             moments = _summary_moments(values)
             summaries.append(CheckpointSummary(n, moments.mean, moments.variance))
@@ -627,6 +637,100 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         checkpoint_summaries=summaries,
         reference_scaled_mean=src.reference_mean,
     )
+
+
+# Python 3.12+ warns on fork while other threads exist, and numpy's OpenBLAS
+# starts its pool on import.  A worker runs only rng and numpy ufunc loops:
+# no BLAS call, no import and no lock another thread could hold.
+_FORK_WARNING = r"This process .* is multi-threaded, use of fork\(\) may lead"
+
+
+@contextlib.contextmanager
+def _forked_rows(
+    streams: list[Iterator[np.ndarray]], chunks: list[tuple[int, int]]
+) -> Iterator[Callable[[], list[np.ndarray]]]:
+    """Step each stream, the rows of chunk (start, count), in a forked worker.
+
+    Yields a function that returns every worker's next row, in chunk
+    order, read into one buffer per worker that the next call overwrites.
+    A worker writes each row's float64 bytes to its own pipe, whose
+    backpressure keeps it about one row ahead.  A worker that exits before
+    sending a whole row raises UrnsaError.  On the way out, for any reason,
+    every worker still running is killed and every worker reaped.
+    """
+    fds: list[int] = []
+    running: set[int] = set()
+    readers = []
+    rows: list[np.ndarray] = []
+    try:
+        for stream, (start, count) in zip(streams, chunks):
+            read_fd, write_fd = os.pipe()
+            fds += (read_fd, write_fd)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _worker(stream, write_fd, [fd for fd in fds if fd != write_fd])
+            running.add(pid)
+            os.close(write_fd)
+            fds.remove(write_fd)
+            readers.append((read_fd, pid, start, count))
+            rows.append(np.empty(count))
+
+        def next_rows() -> list[np.ndarray]:
+            for (fd, pid, start, count), row in zip(readers, rows):
+                view = memoryview(row).cast("B")
+                while view:
+                    got = os.readv(fd, [view])
+                    if got == 0:
+                        running.discard(pid)
+                        status = os.waitpid(pid, 0)[1]
+                        raise UrnsaError(
+                            f"the worker stepping paths {start}..{start + count - 1}"
+                            f" {_exit_text(status)} before sending a whole row"
+                        )
+                    view = view[got:]
+            return rows
+
+        yield next_rows
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        for fd in fds:
+            os.close(fd)
+        for pid in running:
+            os.waitpid(pid, 0)
+
+
+def _worker(rows: Iterator[np.ndarray], fd: int, inherited: list[int]) -> NoReturn:
+    """A forked worker's whole life: write each row's bytes to fd and exit.
+
+    It never returns into the caller's stack.  It ignores SIGINT, which
+    reaches the whole process group; the caller handles it and kills its
+    workers.
+    """
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for other in inherited:
+            os.close(other)
+        for row in rows:
+            view = memoryview(row).cast("B")
+            while view:
+                view = view[os.write(fd, view):]
+        status = 0
+    except BaseException:
+        # straight to fd 2: sys.stderr's buffer lock may be held by another
+        # thread of the caller, and its pending bytes are the caller's
+        os.write(2, traceback.format_exc().encode(errors="replace"))
+    finally:
+        os._exit(status)
+
+
+def _exit_text(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    return f"exited with status {os.WEXITSTATUS(status)}"
 
 
 def _reference_ks(

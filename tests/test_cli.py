@@ -553,6 +553,22 @@ class TestEntryPoints:
         assert proc.returncode == 1
         assert "four comma-separated" in proc.stderr
 
+    def test_import_starts_no_pool_machinery(self):
+        """Importing the CLI loads neither multiprocessing nor
+        concurrent.futures, whose import time every command would pay."""
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, urnsa.cli; print(sorted({'multiprocessing',"
+                " 'concurrent.futures'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     @pytest.mark.skipif(
         shutil.which("urnsa") is None,
         reason="urnsa console script not installed",

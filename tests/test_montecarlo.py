@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -30,6 +31,7 @@ from urnsa import (
     ReplacementMatrix,
     StepFamily,
     SyntheticProcess,
+    UrnsaError,
     analyze_dict,
     analyze_json,
     checkpoint_schedule,
@@ -675,39 +677,146 @@ class TestUsableCores:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert montecarlo._usable_cores() == 1
 
-    @staticmethod
-    def _record_chunks_and_pools(monkeypatch):
-        """Record the (start, count) of every chunk keyed and the
-        max_workers of every pool made; return both lists."""
-        starts, pools = [], []
-        path_keys = rng.path_keys
-        pool_class = montecarlo.ThreadPoolExecutor
-
-        def recording_keys(seed, start, count):
-            starts.append((start, count))
-            return path_keys(seed, start, count)
-
-        def recording_pool(max_workers):
-            pools.append(max_workers)
-            return pool_class(max_workers=max_workers)
-
-        monkeypatch.setattr(rng, "path_keys", recording_keys)
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
-        return starts, pools
-
-    @pytest.mark.parametrize("cores,chunks", [(1, 1), (2, 2), (8, 2)])
+    @pytest.mark.parametrize("cores,chunks", [(1, 1), (2, 2), (8, 8)])
     def test_wide_ensemble_runs_one_chunk_per_core(
         self, toy_matrix, monkeypatch, cores, chunks
     ):
-        """urn-wide's path count: one chunk on one core, two chunks of
-        10000 on two or more, each on its own pool thread."""
+        """urn-wide's path count: one chunk per core, each after the first
+        in a forked worker."""
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
-        starts, pools = self._record_chunks_and_pools(monkeypatch)
+        starts, pids, _ = record_workers(monkeypatch)
         cfg = EnsembleConfig(matrix=toy_matrix, horizon=4, paths=20_000)
         run_ensemble(cfg)
+        assert starts == montecarlo._chunk_plan(20_000, cores)
         assert len(starts) == chunks
-        assert sorted(starts) == montecarlo._chunk_plan(20_000, cores)
-        assert pools == ([] if chunks == 1 else [chunks])
+        assert len(pids) == chunks - 1
+        assert_reaped(pids)
+
+    def test_no_fork_runs_one_chunk(self, toy_matrix, monkeypatch):
+        """Where os.fork does not exist, a wide ensemble runs in one chunk."""
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=4, paths=20_000)
+        split = summary_json(run_ensemble(cfg))
+        monkeypatch.delattr(os, "fork")
+        starts, _, _ = record_workers(monkeypatch)
+        assert summary_json(run_ensemble(cfg)) == split
+        assert starts == [(0, 20_000)]
+
+
+def record_workers(monkeypatch):
+    """Record the (start, count) of every chunk keyed, the pid of every
+    worker forked and the wait status each worker is reaped with; return
+    the list, the list and the {pid: status} dict."""
+    starts, pids, statuses = [], [], {}
+    path_keys, waitpid = rng.path_keys, os.waitpid
+
+    def recording_keys(seed, start, count):
+        starts.append((start, count))
+        return path_keys(seed, start, count)
+
+    monkeypatch.setattr(rng, "path_keys", recording_keys)
+    if hasattr(os, "fork"):
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def recording_waitpid(pid, options):
+            reaped, status = waitpid(pid, options)
+            if reaped in pids:
+                statuses[reaped] = status
+            return reaped, status
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return starts, pids, statuses
+
+
+def assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def killed(status: int) -> bool:
+    return os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="chunks are forked workers")
+class TestForkedWorkers:
+    """A worker's failure surfaces as UrnsaError, a failure in the calling
+    process propagates unchanged, and no worker outlives run_ensemble.
+    10000 paths and 1024 steps give each worker 11 rows of 80000 bytes,
+    more than a pipe holds, so a worker is still running when its rows
+    stop being read."""
+
+    def test_worker_failure_raises(self, toy_matrix, monkeypatch, capfd):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 10, paths=30_000)
+        last_key = rng.path_keys(cfg.master_seed, 20_000, 1)[0]
+        uniform_block = rng.uniform_block
+
+        def failing_block(keys, *args, **kwargs):
+            if keys[0] == last_key:
+                raise RuntimeError("kernel failure in the last chunk")
+            return uniform_block(keys, *args, **kwargs)
+
+        monkeypatch.setattr(rng, "uniform_block", failing_block)
+        _, pids, statuses = record_workers(monkeypatch)
+        with pytest.raises(
+            UrnsaError, match=r"paths 20000\.\.29999 exited with status 1"
+        ):
+            run_ensemble(cfg)
+        assert "kernel failure in the last chunk" in capfd.readouterr().err
+        assert len(pids) == 2
+        assert killed(statuses[pids[0]])
+        assert_reaped(pids)
+
+    def test_caller_failure_propagates(self, toy_matrix, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 10, paths=20_000)
+        failure = KeyError("third checkpoint")
+        calls = []
+        summary_moments = montecarlo._summary_moments
+
+        def failing_moments(values):
+            calls.append(values.size)
+            if len(calls) == 3:
+                raise failure
+            return summary_moments(values)
+
+        monkeypatch.setattr(montecarlo, "_summary_moments", failing_moments)
+        _, pids, statuses = record_workers(monkeypatch)
+        with pytest.raises(KeyError) as info:
+            run_ensemble(cfg)
+        assert info.value is failure
+        assert len(pids) == 1
+        assert killed(statuses[pids[0]])
+        assert_reaped(pids)
+
+    def test_workers_reaped_after_a_run(self, toy_matrix, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+        _, pids, _ = record_workers(monkeypatch)
+        run_ensemble(EnsembleConfig(matrix=toy_matrix, horizon=64, paths=30_000))
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    def test_run_from_a_thread(self, toy_matrix, monkeypatch):
+        """A worker forked from a thread other than the main one runs."""
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=64, paths=20_000)
+        expected = summary_json(run_ensemble(cfg))
+        out = []
+        thread = threading.Thread(
+            target=lambda: out.append(summary_json(run_ensemble(cfg)))
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert out == [expected]
 
 
 class TestMemory:
@@ -741,8 +850,8 @@ class TestChunkPlan:
         assert montecarlo._chunk_plan(20_000, 2) == [(0, 10_000), (10_000, 10_000)]
 
     def test_chunks_keep_the_minimum(self):
-        # three threads, but only two chunks of at least the minimum fit
-        assert montecarlo._chunk_plan(25_000, 3) == [(0, 12_500), (12_500, 12_500)]
+        # three cores, but only two chunks of at least the minimum fit
+        assert montecarlo._chunk_plan(2_500, 3) == [(0, 1_250), (1_250, 1_250)]
 
     @given(st.integers(1, 10**6), st.integers(1, 8))
     def test_chunks_tile_the_paths(self, n_paths, threads):

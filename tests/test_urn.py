@@ -16,6 +16,7 @@ from urnsa import (
     GammaHatResult,
     InvalidStateError,
     NotStochasticApproximationError,
+    Regime,
     ReplacementMatrix,
     UrnState,
     ZeroDriftError,
@@ -67,6 +68,30 @@ class TestReplacementMatrix:
 
     def test_generic_matrix_is_not_singular(self, toy_matrix):
         assert not toy_matrix.is_singular()
+
+    def test_small_matrix_judged_like_classify(self):
+        m = ReplacementMatrix(2e-13, 1e-13, 1e-13, 2e-13)
+        assert not m.is_singular()
+        assert classify(m).regime is Regime.CLT_SQRT_N
+
+    def test_small_singular_matrix_is_singular(self):
+        m = ReplacementMatrix(*(math.ldexp(v, -60) for v in (2, 1, 4, 2)))
+        assert m.is_singular()
+        assert classify(m).regime is Regime.SINGULAR_MONOTONE
+
+    @given(
+        entries=st.one_of(
+            st.tuples(entry, entry, entry, entry),
+            st.builds(
+                lambda a, b, lam: (a, b, lam * a, lam * b),
+                positive_entry, positive_entry, st.sampled_from([0.5, 2.0, 3.0]),
+            ),
+        ),
+        k=st.integers(-1000, 1000),
+    )
+    def test_singularity_does_not_depend_on_a_power_of_two(self, entries, k):
+        scaled = ReplacementMatrix(*(math.ldexp(v, k) for v in entries))
+        assert scaled.is_singular() == ReplacementMatrix(*entries).is_singular()
 
 
 class TestUrnState:

@@ -13,8 +13,8 @@ and `analyze --json` reports.  Covered:
 4. edge configs: horizon 0, one path, forced scaling and center,
    fractional matrix and counts, a < c, a = c, counts near the exact
    double range (w0 = 2^52), and a multi-chunk split forced by
-   lowering montecarlo._MIN_CHUNK_PATHS and patching
-   montecarlo._usable_cores to 3; for urn configs, also the
+   lowering montecarlo._MIN_CHUNK_PATHS and _MIN_CHUNK_PATH_STEPS and
+   patching montecarlo._usable_cores to 3; for urn configs, also the
    checkpoint traces (path_checkpoints) of three paths.
 
 One line per artifact: label, artifact name, sha256.  After the suite's
@@ -204,14 +204,15 @@ def edge_runs() -> None:
         edge_run(f"edge {describe(cfg)}", cfg)
     # the same configs split into up to three chunks; the chunk shape never
     # changes the numbers, so these lines must equal the one-chunk lines
-    saved = montecarlo._MIN_CHUNK_PATHS, montecarlo._usable_cores
-    montecarlo._MIN_CHUNK_PATHS, montecarlo._usable_cores = 1, lambda: 3
+    mc = montecarlo
+    saved = mc._MIN_CHUNK_PATHS, mc._MIN_CHUNK_PATH_STEPS, mc._usable_cores
+    mc._MIN_CHUNK_PATHS, mc._MIN_CHUNK_PATH_STEPS, mc._usable_cores = 1, 0, lambda: 3
     try:
         for cfg in edge_configs():
-            chunks = len(montecarlo._chunk_plan(cfg.paths, 3))
+            chunks = len(mc._chunk_plan(cfg.paths, cfg.horizon, 3))
             edge_run(f"edge {describe(cfg)} chunks={chunks}", cfg)
     finally:
-        montecarlo._MIN_CHUNK_PATHS, montecarlo._usable_cores = saved
+        mc._MIN_CHUNK_PATHS, mc._MIN_CHUNK_PATH_STEPS, mc._usable_cores = saved
 
 
 def main() -> None:

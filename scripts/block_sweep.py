@@ -1,20 +1,25 @@
-"""Time the RNG block and the ensemble kernels across block budgets.
+"""Time the RNG fills and the ensemble kernels across block budgets.
 
-montecarlo._BLOCK_ELEMENTS caps how many uniforms one rng.uniform_block
-call fills (whole rows of a chunk's paths).  This script reproduces the
-measurement behind that constant, and behind montecarlo._MIN_CHUNK_PATHS:
+montecarlo._BLOCK_ELEMENTS caps how many draws one RNG fill writes (whole
+rows of a chunk's paths): rng.uniform_block for the urn kernel,
+rng.sign_block for the synthetic one.  This script reproduces the
+measurement behind that constant, and behind montecarlo._MIN_CHUNK_PATHS
+and montecarlo._MIN_CHUNK_PATH_STEPS:
 
-1. rng.uniform_block alone, filling reused buffers, in ns per draw, for
-   20000 and 500 paths at each budget;
+1. each fill alone, filling reused buffers, in ns per draw, for 20000 and
+   500 paths at each budget;
 2. one single-chunk run_ensemble per benchmark workload shape (see
    urnbench/workloads.py) at each budget, in million path-steps per second,
    the median of --repeats runs;
 3. the toy urn at several path counts in one chunk and forced into two
    chunks, the second stepped in a forked worker process, to find where
-   splitting starts to pay.
+   splitting starts to pay;
+4. the same comparison at short horizons, in ms per run, to find how many
+   path-steps a chunk needs to pay for its fork.
 
 Chunk counts are forced by patching montecarlo._usable_cores (and
-lowering montecarlo._MIN_CHUNK_PATHS for step 3), not by the machine.
+lowering montecarlo._MIN_CHUNK_PATHS and _MIN_CHUNK_PATH_STEPS for steps 3
+and 4), not by the machine.
 It prints the usable core count and the L2 cache size first, read from
 the affinity mask and /sys/devices/system/cpu/cpu0/cache; it sets nothing
 on the machine.  The constants are restored before it exits.
@@ -64,35 +69,44 @@ def machine() -> str:
     return f"usable cores {cores}, L2 per core (cpu0) {l2}"
 
 
-def time_uniform_block(k: int, budget: int, min_draws: int = 1 << 24) -> float:
+FILLS = (rng.uniform_block, rng.sign_block)
+
+
+def time_fill(fill, k: int, budget: int, min_draws: int = 1 << 24) -> float:
     """ns per draw of refilling one budget-sized block with reused buffers."""
     keys = rng.path_keys(SEED, 0, k)
     rows = max(1, budget // k)
     out = np.empty((rows, k), dtype=np.float64)
     scratch = np.empty(rows * k, dtype=np.uint64)
     calls = max(3, min_draws // (rows * k))
-    rng.uniform_block(keys, 1, rows, out=out, scratch=scratch)
+    fill(keys, 1, rows, out=out, scratch=scratch)
     t0 = time.perf_counter()
     for c in range(calls):
-        rng.uniform_block(keys, 1 + c * rows, rows, out=out, scratch=scratch)
+        fill(keys, 1 + c * rows, rows, out=out, scratch=scratch)
     return (time.perf_counter() - t0) / (calls * rows * k) * 1e9
 
 
 def time_ensemble(shape: dict, repeats: int, workers: int = 1) -> float:
-    """Median million path-steps per second of run_ensemble, planned as if
-    `workers` cores were usable."""
+    """Median seconds per run_ensemble, planned as if `workers` cores were
+    usable."""
     cfg = EnsembleConfig(master_seed=SEED, **shape)
     saved = montecarlo._usable_cores
     montecarlo._usable_cores = lambda: workers
     try:
-        rates = []
+        times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
             montecarlo.run_ensemble(cfg)
-            rates.append(cfg.paths * cfg.horizon / (time.perf_counter() - t0) / 1e6)
+            times.append(time.perf_counter() - t0)
     finally:
         montecarlo._usable_cores = saved
-    return statistics.median(rates)
+    return statistics.median(times)
+
+
+def rate(shape: dict, repeats: int, workers: int = 1) -> float:
+    """Million path-steps per second, from the median run time."""
+    seconds = time_ensemble(shape, repeats, workers)
+    return shape["paths"] * shape["horizon"] / seconds / 1e6
 
 
 def main() -> None:
@@ -102,24 +116,30 @@ def main() -> None:
     ap.add_argument("--max-exp", type=int, default=21)
     args = ap.parse_args()
     budgets = [1 << e for e in range(args.min_exp, args.max_exp + 1)]
-    saved = montecarlo._BLOCK_ELEMENTS, montecarlo._MIN_CHUNK_PATHS
+    saved = (
+        montecarlo._BLOCK_ELEMENTS,
+        montecarlo._MIN_CHUNK_PATHS,
+        montecarlo._MIN_CHUNK_PATH_STEPS,
+    )
     print(machine())
     print(f"current _BLOCK_ELEMENTS = 2^{saved[0].bit_length() - 1}, "
-          f"_MIN_CHUNK_PATHS = {saved[1]}")
+          f"_MIN_CHUNK_PATHS = {saved[1]}, "
+          f"_MIN_CHUNK_PATH_STEPS = 2^{saved[2].bit_length() - 1}")
     try:
-        print("\nrng.uniform_block, ns/draw (reused out= and scratch= buffers)")
-        print(f"{'budget':>8} {'k=20000':>9} {'k=500':>9}")
+        print("\nRNG fills, ns/draw (reused out= and scratch= buffers)")
+        print(f"{'':>8}" + "".join(f"{f.__name__:>20}" for f in FILLS))
+        print(f"{'budget':>8}" + f"{'k=20000':>10}{'k=500':>10}" * len(FILLS))
         for b in budgets:
-            wide = time_uniform_block(20_000, b)
-            narrow = time_uniform_block(500, b)
-            print(f"{'2^%d' % (b.bit_length() - 1):>8} {wide:>9.2f} {narrow:>9.2f}")
+            cells = [time_fill(f, k, b) for f in FILLS for k in (20_000, 500)]
+            print(f"{'2^%d' % (b.bit_length() - 1):>8}"
+                  + "".join(f"{c:>10.2f}" for c in cells))
 
         print("\nrun_ensemble, one chunk, M path-steps/s "
               f"(median of {args.repeats})")
         print(f"{'budget':>8}" + "".join(f"{n:>16}" for n in SHAPES))
         for b in budgets:
             montecarlo._BLOCK_ELEMENTS = b
-            rates = [time_ensemble(s, args.repeats) for s in SHAPES.values()]
+            rates = [rate(s, args.repeats) for s in SHAPES.values()]
             print(f"{'2^%d' % (b.bit_length() - 1):>8}"
                   + "".join(f"{r:>16.1f}" for r in rates))
         montecarlo._BLOCK_ELEMENTS = saved[0]
@@ -127,17 +147,36 @@ def main() -> None:
         print("\ntoy urn (4,5;3,2), 2^24 path-steps, one chunk vs two chunks "
               f"(one forked worker), M path-steps/s (median of {args.repeats})")
         print(f"{'paths':>8} {'1 chunk':>10} {'2 chunks':>10}")
-        montecarlo._MIN_CHUNK_PATHS = 1
+        montecarlo._MIN_CHUNK_PATHS, montecarlo._MIN_CHUNK_PATH_STEPS = 1, 0
         for paths in (500, 2_000, 4_000, 8_000, 12_000, 16_000, 20_000):
             shape = dict(
                 matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1,
                 paths=paths, horizon=(1 << 24) // paths,
             )
-            one = time_ensemble(shape, args.repeats, workers=1)
-            two = time_ensemble(shape, args.repeats, workers=2)
+            one = rate(shape, args.repeats, workers=1)
+            two = rate(shape, args.repeats, workers=2)
             print(f"{paths:>8} {one:>10.1f} {two:>10.1f}")
+
+        print("\ntoy urn (4,5;3,2) at short horizons, one chunk vs two chunks, "
+              f"ms per run (median of {args.repeats})")
+        print(f"{'paths':>8} {'horizon':>8} {'steps/chunk':>12} "
+              f"{'1 chunk':>9} {'2 chunks':>9} {'ratio':>6}")
+        for paths in (2_000, 20_000):
+            for horizon in (16, 64, 128, 256, 512, 1024):
+                shape = dict(
+                    matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1,
+                    paths=paths, horizon=horizon,
+                )
+                one = time_ensemble(shape, args.repeats, workers=1) * 1e3
+                two = time_ensemble(shape, args.repeats, workers=2) * 1e3
+                print(f"{paths:>8} {horizon:>8} {paths * horizon // 2:>12} "
+                      f"{one:>9.1f} {two:>9.1f} {one / two:>6.2f}")
     finally:
-        montecarlo._BLOCK_ELEMENTS, montecarlo._MIN_CHUNK_PATHS = saved
+        (
+            montecarlo._BLOCK_ELEMENTS,
+            montecarlo._MIN_CHUNK_PATHS,
+            montecarlo._MIN_CHUNK_PATH_STEPS,
+        ) = saved
 
 
 if __name__ == "__main__":

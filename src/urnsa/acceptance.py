@@ -435,7 +435,7 @@ def determinism() -> CriterionResult:
         )
         if "matrix" in source:
             replayed = wide[0].checkpoint_summaries == _replayed_summaries(wide[0])
-    chunks = len(_chunk_plan(20_000, _usable_cores()))
+    chunks = len(_chunk_plan(20_000, 2000, _usable_cores()))
     passed = distinct == [1, 1, 1, 1] and all(prefix_equal) and replayed
     detail = (
         "repeat runs byte-identical, first 15000 paths equal a 15000-path "

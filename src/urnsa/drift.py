@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
-from .errors import ZeroDriftError
+from .errors import ConfigError, ZeroDriftError
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -95,12 +96,50 @@ class RootInfo:
         return -_BOUNDARY_TOL <= self.value <= 1.0 + _BOUNDARY_TOL
 
 
+def _unit_shift(values: Iterable[float], what: str) -> int:
+    """The e for which 2^-e times the largest of these nonnegative values,
+    the entries of `what`, lies in [1, 2), lowered as far as needed for no
+    value to lose a bit to underflow.
+
+    Raises ConfigError when the lowered shift leaves the largest value
+    above 2^256; below that, products of up to three values stay finite.
+    """
+    values = tuple(values)
+    top = math.frexp(max(values))[1] - 1
+    e = top
+    for v in values:
+        if v > 0.0:
+            num, den = v.as_integer_ratio()  # den is a power of two
+            lowest_bit = (num & -num).bit_length() - den.bit_length()
+            e = min(e, lowest_bit + 1074)  # 2^-1074: the smallest subnormal
+    if top - e > 256:
+        raise ConfigError(
+            f"{what} {values}: entries span too wide a range to classify"
+        )
+    return e
+
+
 def stable_zeros(drift: DriftPoly) -> list[RootInfo]:
     """All real zeros of the drift, each tagged stable/unstable/double.
 
-    Roots are returned in increasing order.  A discriminant within the
-    square of the derivative tolerance collapses to a single double root.
-    Raises ZeroDriftError for an identically zero drift.
+    Judged on the drift scaled by the power of two that brings its largest
+    coefficient into [1, 2) (_unit_shift), so scaling a drift by any
+    positive factor changes neither its zeros nor their tags.  Roots are
+    returned in increasing order.  A discriminant within the square of the
+    derivative tolerance collapses to a single double root.  Raises
+    ZeroDriftError for an identically zero drift, and ConfigError for
+    coefficients that span too wide a range.
+    """
+    coeffs = (drift.quad, drift.lin, drift.const)
+    e = _unit_shift((abs(c) for c in coeffs), "drift")
+    return _unit_zeros(DriftPoly(*(math.ldexp(c, -e) for c in coeffs)))
+
+
+def _unit_zeros(drift: DriftPoly) -> list[RootInfo]:
+    """stable_zeros for a drift on the unit scale: its tolerances are
+    relative to max(1, |coefficients|), so coefficients far below 1 count
+    as zero.  classify calls it on the drift of its matrix scaled by
+    _unit_shift, whose largest entry, not coefficient, lies in [1, 2).
     """
     if drift.is_zero():
         raise ZeroDriftError("drift is identically zero")

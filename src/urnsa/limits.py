@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .drift import DOUBLE, STABLE, DriftPoly, RootInfo, stable_zeros
+from .drift import DOUBLE, STABLE, DriftPoly, RootInfo, _unit_shift, _unit_zeros
 from .errors import (
     AnalysisError,
     ConfigError,
@@ -34,7 +34,6 @@ from .special import gamma_function
 from .sa import StepFamily
 from .urn import (
     ReplacementMatrix,
-    _unit_shift,
     drift_from_matrix,
     error_poly_from_matrix,
     gamma_limit,
@@ -106,7 +105,7 @@ def classify(m: ReplacementMatrix) -> LimitPrediction:
     as the critical log regime.
     """
     m.require_sa()
-    e = _unit_shift(m)
+    e = _unit_shift(m.entries(), "matrix")
     try:
         pred = _classify_unit(
             ReplacementMatrix(*(math.ldexp(v, -e) for v in m.entries()))
@@ -144,7 +143,7 @@ def _classify_unit(m: ReplacementMatrix) -> LimitPrediction:
             gamma_hat=gamma * h_p,
             sigma2=0.0,
         )
-    roots = tuple(stable_zeros(drift))
+    roots = tuple(_unit_zeros(drift))
     err = error_poly_from_matrix(m)
     doubles = [r for r in roots if r.stability == DOUBLE and r.on_unit_interval]
     if doubles:

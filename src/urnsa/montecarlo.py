@@ -1,7 +1,8 @@
 """Reproducible parallel Monte Carlo for urn and synthetic ensembles.
 
 Every path's randomness is a pure function of (master_seed, path_index),
-so an ensemble is simulated in path chunks, about one per usable core: the
+so an ensemble is simulated in path chunks, about one per usable core
+where a chunk holds enough paths and path-steps to pay for its fork: the
 first in the calling process, each other in a forked worker process that
 sends its rows back over a pipe.  Rows are reassembled by path index and
 reduced in a fixed order, so running the same EnsembleConfig twice, on any
@@ -15,6 +16,11 @@ The per-step urn update is vectorized across the paths of a chunk and
 reproduces the scalar urn_step decision for decision (white iff u < W/T).
 With integer entries and counts the kernel steps the white-draw count and
 derives the counts from it; otherwise it advances them by matrix rows.
+The synthetic update reads only the sign of each draw against 1/2
+(rng.sign_block) and adds +-step exactly as the scalar branch does.  Both
+kernels draw their rows through one block loop (_draw_rows) that differs
+only in its fill: uniform_block for the urn, sign_block then one copysign
+per block for the synthetic recursion.
 """
 from __future__ import annotations
 
@@ -52,10 +58,14 @@ KS_CONSTANTS = {0.05: 1.358, 0.01: 1.628}
 # path-steps, two chunks against one (scripts/block_sweep.py, 2-core Xeon):
 # 1.2-2.0x from 1500 paths up, 1.05-1.25x at 1000 and 0.98-1.10x at 500,
 # as was the 500-path urn-narrow shape (38.5 vs 38.8 and 40.2 vs 42.6 M
-# path-steps/s), so ensembles below 2000 paths stay in one chunk.  A fork
-# costs 4-20 ms, more in a larger process, so short horizons lose: split,
-# 2000 paths x 1024 steps broke even and 20000 x 16 ran 1.5-2x slower.
+# path-steps/s), so ensembles below 2000 paths stay in one chunk.
 _MIN_CHUNK_PATHS = 1_000
+# A fork costs 4-20 ms, more in a larger process, so a chunk also needs
+# about 2^21 path-steps (paths x horizon) to pay for it.  Toy urn, two
+# chunks against one, medians of 15 (scripts/block_sweep.py step 4, 2-core
+# Xeon): 0.68-0.96x at 0.5-1.3 M path-steps per chunk for 4000 and 20000
+# paths (1.15-1.27x for 2000), and 1.11-1.25x from 2 M up at every count.
+_MIN_CHUNK_PATH_STEPS = 1 << 21
 # RNG block budget in uniforms (whole rows of a chunk's paths): 2^16 float64
 # plus their uint64 scratch is 1 MiB, which fits a 2 MiB L2.  In two runs of
 # scripts/block_sweep.py (2-core Xeon, 2 MiB L2 per core) 2^15-2^16 filled
@@ -350,11 +360,12 @@ def _gamma_hat_n(
 # vectorized kernels
 
 
-def _uniform_rows(
-    keys: np.ndarray, first: int, last: int
+def _draw_rows(
+    keys: np.ndarray, first: int, last: int, fill: Callable[..., np.ndarray]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (j, u_j) for draw indices j = first..last, where u_j holds
-    draw j of every path with these keys.
+    """Yield (j, row j) for draw indices j = first..last, where
+    fill(keys, j, count, out=, scratch=) writes rows j..j+count-1, one
+    column per key, into out[:count] as rng.uniform_block does.
 
     Rows are filled a block at a time into one block and RNG scratch,
     allocated once: up to _BLOCK_ELEMENTS draws (whole rows, at least one,
@@ -363,13 +374,13 @@ def _uniform_rows(
     """
     k = keys.size
     rows = max(1, min(_BLOCK_ELEMENTS // max(k, 1), last - first + 1))
-    u = np.empty((rows, k), dtype=np.float64)
-    scratch = np.empty(u.size, dtype=np.uint64)
+    block = np.empty((rows, k), dtype=np.float64)
+    scratch = np.empty(block.size, dtype=np.uint64)
     for j in range(first, last + 1, rows):
         count = min(rows, last - j + 1)
-        rng.uniform_block(keys, j, count, out=u, scratch=scratch)
+        fill(keys, j, count, out=block, scratch=scratch)
         for r in range(count):
-            yield j + r, u[r]
+            yield j + r, block[r]
 
 
 def _urn_states(
@@ -429,7 +440,7 @@ def _urn_states(
                 np.add(bl, tmp, out=bl)
                 np.add(w, bl, out=t)
 
-    rows = _uniform_rows(keys, 1, horizon)
+    rows = _draw_rows(keys, 1, horizon, rng.uniform_block)
     for prev, n in zip([0, *cps], cps):
         advance(itertools.islice(rows, n - prev))
         yield w, t, x
@@ -439,26 +450,29 @@ def _run_synthetic_chunk(
     proc: SyntheticProcess, horizon: int, keys: np.ndarray, cps: list[int]
 ) -> Iterator[np.ndarray]:
     """Step the synthetic paths with these keys; yield Z_n at each
-    checkpoint n, as a live buffer like _urn_states'."""
-    k = keys.size
-    z = np.full(k, proc.z0, dtype=np.float64)
+    checkpoint n, as a live buffer like _urn_states'.
+
+    Draw n moves Z_{n-1} to Z_n with noise +step_n where u < 1/2 and -step_n
+    otherwise, step_n = size/sqrt(g_{n-1}).  Each block of draws is read
+    through its sign bits (rng.sign_block) and turned into +-step_n once,
+    so a step is two ufunc passes, z *= 1 - Gamma/g_{n-1} and z += row.
+    """
+    z = np.full(keys.size, proc.z0, dtype=np.float64)
     start = proc.family.first_positive_index()
     size = proc.noise_size
-    white = np.empty(k, dtype=bool)
-    tmp = np.empty(k, dtype=np.float64)
+
+    def signed_steps(keys, j: int, count: int, **buffers) -> np.ndarray:
+        block = rng.sign_block(keys, j, count, **buffers)
+        g = map(proc.family.value_at, range(j - 1, j - 1 + count))
+        steps = np.fromiter((size / math.sqrt(v) for v in g), np.float64, count)
+        return np.copysign(steps[:, np.newaxis], block, out=block)
+
     # draw n moves Z_{n-1} to Z_n; the process only starts moving at `start`
-    rows = _uniform_rows(keys, start + 1, horizon)
+    rows = _draw_rows(keys, start + 1, horizon, signed_steps)
     for prev, cp in zip([0, *cps], cps):
-        for n, u in itertools.islice(rows, max(cp, start) - max(prev, start)):
-            g = proc.family.value_at(n - 1)
-            step = size / math.sqrt(g)
-            z *= 1.0 - proc.big_gamma / g
-            # white*(2*step) - step is exactly +-step (Sterbenz), so this
-            # matches the branch form while reusing the buffers
-            np.less(u, 0.5, out=white)
-            np.multiply(white, 2.0 * step, out=tmp)
-            tmp -= step
-            z += tmp
+        for n, noise in itertools.islice(rows, max(cp, start) - max(prev, start)):
+            z *= 1.0 - proc.big_gamma / proc.family.value_at(n - 1)
+            z += noise
         yield z
 
 
@@ -582,14 +596,17 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_plan(n_paths: int, workers: int) -> list[tuple[int, int]]:
+def _chunk_plan(n_paths: int, horizon: int, workers: int) -> list[tuple[int, int]]:
     """(start, count) path chunks, one per worker where splitting pays.
 
     One chunk per worker keeps numpy dispatch overhead off the hot loop,
-    and a chunk keeps about _MIN_CHUNK_PATHS paths or more.  Path streams
-    are keyed by absolute path index, so the plan never affects the numbers.
+    and a chunk keeps about _MIN_CHUNK_PATHS paths and _MIN_CHUNK_PATH_STEPS
+    path-steps or more.  Path streams are keyed by absolute path index, so
+    the plan never affects the numbers.
     """
     n_chunks = max(1, min(workers, n_paths // _MIN_CHUNK_PATHS))
+    while n_chunks > 1 and n_paths * horizon < n_chunks * _MIN_CHUNK_PATH_STEPS:
+        n_chunks -= 1
     per = -(-n_paths // n_chunks)
     return [
         (start, min(per, n_paths - start)) for start in range(0, n_paths, per)
@@ -610,7 +627,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
     src = _source(config, cps)
     cores = _usable_cores() if hasattr(os, "fork") else 1
-    plan = _chunk_plan(config.paths, cores)
+    plan = _chunk_plan(config.paths, config.horizon, cores)
     first, *rest = (
         src.kernel(rng.path_keys(config.master_seed, start, count))
         for start, count in plan

@@ -18,6 +18,15 @@ through a uint64 scratch with at least count * len(keys) elements, which the
 caller may pass as scratch= so that refilling the same buffers allocates
 nothing of the block's size.  A buffer of the wrong dtype, layout or size
 raises ValueError.  The values do not depend on which form is used.
+
+sign_block serves callers that only ask whether a draw is below 1/2.  It
+takes the same arguments and buffers but stops the finalizer after its
+second multiply, leaving each entry's sign bit set exactly when
+uniform_block's draw would be >= 0.5; the entry's other bits mean nothing.
+That stop is exact: the last round, z ^= z >> 31, xors a value whose bit 63
+is 0, so it never changes bit 63, and u = (z >> 11) * 2^-53 < 0.5 holds
+exactly when bit 63 is 0.  Skipping that round and the int-to-float step
+leaves 7 of uniform_block's 11 passes over the block.
 """
 from __future__ import annotations
 
@@ -80,6 +89,46 @@ def uniform_block(
     are written into out[:count], which is returned (see the module
     docstring for the buffer contract).
     """
+    out, z, t = _counter_block(keys, first_draw, count, out, scratch)
+    _mix64_vec(z, t)
+    # out and t never overlap, so the int-to-float multiply needs no copy
+    np.right_shift(z, np.uint64(11), out=t)
+    np.multiply(t, _TO_UNIT, out=out)
+    return out
+
+
+def sign_block(
+    keys: np.ndarray,
+    first_draw: int,
+    count: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Whether each draw of uniform_block's block is at least 1/2, in the
+    sign bits of a float64 block.
+
+    Row r column i, read as a float64, has its sign bit set exactly when
+    uniform_draw(keys[i], first_draw + r) >= 0.5; its other bits mean
+    nothing and may read as NaN or inf.  Same shape and buffer contract as
+    uniform_block, in 7 of its 11 passes (see the module docstring).
+    """
+    out, z, t = _counter_block(keys, first_draw, count, out, scratch)
+    _premix64_vec(z, t)
+    return out
+
+
+def _counter_block(
+    keys: np.ndarray,
+    first_draw: int,
+    count: int,
+    out: np.ndarray | None,
+    scratch: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check or allocate a block's buffers and load its counters.
+
+    Returns out[:count], its uint64 view z holding key + draw * DRAW_STRIDE
+    for every entry, and a uint64 scratch t shaped like z.
+    """
     k = len(keys)
     if out is None:
         out = np.empty((count, k), dtype=np.float64)
@@ -102,11 +151,7 @@ def uniform_block(
     z = out.view(np.uint64)
     draws = np.arange(first_draw, first_draw + count, dtype=np.uint64)
     np.add(keys[np.newaxis, :], (draws * _U64_DRAW_STRIDE)[:, np.newaxis], out=z)
-    _mix64_vec(z, t)
-    # out and t never overlap, so the int-to-float multiply needs no copy
-    np.right_shift(z, np.uint64(11), out=t)
-    np.multiply(t, _TO_UNIT, out=out)
-    return out
+    return out, z, t
 
 
 def _check_buffer(buf: np.ndarray, dtype, name: str) -> None:
@@ -120,12 +165,17 @@ def _mix64_vec(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer on z in place; t is uint64 scratch shaped like z."""
     if t is None:
         t = np.empty_like(z)
+    _premix64_vec(z, t)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _premix64_vec(z: np.ndarray, t: np.ndarray) -> None:
+    """The finalizer's first two rounds on z in place: its bit 63 is final."""
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
     z *= np.uint64(0xBF58476D1CE4E5B9)
     np.right_shift(z, np.uint64(27), out=t)
     z ^= t
     z *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
-    return z

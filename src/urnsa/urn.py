@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import rng
-from .drift import DriftPoly
+from .drift import DriftPoly, _unit_shift
 from .errors import (
     ConfigError,
     InvalidStateError,
@@ -92,34 +92,13 @@ class ReplacementMatrix:
         change the verdict.  Raises ConfigError where classify would, on
         entries that span too wide a range.
         """
-        e = _unit_shift(self)
+        e = _unit_shift(self.entries(), "matrix")
         a, b, c, d = (math.ldexp(v, -e) for v in self.entries())
         tol = 1e-12 * max(1.0, abs(a * d), abs(b * c))
         return abs(a * d - b * c) <= tol
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-
-def _unit_shift(m: ReplacementMatrix) -> int:
-    """The e for which 2^-e times the largest entry lies in [1, 2), lowered
-    as far as needed for no entry to lose a bit to underflow.
-
-    Raises ConfigError when the lowered shift leaves the largest entry
-    above 2^256; below that, products of up to three entries stay finite.
-    """
-    top = math.frexp(max(m.entries()))[1] - 1
-    e = top
-    for v in m.entries():
-        if v > 0.0:
-            num, den = v.as_integer_ratio()  # den is a power of two
-            lowest_bit = (num & -num).bit_length() - den.bit_length()
-            e = min(e, lowest_bit + 1074)  # 2^-1074: the smallest subnormal
-    if top - e > 256:
-        raise ConfigError(
-            f"matrix {m.entries()}: entries span too wide a range to classify"
-        )
-    return e
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,8 @@ class TestSimulate:
         monkeypatch.setenv("URNSA_OUT_DIR", str(tmp_path))
         # 23 paths run as one chunk; force one chunk per core
         monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATHS", 1)
-        assert len(montecarlo._chunk_plan(23, 3)) > 1
+        monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATH_STEPS", 0)
+        assert len(montecarlo._chunk_plan(23, 200, 3)) > 1
         for cores in (1, 3):
             monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
             run_cli(capsys, *SIM_ARGS, "--out", f"t{cores}")

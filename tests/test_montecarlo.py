@@ -476,17 +476,21 @@ class TestKernelEquivalence:
     def _small_blocks(monkeypatch) -> list[int]:
         """Shrink RNG blocks to 14 rows of 7 (or 20 rows of 5) paths.
 
-        Returns the list that records the count of every block drawn.
+        Returns the list that records the count of every block drawn, by
+        either fill (the urn kernel's uniforms, the synthetic one's signs).
         """
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 100)
         counts: list[int] = []
-        block = rng.uniform_block
 
-        def counting(keys, first_draw, count, *args, **kwargs):
-            counts.append(count)
-            return block(keys, first_draw, count, *args, **kwargs)
+        def counting(fill):
+            def fill_and_count(keys, first_draw, count, *args, **kwargs):
+                counts.append(count)
+                return fill(keys, first_draw, count, *args, **kwargs)
 
-        monkeypatch.setattr(rng, "uniform_block", counting)
+            return fill_and_count
+
+        for name in ("uniform_block", "sign_block"):
+            monkeypatch.setattr(rng, name, counting(getattr(rng, name)))
         return counts
 
     @staticmethod
@@ -516,7 +520,7 @@ class TestKernelEquivalence:
         cfg = EnsembleConfig(
             matrix=toy_matrix, w0=1, b0=1, horizon=200, paths=23, master_seed=11,
         )
-        _, (start, count), _ = montecarlo._chunk_plan(cfg.paths, 3)
+        _, (start, count), _ = montecarlo._chunk_plan(cfg.paths, cfg.horizon, 3)
         res = run_ensemble(cfg)
         i = start + count // 2
         self._assert_trace_matches_scalar(res, i)
@@ -575,9 +579,10 @@ class TestKernelEquivalence:
 
 
 def split_into(monkeypatch, cores: int) -> None:
-    """Make run_ensemble see `cores` usable cores and split even small
-    ensembles, one chunk per core."""
+    """Make run_ensemble see `cores` usable cores and split even small,
+    short ensembles, one chunk per core."""
     monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATHS", 1)
+    monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATH_STEPS", 0)
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
 
 
@@ -596,7 +601,7 @@ class TestDeterminism:
             split_into(monkeypatch, cores)
             res = run_ensemble(cfg)
             outs.append((summary_json(res), values_csv(res), res))
-        assert len(montecarlo._chunk_plan(cfg.paths, 3)) > 1
+        assert len(montecarlo._chunk_plan(cfg.paths, cfg.horizon, 3)) > 1
         assert len({o[0] for o in outs}) == 1
         assert len({o[1] for o in outs}) == 1
         for o in outs[1:]:
@@ -615,7 +620,7 @@ class TestDeterminism:
         for cores in (1, 3):
             split_into(monkeypatch, cores)
             outs.append(summary_json(run_ensemble(cfg)))
-        assert len(montecarlo._chunk_plan(cfg.paths, 3)) > 1
+        assert len(montecarlo._chunk_plan(cfg.paths, cfg.horizon, 3)) > 1
         assert outs[0] == outs[1]
 
     def test_split_chunks_are_invisible(self, toy_matrix, monkeypatch):
@@ -629,7 +634,7 @@ class TestDeterminism:
                 res = run_ensemble(cfg)
                 outs.append((summary_json(res), values_csv(res)))
             assert outs[0] == outs[1]
-        assert montecarlo._chunk_plan(23, 3) == [(0, 8), (8, 8), (16, 7)]
+        assert montecarlo._chunk_plan(23, 150, 3) == [(0, 8), (8, 8), (16, 7)]
 
     def test_summaries_equal_one_call_replay(self, toy_matrix, monkeypatch):
         # rows reduced as three chunks yield them equal one seamless replay
@@ -682,12 +687,12 @@ class TestUsableCores:
         self, toy_matrix, monkeypatch, cores, chunks
     ):
         """urn-wide's path count: one chunk per core, each after the first
-        in a forked worker."""
+        in a forked worker; 2^10 steps give 8 chunks their path-steps."""
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
         starts, pids, _ = record_workers(monkeypatch)
-        cfg = EnsembleConfig(matrix=toy_matrix, horizon=4, paths=20_000)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 10, paths=20_000)
         run_ensemble(cfg)
-        assert starts == montecarlo._chunk_plan(20_000, cores)
+        assert starts == montecarlo._chunk_plan(20_000, cfg.horizon, cores)
         assert len(starts) == chunks
         assert len(pids) == chunks - 1
         assert_reaped(pids)
@@ -695,7 +700,7 @@ class TestUsableCores:
     def test_no_fork_runs_one_chunk(self, toy_matrix, monkeypatch):
         """Where os.fork does not exist, a wide ensemble runs in one chunk."""
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
-        cfg = EnsembleConfig(matrix=toy_matrix, horizon=4, paths=20_000)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 8, paths=20_000)
         split = summary_json(run_ensemble(cfg))
         monkeypatch.delattr(os, "fork")
         starts, _, _ = record_workers(monkeypatch)
@@ -800,14 +805,14 @@ class TestForkedWorkers:
     def test_workers_reaped_after_a_run(self, toy_matrix, monkeypatch):
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
         _, pids, _ = record_workers(monkeypatch)
-        run_ensemble(EnsembleConfig(matrix=toy_matrix, horizon=64, paths=30_000))
+        run_ensemble(EnsembleConfig(matrix=toy_matrix, horizon=1 << 8, paths=30_000))
         assert len(pids) == 2
         assert_reaped(pids)
 
     def test_run_from_a_thread(self, toy_matrix, monkeypatch):
         """A worker forked from a thread other than the main one runs."""
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
-        cfg = EnsembleConfig(matrix=toy_matrix, horizon=64, paths=20_000)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 8, paths=20_000)
         expected = summary_json(run_ensemble(cfg))
         out = []
         thread = threading.Thread(
@@ -829,12 +834,14 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_peak_does_not_grow_with_checkpoints(self, toy_matrix):
+    def test_peak_does_not_grow_with_checkpoints(self, toy_matrix, monkeypatch):
         """Rows are reduced as the chunks yield them: 13 checkpoints cost
         less than one more row per chunk than 7, and a run holds at least
-        the bytes per path that EnsembleConfig's memory bound assumes."""
+        the bytes per path that EnsembleConfig's memory bound assumes.
+        Both runs are planned by path count alone, so they split alike."""
+        monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATH_STEPS", 0)
         paths = 20_000
-        chunks = len(montecarlo._chunk_plan(paths, montecarlo._usable_cores()))
+        chunks = len(montecarlo._chunk_plan(paths, 1, montecarlo._usable_cores()))
         base = dict(matrix=toy_matrix, paths=paths, master_seed=3)
         short = self._traced_peak(EnsembleConfig(**base, horizon=1 << 6))
         long = self._traced_peak(EnsembleConfig(**base, horizon=1 << 12))
@@ -844,18 +851,36 @@ class TestMemory:
 
 class TestChunkPlan:
     def test_narrow_ensemble_stays_in_one_chunk(self):
-        assert montecarlo._chunk_plan(500, 2) == [(0, 500)]
+        assert montecarlo._chunk_plan(500, 1 << 15, 2) == [(0, 500)]
 
     def test_wide_ensemble_splits_per_thread(self):
-        assert montecarlo._chunk_plan(20_000, 2) == [(0, 10_000), (10_000, 10_000)]
+        assert montecarlo._chunk_plan(20_000, 4096, 2) == [
+            (0, 10_000), (10_000, 10_000)
+        ]
 
     def test_chunks_keep_the_minimum(self):
         # three cores, but only two chunks of at least the minimum fit
-        assert montecarlo._chunk_plan(2_500, 3) == [(0, 1_250), (1_250, 1_250)]
+        assert montecarlo._chunk_plan(2_500, 4096, 3) == [(0, 1_250), (1_250, 1_250)]
 
-    @given(st.integers(1, 10**6), st.integers(1, 8))
-    def test_chunks_tile_the_paths(self, n_paths, threads):
-        plan = montecarlo._chunk_plan(n_paths, threads)
+    def test_short_horizon_stays_in_one_chunk(self):
+        assert montecarlo._chunk_plan(20_000, 16, 2) == [(0, 20_000)]
+        assert montecarlo._chunk_plan(20_000, 128, 2) == [(0, 20_000)]
+
+    def test_chunks_keep_the_path_step_minimum(self):
+        # 2^23 path-steps: four chunks of 2^21 fit, not eight
+        plan = montecarlo._chunk_plan(1 << 13, 1 << 10, 8)
+        assert [c for _, c in plan] == [1 << 11] * 4
+        assert len(montecarlo._chunk_plan(1 << 13, (1 << 10) - 1, 8)) == 3
+
+    def test_benchmark_shapes_keep_their_plans(self):
+        # urn-wide, urn-narrow and synthetic-wide (urnbench/workloads.py)
+        shapes = [(20_000, 5_000), (500, 1 << 15), (20_000, 4_096)]
+        chunks = [len(montecarlo._chunk_plan(p, h, 2)) for p, h in shapes]
+        assert chunks == [2, 1, 2]
+
+    @given(st.integers(1, 10**6), st.integers(0, 10**5), st.integers(1, 8))
+    def test_chunks_tile_the_paths(self, n_paths, horizon, threads):
+        plan = montecarlo._chunk_plan(n_paths, horizon, threads)
         assert plan[0][0] == 0
         for (s0, c0), (s1, _) in zip(plan, plan[1:]):
             assert s1 == s0 + c0

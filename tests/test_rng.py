@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from urnsa import rng
+from urnsa import SyntheticProcess, montecarlo, rng
 
 # First outputs of the widely published 64-bit split-mix generator seeded
 # with 0: state k*0x9E3779B97F4A7C15 put through the finalizer.  path_key
@@ -197,3 +197,125 @@ def test_uniform_values_look_uniform():
     keys = rng.path_keys(2024, 0, 100)
     block = rng.uniform_block(keys, 1, 100)
     assert abs(float(block.mean()) - 0.5) < 0.02
+
+
+# The SplitMix64 finalizer run backwards: each xorshift z ^= z >> s is undone
+# by repeating it until the top bits have fed every lower one, and each
+# multiply by the modular inverse of its odd constant.
+_MIX_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _unxorshift(z: int, s: int) -> int:
+    x = z
+    for _ in range(64 // s):
+        x = z ^ (x >> s)
+    return x
+
+
+def _unpremix(z: int) -> int:
+    """The counter whose first two finalizer rounds leave z."""
+    for shift, mult in zip((27, 30), reversed(_MIX_MULTIPLIERS)):
+        z = _unxorshift(z * pow(mult, -1, 2**64) & rng.MASK64, shift)
+    return z
+
+
+def _key_for_premix(z: int, draw: int) -> int:
+    """A key whose draw `draw` leaves z after the first two rounds."""
+    return (_unpremix(z) - draw * rng.DRAW_STRIDE) & rng.MASK64
+
+
+def _key_for_draw(u: float, draw: int, low_bits: int = 0x5A5) -> int:
+    """A key whose draw `draw` is exactly u, a multiple of 2^-53 in [0, 1)."""
+    z = int(u * 2**53) << 11 | low_bits
+    return _key_for_premix(_unxorshift(z, 31), draw)
+
+
+_BOUNDARY_DRAWS = (0.0, 0.5 - 2**-53, 0.5, 1.0 - 2**-53)
+
+
+def test_inverse_finalizer_builds_exact_draws():
+    for u in _BOUNDARY_DRAWS:
+        for draw in (1, 7, 2**40 + 3):
+            assert rng.uniform_draw(_key_for_draw(u, draw), draw) == u
+
+
+def _assert_signs_match_uniforms(keys, first_draw, count):
+    u = rng.uniform_block(keys, first_draw, count)
+    signs = rng.sign_block(keys, first_draw, count)
+    assert signs.shape == u.shape
+    assert np.array_equal(np.signbit(signs), u >= 0.5)
+
+
+def test_sign_block_matches_uniform_block_at_the_boundary():
+    # row r of the block is draw 5 + r: pin each boundary draw in each row
+    keys = np.array(
+        [_key_for_draw(u, 5 + r) for u in _BOUNDARY_DRAWS for r in range(3)],
+        dtype=np.uint64,
+    )
+    u = rng.uniform_block(keys, 5, 3)
+    assert [u[i % 3, i] for i in range(keys.size)] == list(
+        np.repeat(_BOUNDARY_DRAWS, 3)
+    )
+    _assert_signs_match_uniforms(keys, 5, 3)
+
+
+def test_sign_block_matches_uniform_block_on_random_keys():
+    _assert_signs_match_uniforms(rng.path_keys(31, 0, 257), 1, 40)
+    keys = np.array([2**64 - 1, 0, 2**63, 12345], dtype=np.uint64)
+    _assert_signs_match_uniforms(keys, 2**40 + 3, 9)
+
+
+def test_sign_block_out_reuse_matches_allocating_form():
+    keys = rng.path_keys(5, 0, 7)
+    out = np.empty((8, 7))
+    scratch = np.empty(8 * 7, dtype=np.uint64)
+    got = rng.sign_block(keys, 9, 3, out=out, scratch=scratch)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(
+        got.view(np.uint64), rng.sign_block(keys, 9, 3).view(np.uint64)
+    )
+    with pytest.raises(ValueError):
+        rng.sign_block(keys, 1, 9, out=out)
+    with pytest.raises(ValueError):
+        rng.sign_block(keys, 1, 8, out=out, scratch=scratch[:10])
+
+
+# bit patterns that read as +-inf, quiet and signalling NaN, and subnormals
+_SPECIAL_PATTERNS = (
+    0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+    0xFFF4000000000001, 0x7FF0000000000001, 0x0000000000000001,
+    0x8000000000000000,
+)
+
+
+def _first_synthetic_moves(keys: np.ndarray, sigma2: float) -> np.ndarray:
+    """Z_2 of the n family started at 0, stepped by draw 2 alone: the
+    first move is the noise +-sqrt(sigma2)/sqrt(g_1), g_1 = 1."""
+    proc = SyntheticProcess(big_gamma=1.0, sigma2=sigma2)
+    *_, z = montecarlo._run_synthetic_chunk(proc, 2, keys, [1, 2])
+    return z
+
+
+def test_synthetic_kernel_steps_down_from_one_half():
+    keys = np.array([_key_for_draw(u, 2) for u in _BOUNDARY_DRAWS], dtype=np.uint64)
+    z = _first_synthetic_moves(keys, sigma2=2.25)
+    # u = 0 and 0.5 - 2^-53 step up; u = 0.5 and 1 - 2^-53 step down
+    assert z.tolist() == [1.5, 1.5, -1.5, -1.5]
+
+
+# bit patterns that read as +-inf, quiet and signalling NaN, and subnormals
+_SPECIAL_PATTERNS = (
+    0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+    0xFFF4000000000001, 0x7FF0000000000001, 0x0000000000000001,
+    0x8000000000000000,
+)
+
+
+def test_special_bit_patterns_raise_nothing():
+    keys = np.array([_key_for_premix(z, 2) for z in _SPECIAL_PATTERNS], dtype=np.uint64)
+    with np.errstate(all="raise"):
+        signs = rng.sign_block(keys, 2, 1)
+        _assert_signs_match_uniforms(keys, 2, 1)
+        z = _first_synthetic_moves(keys, sigma2=2.25)
+    assert signs[0].view(np.uint64).tolist() == list(_SPECIAL_PATTERNS)
+    assert z.tolist() == [-1.5 if p >> 63 else 1.5 for p in _SPECIAL_PATTERNS]

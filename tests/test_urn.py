@@ -168,6 +168,21 @@ class TestDrift:
         with pytest.raises(ZeroDriftError):
             stable_zeros(DriftPoly(0.0, 0.0, 0.0))
 
+    def test_small_matrix_drift_judged_like_classify(self):
+        # every coefficient is below the absolute 1e-12 floor; judged on its
+        # unit scale the drift keeps classify's zeros
+        m = ReplacementMatrix(4e-13, 5e-13, 3e-13, 2e-13)
+        roots = stable_zeros(drift_from_matrix(m))
+        assert roots == list(classify(m).roots)
+        assert [r.stability for r in roots] == ["unstable", "stable"]
+        assert roots[1].value == 0.5
+
+    @pytest.mark.parametrize("factor", [2.0**-1000, 2.0**-43, 2.0**600])
+    def test_scaled_drift_keeps_its_zeros(self, power_law_matrix, factor):
+        f = drift_from_matrix(power_law_matrix)  # 4x^2 - 6x + 2
+        scaled = DriftPoly(f.quad * factor, f.lin * factor, f.const * factor)
+        assert stable_zeros(scaled) == stable_zeros(f)
+
     def test_linear_unstable_root(self):
         roots = stable_zeros(DriftPoly(quad=0.0, lin=2.0, const=-1.0))
         assert [r.stability for r in roots] == ["unstable"]

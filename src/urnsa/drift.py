@@ -5,6 +5,13 @@ process.  A zero p is stable when the drift pushes back toward it,
 f(x)*(x-p) < 0 on both sides, which for a simple zero is f'(p) < 0.
 A double zero has f'(p) = 0 and is flagged separately because the whole
 limit analysis changes there.
+
+Every tolerance (zero drift, vanishing leading coefficient, double zero)
+is applied in _unit_zeros as a fixed constant times max(1, |coefficients|)
+of a drift on a unit scale: the drift of a unit-scale matrix
+(urn.ReplacementMatrix.unit), or a drift that stable_zeros brings to its
+own unit scale; _unit_shift picks both powers of two.  Zeros and their
+tags are dimensionless, so nothing is scaled back.
 """
 from __future__ import annotations
 
@@ -45,15 +52,6 @@ class DriftPoly:
     def derivative(self, x: float) -> float:
         return 2.0 * self.quad * x + self.lin
 
-    def is_zero(self) -> bool:
-        scale = self._scale()
-        return all(
-            abs(c) <= _COEFF_TOL * scale for c in (self.quad, self.lin, self.const)
-        )
-
-    def _scale(self) -> float:
-        return max(1.0, abs(self.quad), abs(self.lin), abs(self.const))
-
     def h(self, x: float, p: float) -> float:
         """Restoring strength h(x) = -f(x)/(x-p) for a zero p of f.
 
@@ -67,15 +65,6 @@ class DriftPoly:
             return -self.lin
         other = -self.lin / self.quad - p
         return -self.quad * (x - other)
-
-    def bound_on_unit_interval(self) -> float:
-        """max of |f| over [0,1], attained at an endpoint or the vertex."""
-        candidates = [abs(self(0.0)), abs(self(1.0))]
-        if self.quad != 0.0:
-            vertex = -self.lin / (2.0 * self.quad)
-            if 0.0 < vertex < 1.0:
-                candidates.append(abs(self(vertex)))
-        return max(candidates)
 
 
 @dataclass(frozen=True)
@@ -122,13 +111,12 @@ def _unit_shift(values: Iterable[float], what: str) -> int:
 def stable_zeros(drift: DriftPoly) -> list[RootInfo]:
     """All real zeros of the drift, each tagged stable/unstable/double.
 
-    Judged on the drift scaled by the power of two that brings its largest
-    coefficient into [1, 2) (_unit_shift), so scaling a drift by any
-    positive factor changes neither its zeros nor their tags.  Roots are
-    returned in increasing order.  A discriminant within the square of the
-    derivative tolerance collapses to a single double root.  Raises
-    ZeroDriftError for an identically zero drift, and ConfigError for
-    coefficients that span too wide a range.
+    Judged on the drift brought to its own unit scale, so scaling a drift
+    by any positive factor changes neither its zeros nor their tags.
+    Roots are returned in increasing order.  A discriminant within the
+    square of the derivative tolerance collapses to a single double root.
+    Raises ZeroDriftError for an identically zero drift, and ConfigError
+    for coefficients that span too wide a range.
     """
     coeffs = (drift.quad, drift.lin, drift.const)
     e = _unit_shift((abs(c) for c in coeffs), "drift")
@@ -136,15 +124,12 @@ def stable_zeros(drift: DriftPoly) -> list[RootInfo]:
 
 
 def _unit_zeros(drift: DriftPoly) -> list[RootInfo]:
-    """stable_zeros for a drift on the unit scale: its tolerances are
-    relative to max(1, |coefficients|), so coefficients far below 1 count
-    as zero.  classify calls it on the drift of its matrix scaled by
-    _unit_shift, whose largest entry, not coefficient, lies in [1, 2).
-    """
-    if drift.is_zero():
-        raise ZeroDriftError("drift is identically zero")
+    """stable_zeros for a drift on a unit scale; the one place where a
+    drift's tolerances are applied."""
     a, b, c = drift.quad, drift.lin, drift.const
-    scale = drift._scale()
+    scale = max(1.0, abs(a), abs(b), abs(c))
+    if max(abs(a), abs(b), abs(c)) <= _COEFF_TOL * scale:
+        raise ZeroDriftError("drift is identically zero")
     if abs(a) <= _COEFF_TOL * scale:
         if abs(b) <= _COEFF_TOL * scale:
             return []  # nonzero constant drift never vanishes

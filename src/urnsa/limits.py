@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .drift import DOUBLE, STABLE, DriftPoly, RootInfo, _unit_shift, _unit_zeros
+from .drift import DOUBLE, STABLE, RootInfo, _unit_zeros
 from .errors import (
     AnalysisError,
     ConfigError,
@@ -29,6 +29,7 @@ from .errors import (
     DoubleZeroError,
     RegimeError,
     UndefinedMeanError,
+    ZeroDriftError,
 )
 from .special import gamma_function
 from .sa import StepFamily
@@ -94,22 +95,18 @@ class LimitPrediction:
 def classify(m: ReplacementMatrix) -> LimitPrediction:
     """Map a replacement matrix to its limit regime and parameters.
 
-    Classification is invariant under scaling the matrix by any positive
-    factor: it runs on the matrix scaled by the power of two that brings
-    its largest entry into [1, 2), and only gamma and h(p) are scaled back.
-    Where that scaling would round an entry, the largest exact one is
-    used (_unit_shift).  A matrix whose gamma, h(p), gamma_hat or sigma2
-    is not a finite double raises ConfigError.
+    Judged on the unit-scale matrix (ReplacementMatrix.unit), so the
+    result does not depend on the matrix's scale; only gamma and h(p) are
+    scaled back.  A matrix whose gamma, h(p), gamma_hat or sigma2 is not a
+    finite double raises ConfigError.
     Drift zeros within 1e-12 of 0 or 1 are boundary zeros, reported in
     roots but yielding NOT_APPLICABLE; |gamma_hat - 1/2| <= 1e-12 counts
     as the critical log regime.
     """
     m.require_sa()
-    e = _unit_shift(m.entries(), "matrix")
+    e, unit = m.unit
     try:
-        pred = _classify_unit(
-            ReplacementMatrix(*(math.ldexp(v, -e) for v in m.entries()))
-        )
+        pred = _classify_unit(unit)
         if pred.gamma is None:
             return pred
         gamma, h_p = math.ldexp(pred.gamma, -e), math.ldexp(pred.h_p, e)
@@ -125,10 +122,11 @@ def classify(m: ReplacementMatrix) -> LimitPrediction:
 
 
 def _classify_unit(m: ReplacementMatrix) -> LimitPrediction:
-    """classify for the matrix scaled by _unit_shift, whose largest entry
-    lies in [1, 2) unless the shift was lowered."""
+    """classify for a unit-scale matrix, before scaling back."""
     drift = drift_from_matrix(m)
-    if drift.is_zero():
+    try:
+        roots = tuple(_unit_zeros(drift))
+    except ZeroDriftError:
         return LimitPrediction(regime=Regime.ZERO_DRIFT_BETA, scaling=(0.0, 0.0))
     if m.is_singular():
         p = m.a / m.row_white
@@ -143,7 +141,6 @@ def _classify_unit(m: ReplacementMatrix) -> LimitPrediction:
             gamma_hat=gamma * h_p,
             sigma2=0.0,
         )
-    roots = tuple(_unit_zeros(drift))
     err = error_poly_from_matrix(m)
     doubles = [r for r in roots if r.stability == DOUBLE and r.on_unit_interval]
     if doubles:
@@ -228,22 +225,24 @@ def variance_alpha0(m: ReplacementMatrix) -> float:
     normal limit and the power-law regime applies instead.
     """
     m.require_sa()
-    scale = m.entry_scale()
-    if abs(m.alpha) > 1e-12 * scale:
+    _, u = m.unit
+    a, b, c = u.a, u.b, u.c
+    tol = 1e-12 * max(u.entries())
+    if abs(u.alpha) > tol:
         raise RegimeError(f"matrix is not balanced: alpha = {m.alpha}")
-    a, b, c = m.a, m.b, m.c
-    if abs(a - c) <= 1e-12 * scale:
+    if abs(a - c) <= tol:
         raise DegenerateVarianceError(
             "a = c makes the noise polynomial vanish at the target"
         )
-    g_hat = (b + c) / (a + b)
+    s, r = b + c, a - c
+    g_hat = s / (a + b)
     if abs(g_hat - 0.5) <= REGIME_TOL:
-        return b * c / (4.0 * (b + c) ** 2)
+        return b * c / (4.0 * (s * s))
     if g_hat < 0.5:
         raise RegimeError(
             "gamma_hat below 1/2: almost-sure regime, no normal variance"
         )
-    return b * c * (a - c) ** 2 / ((a + b) * (b + c) ** 2 * (b + 2.0 * c - a))
+    return b * c * (r * r) / ((a + b) * (s * s) * (b + 2.0 * c - a))
 
 
 def decay_product(start: int, stop: int, alpha: float) -> float:

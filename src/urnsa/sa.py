@@ -9,15 +9,16 @@ and bounded noise U whose conditional mean vanishes fast.  Everything in
 this module is a pure function of its arguments; path state and ensemble
 machinery live elsewhere.
 
-Two equivalent coordinate systems are supported.  The x-form above is what
-a simulation produces.  The q-form tracks the centered process Q_n = X_n - p
-around a drift zero p:
+The x-form above is what a simulation produces and what sa_step
+advances.  The limit theorems are stated in the q-form, which tracks the
+centered process Q_n = X_n - p around a drift zero p:
 
     Q_{n+1} = (1 - gamma_hat_{n+1} / (n+1)) Q_n + u_hat_{n+1} / (n+1),
 
 where gamma_hat_{n+1} = (n+1) gamma_{n+1} h(X_n) rescales the step by the
 restoring strength h(x) = -f(x)/(x-p), and u_hat_{n+1} = (n+1) gamma_{n+1}
-U_{n+1}.  Both forms advance the same state; tests hold them to 1e-12.
+U_{n+1}.  Both forms advance the same state; the tests step the q-form
+with their own helper and hold the two to 1e-12.
 """
 from __future__ import annotations
 
@@ -52,30 +53,6 @@ def sa_step(x: float, gamma: float, drift_value: float, noise: float) -> float:
     return x_next
 
 
-def q_step(q: float, gamma_hat: float, u_hat: float, n: int) -> float:
-    """Advance the centered recursion: (1 - gamma_hat/(n+1)) q + u_hat/(n+1).
-
-    n is the index of the current state, so the divisor is n+1.
-    """
-    if n < 0:
-        raise ConfigError(f"state index must be nonnegative, got {n}")
-    step = n + 1
-    return (1.0 - gamma_hat / step) * q + u_hat / step
-
-
-def synthetic_step(z: float, big_gamma: float, noise: float, g: float) -> float:
-    """One step of the synthetic normalized process:
-
-        z' = (1 - big_gamma/g) z + noise / sqrt(g).
-
-    g is the current value of the divergent scale sequence and must be
-    positive.
-    """
-    if g <= 0.0:
-        raise ConfigError(f"scale sequence value must be positive, got {g}")
-    return (1.0 - big_gamma / g) * z + noise / math.sqrt(g)
-
-
 def weight(n: int, x: float, y: float) -> float:
     """Scaling weight w(n) = (n+1)^x * (ln(n+1))^y.
 
@@ -103,31 +80,6 @@ class StepFamily(enum.Enum):
     def first_positive_index(self) -> int:
         # n*ln(n) vanishes at n=1, so that family starts one step later
         return 1 if self is StepFamily.N else 2
-
-
-@dataclass(frozen=True)
-class SAConstants:
-    """Bounds certifying that a process is a stochastic approximation.
-
-    c_lower/n <= gamma_n <= c_upper/n, |U| <= noise_bound,
-    |f| <= drift_bound on [0,1], and the conditional mean of gamma*U decays
-    like mean_decay/n^2.  Checked in test suites, not at simulation time.
-    """
-
-    c_lower: float
-    c_upper: float
-    noise_bound: float
-    drift_bound: float
-    mean_decay: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.c_lower <= self.c_upper):
-            raise ConfigError(
-                f"need 0 < c_lower <= c_upper, got {self.c_lower}, {self.c_upper}"
-            )
-        for name in ("noise_bound", "drift_bound", "mean_decay"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,21 @@ step gamma_{n+1} = 1/T_{n+1}, drift
 and martingale noise U_{n+1} = T_{n+1}(X_{n+1}-X_n) - f(X_n) whose
 conditional second moment is the error polynomial
 E(x) = x(1-x)(a-c+alpha*x)^2.
+
+Scale policy of the analytic layer.  The regime and the limit law depend
+only on dimensionless numbers, so a matrix m is judged once on its unit
+scale: ReplacementMatrix.unit is the exponent e and the matrix 2^-e m,
+whose largest entry lies in [1, 2) unless e is lowered to keep every
+entry exact (drift._unit_shift).  is_singular, classify and
+variance_alpha0 read that matrix.  Every tolerance is absolute on its
+unit-scale values: a fixed constant, at most times the unit-scale size of
+what it tests.  Only gamma and h(p) are scaled back, by 2^-e and 2^e.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import rng
 from .drift import DriftPoly, _unit_shift
@@ -27,7 +37,7 @@ from .errors import (
     InvalidStateError,
     NotStochasticApproximationError,
 )
-from .sa import SAConstants, SAPath
+from .sa import SAPath
 
 # beyond this total, counts stored in doubles would stop being integer-exact
 COUNT_LIMIT = 2.0 ** 53
@@ -69,11 +79,6 @@ class ReplacementMatrix:
     def determinant(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def entry_scale(self) -> float:
-        """The largest entry: tolerances relative to it do not change when
-        the matrix is scaled."""
-        return max(self.a, self.b, self.c, self.d)
-
     def is_sa_eligible(self) -> bool:
         """Both rows add mass, so draw steps are bounded below."""
         return min(self.row_white, self.row_black) > 0.0
@@ -84,18 +89,20 @@ class ReplacementMatrix:
                 f"replacement matrix {self.entries()} has a zero row sum"
             )
 
+    @cached_property
+    def unit(self) -> tuple[int, "ReplacementMatrix"]:
+        """The exponent e and the exactly scaled matrix 2^-e * self on
+        which every analytic result is judged.  Raises ConfigError for
+        entries that span too wide a range."""
+        e = _unit_shift(self.entries(), "matrix")
+        return e, ReplacementMatrix(*(math.ldexp(v, -e) for v in self.entries()))
+
     def is_singular(self) -> bool:
         """Proportional rows: the urn composition converges monotonically.
-
-        Judged on the matrix scaled by classify's power of two
-        (_unit_shift), so scaling the matrix by a power of two does not
-        change the verdict.  Raises ConfigError where classify would, on
-        entries that span too wide a range.
-        """
-        e = _unit_shift(self.entries(), "matrix")
-        a, b, c, d = (math.ldexp(v, -e) for v in self.entries())
-        tol = 1e-12 * max(1.0, abs(a * d), abs(b * c))
-        return abs(a * d - b * c) <= tol
+        Raises ConfigError as unit does."""
+        _, u = self.unit
+        tol = 1e-12 * max(1.0, abs(u.a * u.d), abs(u.b * u.c))
+        return abs(u.a * u.d - u.b * u.c) <= tol
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -198,36 +205,6 @@ def gamma_limit(m: ReplacementMatrix, p: float) -> float:
     m.require_sa()
     denom = m.row_white * p + m.row_black * (1.0 - p)
     return 1.0 / denom
-
-
-def sa_constants(m: ReplacementMatrix, w0: float, b0: float) -> SAConstants:
-    """Certifying constants for the urn as a stochastic approximation.
-
-    The noise bound is the conservative max{|a-c|,|b-d|} + max row sum; the
-    sharp bound is the first term alone.  The conditional-bias constant
-    comes from the exact identity
-
-        E_n(gamma_{n+1} U_{n+1}) = x(1-x) (a-c+alpha*x) * alpha / (T_w T_b)
-
-    with T_w, T_b the totals after a white/black draw, each above
-    n*min_row, giving K_e = |alpha| * max|a-c+alpha*x| / (4 min_row^2).
-    When that expression vanishes the conditional bias is identically zero
-    and any positive constant certifies it.
-    """
-    m.require_sa()
-    t0 = w0 + b0
-    max_row = max(m.row_white, m.row_black)
-    min_row = min(m.row_white, m.row_black)
-    swing = max(abs(m.a - m.c), abs(m.b - m.d))
-    mean_decay = abs(m.alpha) * swing / (4.0 * min_row * min_row)
-    drift = drift_from_matrix(m)
-    return SAConstants(
-        c_lower=1.0 / (t0 + max_row),
-        c_upper=1.0 / min_row,
-        noise_bound=swing + max_row,
-        drift_bound=max(drift.bound_on_unit_interval(), 1e-9),
-        mean_decay=mean_decay if mean_decay > 0.0 else 1.0,
-    )
 
 
 def run_path_scalar(

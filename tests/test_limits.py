@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from urnsa import (
     ConfigError,
     DegenerateVarianceError,
+    GammaHatResult,
     LimitPrediction,
     NotStochasticApproximationError,
     Regime,
@@ -22,10 +24,13 @@ from urnsa import (
     classify,
     damped_recursion,
     decay_product,
+    drift_from_matrix,
     gamma_function,
+    gamma_hat,
     reference_limit_mean,
     reference_prediction,
     reference_scaled_mean,
+    stable_zeros,
     variance_alpha0,
 )
 
@@ -292,6 +297,91 @@ class TestVarianceAlpha0:
     def test_value_does_not_depend_on_the_scale(self):
         small = ReplacementMatrix(*(math.ldexp(v, -60) for v in (2, 1, 1, 2)))
         assert variance_alpha0(small) == variance_alpha0(ReplacementMatrix(2, 1, 1, 2))
+
+
+unit_entry = st.one_of(st.integers(0, 9).map(float), st.floats(1 / 16, 16))
+positive_entry = st.integers(1, 9).map(float)
+scalable_entries = st.one_of(
+    st.tuples(unit_entry, unit_entry, unit_entry, unit_entry),
+    # proportional rows: singular matrices
+    st.builds(
+        lambda a, b, lam: (a, b, lam * a, lam * b),
+        positive_entry, positive_entry, st.sampled_from([0.5, 2.0, 3.0]),
+    ),
+    # equal row sums: the balanced matrices variance_alpha0 takes
+    st.tuples(unit_entry, unit_entry, unit_entry)
+    .filter(lambda t: t[0] + t[1] >= t[2])
+    .map(lambda t: (*t, t[0] + t[1] - t[2])),
+)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except UrnsaError as err:
+        return type(err)
+
+
+def analytic_results(m: ReplacementMatrix, k: int = 0) -> dict:
+    """Every analytic result of m, each a value or the UrnsaError type it
+    raises, with gamma and h(p) multiplied by 2^-k and 2^k, as scaling m
+    by 2^k multiplies them.  classify's ZERO_DRIFT_BETA and stable_zeros'
+    ZeroDriftError carry the zero-drift verdict."""
+
+    def classify_back():
+        pred = classify(m)
+        if pred.gamma is None:
+            return pred
+        return replace(
+            pred, gamma=math.ldexp(pred.gamma, -k), h_p=math.ldexp(pred.h_p, k)
+        )
+
+    def gamma_hat_back():
+        p, gamma, h_p, g_hat = gamma_hat(m)
+        return GammaHatResult(p, math.ldexp(gamma, -k), math.ldexp(h_p, k), g_hat)
+
+    return {
+        "classify": _outcome(classify_back),
+        "gamma_hat": _outcome(gamma_hat_back),
+        "is_singular": _outcome(m.is_singular),
+        "stable_zeros": _outcome(lambda: stable_zeros(drift_from_matrix(m))),
+        "variance_alpha0": _outcome(lambda: variance_alpha0(m)),
+    }
+
+
+class TestScaleInvariance:
+    @given(entries=scalable_entries, k=st.integers(-1000, 1000))
+    # variance_alpha0's products underflow or overflow on these raw
+    # entries: 0.0 for 1/12 or 8/45, ZeroDivisionError, nan, OverflowError
+    @example(entries=(4.0, 1.0, 2.0, 3.0), k=255)
+    @example(entries=(2.0, 1.0, 1.0, 2.0), k=-269)
+    @example(entries=(2.0, 1.0, 1.0, 2.0), k=-270)
+    @example(entries=(2.0, 1.0, 1.0, 2.0), k=260)
+    @example(entries=(4.0, 1.0, 2.0, 3.0), k=511)
+    @example(entries=(1.206e-81, 1.318e-81, 1.247e-81, 1.277e-81), k=269)
+    # a drift far below 1: an absolute floor would call it zero
+    @example(entries=(4.0, 5.0, 3.0, 2.0), k=-600)
+    # singular at a tiny scale
+    @example(entries=(2.0, 1.0, 4.0, 2.0), k=-60)
+    # the toy urn; gamma and h(p) scale back exactly
+    @example(entries=(4.0, 5.0, 3.0, 2.0), k=-1000)
+    @example(entries=(4.0, 5.0, 3.0, 2.0), k=-3)
+    @example(entries=(4.0, 5.0, 3.0, 2.0), k=5)
+    @example(entries=(4.0, 5.0, 3.0, 2.0), k=900)
+    # the power-law drift 4x^2 - 6x + 2 keeps its zeros at any scale
+    @example(entries=(3.0, 0.0, 2.0, 5.0), k=-1000)
+    @example(entries=(3.0, 0.0, 2.0, 5.0), k=-43)
+    @example(entries=(3.0, 0.0, 2.0, 5.0), k=600)
+    # a balanced urn's variance at a small scale
+    @example(entries=(2.0, 1.0, 1.0, 2.0), k=-60)
+    # every drift coefficient below 1e-12, so below an absolute floor
+    @example(entries=(4e-13, 5e-13, 3e-13, 2e-13), k=42)
+    def test_results_do_not_depend_on_a_power_of_two(self, entries, k):
+        scaled = tuple(math.ldexp(v, k) for v in entries)
+        assume(all(math.ldexp(v, -k) == x for v, x in zip(scaled, entries)))
+        assert analytic_results(ReplacementMatrix(*scaled)) == analytic_results(
+            ReplacementMatrix(*entries), k
+        )
 
 
 class TestDecayProduct:

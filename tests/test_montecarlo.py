@@ -51,8 +51,9 @@ from urnsa import (
     weight,
 )
 from urnsa import acceptance, montecarlo
-from urnsa.sa import synthetic_step
 from urnsa.urn import COUNT_LIMIT
+
+from sa_helpers import synthetic_step
 
 
 class TestCheckpointSchedule:

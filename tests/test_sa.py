@@ -21,8 +21,7 @@ from urnsa import (
     sa_step,
     weight,
 )
-from urnsa.sa import SAConstants, q_step, synthetic_step
-from urnsa.urn import sa_constants
+from sa_helpers import SAConstants, q_step, sa_constants, synthetic_step
 
 
 class TestSaStep:

@@ -32,6 +32,8 @@ from urnsa import (
     urn_step,
 )
 
+from sa_helpers import bound_on_unit_interval
+
 entry = st.integers(0, 9).map(float)
 positive_entry = st.integers(1, 9).map(float)
 
@@ -189,7 +191,7 @@ class TestDrift:
 
     def test_bound_on_unit_interval(self, toy_matrix):
         f = drift_from_matrix(toy_matrix)
-        bound = f.bound_on_unit_interval()
+        bound = bound_on_unit_interval(f)
         for k in range(101):
             assert abs(f(k / 100)) <= bound + 1e-12
 

@@ -20,6 +20,8 @@ and `analyze --json` reports.  Covered:
 One line per artifact: label, artifact name, sha256.  After the suite's
 artifact lines, each acceptance verdict line follows as `verdict <line>`,
 so two checkouts that print the same lines also give the same verdicts.
+No line depends on the number of usable cores: the verdict lines carry no
+chunk counts, so a run under `taskset -c 0` prints the same lines.
 
     PYTHONPATH=src python3 scripts/artifact_hashes.py
 

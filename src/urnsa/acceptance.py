@@ -26,10 +26,8 @@ from .montecarlo import (
     EnsembleConfig,
     EnsembleResult,
     PathCheckpointData,
-    _chunk_plan,
     _summary_moments,
     _traces,
-    _usable_cores,
     deviation_split,
     gamma_hat_rate_check,
     run_ensemble,
@@ -351,11 +349,11 @@ def as_convergence_witness() -> CriterionResult:
     pred = classify(cfg.matrix)
     # all 500 traces in one kernel call, the cost of one ensemble run
     traces = _traces(cfg, range(cfg.paths))
-    ns = traces[0].ns.tolist()
+    ns = traces.ns.tolist()
     lo = ns.index(1 << 10)
     settled = 0
-    for data in traces:
-        cps = list(zip(ns[lo:], data.x[lo:]))
+    for j in range(cfg.paths):
+        cps = list(zip(ns[lo:], traces.x[lo:, j]))
         head, tail = deviation_split(cps, pred.p, pred.as_exponent)
         if tail < 2.0 * head:
             settled += 1
@@ -366,22 +364,17 @@ def as_convergence_witness() -> CriterionResult:
     )
     crit_pred = classify(crit_cfg.matrix)
     worst_gap = 0.0
-    worst_exact = 0.0
     # all 8 traces in one kernel call: one replay per path costs 10x more
-    crit_traces = _traces(crit_cfg, range(crit_cfg.paths))
-    tail_lo = crit_traces[0].ns.size // 2
-    for data in crit_traces:
-        tail = PathCheckpointData(
-            data.ns[tail_lo:], data.x[tail_lo:], data.t[tail_lo:],
-            data.x_prev[tail_lo:],
-        )
+    crit = _traces(crit_cfg, range(crit_cfg.paths))
+    half = crit.ns.size // 2
+    ns, t = crit.ns[half:], crit.t[half:]
+    for j in range(crit_cfg.paths):
+        tail = PathCheckpointData(ns, crit.x[half:, j], t[:, j], crit.x_prev[half:, j])
         report = gamma_hat_rate_check(tail, crit_cfg.matrix, crit_pred)
         worst_gap = max(worst_gap, report.max_critical_gap)
-        # the realized rate has the closed form 1/2 - 1/(2+4n) here
-        for j in range(tail_lo, data.ns.size):
-            n = int(data.ns[j])
-            gh = n / data.t[j] * 2.0
-            worst_exact = max(worst_exact, abs(gh - 0.5 + 1.0 / (2 + 4 * n)))
+    # the realized rate has the closed form 1/2 - 1/(2+4n) here
+    n = ns[:, np.newaxis]
+    worst_exact = float(np.max(np.abs(n / t * 2.0 - 0.5 + 1.0 / (2 + 4 * n))))
 
     passed = frac >= 0.95 and worst_gap <= 0.01 and worst_exact <= 1e-12
     detail = (
@@ -397,7 +390,7 @@ def _replayed_summaries(res: EnsembleResult) -> list[CheckpointSummary]:
     traces = _traces(res.config, range(res.config.paths))
     sx, sy = res.scaling
     out = []
-    for n, row in zip(res.checkpoints, np.stack([d.x for d in traces], axis=1)):
+    for n, row in zip(res.checkpoints, traces.x):
         m = _summary_moments(weight(n, sx, sy) * (row - res.center))
         out.append(CheckpointSummary(n=n, mean=m.mean, variance=m.variance))
     return out
@@ -435,7 +428,6 @@ def determinism() -> CriterionResult:
         )
         if "matrix" in source:
             replayed = wide[0].checkpoint_summaries == _replayed_summaries(wide[0])
-    chunks = len(_chunk_plan(20_000, 2000, _usable_cores()))
     passed = distinct == [1, 1, 1, 1] and all(prefix_equal) and replayed
     detail = (
         "repeat runs byte-identical, first 15000 paths equal a 15000-path "
@@ -445,7 +437,6 @@ def determinism() -> CriterionResult:
         f"prefix equal per source: {prefix_equal}, "
         f"urn summaries equal replay: {replayed}"
     )
-    detail += f"; chunks for 20000 paths: {chunks}"
     return CriterionResult(9, "determinism", passed, detail)
 
 

@@ -99,9 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--w0", type=_fraction, default=1.0)
         p.add_argument("--b0", type=_fraction, default=1.0)
 
-    def add_run(p, horizon=100_000, paths=10_000):
-        p.add_argument("--horizon", type=int, default=horizon)
-        p.add_argument("--paths", type=int, default=paths)
+    def add_run(p, paths=True):
+        p.add_argument("--horizon", type=int, default=100_000)
+        if paths:
+            p.add_argument("--paths", type=int, default=10_000)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument(
             "--checkpoint-factor", type=int, default=2, dest="factor"
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("path", help="single-path checkpoint table")
     add_matrix(p)
     add_initial(p)
-    add_run(p)
+    add_run(p, paths=False)
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.add_argument("--force-scaling", type=_scaling, default=None)
     p.add_argument("--force-center", type=_fraction, default=None)
@@ -215,19 +216,16 @@ def _emit(args, result) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg = EnsembleConfig(
-        matrix=args.matrix,
-        w0=args.w0,
-        b0=args.b0,
-        horizon=args.horizon,
-        paths=args.paths,
-        master_seed=args.seed,
-        checkpoint_factor=args.factor,
-        forced_scaling=args.force_scaling,
-        forced_center=args.force_center,
+def _urn_config(args, paths: int) -> EnsembleConfig:
+    return EnsembleConfig(
+        matrix=args.matrix, w0=args.w0, b0=args.b0, horizon=args.horizon,
+        paths=paths, master_seed=args.seed, checkpoint_factor=args.factor,
+        forced_scaling=args.force_scaling, forced_center=args.force_center,
     )
-    return _emit(args, run_ensemble(cfg))
+
+
+def _cmd_simulate(args) -> int:
+    return _emit(args, run_ensemble(_urn_config(args, args.paths)))
 
 
 def _cmd_synthetic(args) -> int:
@@ -248,16 +246,7 @@ def _cmd_synthetic(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    _, rows = inspect_path(
-        args.matrix,
-        args.w0,
-        args.b0,
-        args.horizon,
-        args.seed,
-        checkpoint_factor=args.factor,
-        forced_scaling=args.force_scaling,
-        forced_center=args.force_center,
-    )
+    _, rows = inspect_path(_urn_config(args, paths=1))
     lines = [PATH_HEADER]
     for r in rows:
         gh = "" if r.gamma_hat_n is None else repr(r.gamma_hat_n)

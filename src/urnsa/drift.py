@@ -90,10 +90,13 @@ def _unit_shift(values: Iterable[float], what: str) -> int:
     the entries of `what`, lies in [1, 2), lowered as far as needed for no
     value to lose a bit to underflow.
 
-    Raises ConfigError when the lowered shift leaves the largest value
-    above 2^256; below that, products of up to three values stay finite.
+    Raises ConfigError for a value that is not finite, and when the
+    lowered shift leaves the largest value above 2^256; below that,
+    products of up to three values stay finite.
     """
     values = tuple(values)
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} {values}: entries must be finite")
     top = math.frexp(max(values))[1] - 1
     e = top
     for v in values:

@@ -222,7 +222,8 @@ def variance_alpha0(m: ReplacementMatrix) -> float:
 
     covers gamma_hat > 1/2; at criticality (a = b+2c) the variance of the
     log-scaled limit is b*c / (4 (b+c)^2).  Below criticality there is no
-    normal limit and the power-law regime applies instead.
+    normal limit and the power-law regime applies instead.  A variance
+    that is not a finite double raises ConfigError.
     """
     m.require_sa()
     _, u = m.unit
@@ -237,12 +238,16 @@ def variance_alpha0(m: ReplacementMatrix) -> float:
     s, r = b + c, a - c
     g_hat = s / (a + b)
     if abs(g_hat - 0.5) <= REGIME_TOL:
-        return b * c / (4.0 * (s * s))
-    if g_hat < 0.5:
+        variance = b * c / (4.0 * (s * s))
+    elif g_hat < 0.5:
         raise RegimeError(
             "gamma_hat below 1/2: almost-sure regime, no normal variance"
         )
-    return b * c * (r * r) / ((a + b) * (s * s) * (b + 2.0 * c - a))
+    else:
+        variance = b * c * (r * r) / ((a + b) * (s * s) * (b + 2.0 * c - a))
+    if not math.isfinite(variance):
+        raise ConfigError(f"matrix {m.entries()}: variance is not a finite double")
+    return variance
 
 
 def decay_product(start: int, stop: int, alpha: float) -> float:

@@ -186,7 +186,8 @@ class CheckpointSummary:
 
 @dataclass(frozen=True)
 class PathCheckpointData:
-    """Checkpoint trace of a single path: X_n, T_n and X_{n-1}."""
+    """Checkpoint traces X_n, T_n and X_{n-1}: 1-D for one path, or one
+    column per path (checkpoints x paths) as _traces replays them."""
 
     ns: np.ndarray
     x: np.ndarray
@@ -211,18 +212,14 @@ class EnsembleResult:
     reference_scaled_mean: float | None = None
 
     def path_checkpoints(self, path_index: int) -> PathCheckpointData:
-        """Checkpoint trace of one path of an urn run, replayed from its key.
+        """1-D checkpoint trace of one path of an urn run, replayed from its key.
 
         Each call replays the path's whole horizon, O(horizon) work; a
         caller that needs many traces should replay them in one call of
-        the private montecarlo._traces.
+        the private montecarlo._traces, one column per path.  Raises
+        ConfigError for a synthetic run.
         """
-        cfg = self.config
-        if cfg.matrix is None:
-            raise ConfigError("checkpoint traces exist only for urn runs")
-        i = range(cfg.paths)[path_index]
-        (trace,) = _traces(cfg, range(i, i + 1))
-        return trace
+        return _path_trace(self.config, range(self.config.paths)[path_index])
 
 
 def sample_moments(values: Sequence[float]) -> Moments:
@@ -476,13 +473,15 @@ def _run_synthetic_chunk(
         yield z
 
 
-def _traces(config: EnsembleConfig, indices: range) -> list[PathCheckpointData]:
-    """Checkpoint traces of the urn paths `indices` of this config's runs.
+def _traces(config: EnsembleConfig, indices: range) -> PathCheckpointData:
+    """Checkpoint traces of the urn paths `indices`, one column per path.
 
     A path is a pure function of (master_seed, path index), so one kernel
-    call over the paths' keys repeats, bit for bit, what the ensemble
-    computed for them; it costs the paths' whole horizon.
+    call over the paths' keys repeats, bit for bit, what this config's
+    ensemble computed for them; it costs the paths' whole horizon.
     """
+    if config.matrix is None:
+        raise ConfigError("checkpoint traces exist only for urn runs")
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
     keys = rng.path_keys(config.master_seed, indices.start, len(indices))
     rows = [np.empty((len(cps), keys.size)) for _ in range(3)]
@@ -492,11 +491,15 @@ def _traces(config: EnsembleConfig, indices: range) -> list[PathCheckpointData]:
     ):
         np.divide(w, t, out=rows[0][ci])
         rows[1][ci], rows[2][ci] = t, x_prev
-    ns = np.asarray(cps, dtype=np.int64)
-    return [
-        PathCheckpointData(ns, *(a[:, j].copy() for a in rows))
-        for j in range(keys.size)
-    ]
+    return PathCheckpointData(np.asarray(cps, dtype=np.int64), *rows)
+
+
+def _path_trace(config: EnsembleConfig, i: int) -> PathCheckpointData:
+    """Checkpoint trace of path i of this config's runs, as 1-D arrays."""
+    trace = _traces(config, range(i, i + 1))
+    return PathCheckpointData(
+        trace.ns, trace.x[:, 0], trace.t[:, 0], trace.x_prev[:, 0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -780,32 +783,19 @@ class PathRow:
     envelope_ratio: float | None
 
 
-def inspect_path(
-    m: ReplacementMatrix,
-    w0: float,
-    b0: float,
-    horizon: int,
-    master_seed: int,
-    checkpoint_factor: int = 2,
-    forced_scaling: tuple[float, float] | None = None,
-    forced_center: float | None = None,
-) -> tuple[LimitPrediction, list[PathRow]]:
-    """Checkpoint table for path 0 of the ensemble with the same seed.
+def inspect_path(config: EnsembleConfig) -> tuple[LimitPrediction, list[PathRow]]:
+    """Checkpoint table for path 0 of this urn config's ensemble.
 
     Regimes without a distributional scaling fall back to unit weights
     around the target (or around 0 when no target exists), so the command
-    remains usable for singular and degenerate matrices.
+    remains usable for singular and degenerate matrices.  Raises
+    ConfigError for a synthetic config.
     """
-    # the ensemble's validation: positive counts, exact-count horizon
-    config = EnsembleConfig(
-        matrix=m, w0=w0, b0=b0, horizon=horizon, paths=1,
-        master_seed=master_seed, checkpoint_factor=checkpoint_factor,
-    )
+    data = _path_trace(config, 0)
     pred, (sx, sy), center = _prediction_and_scaling(
-        m, forced_scaling, forced_center
+        config.matrix, config.forced_scaling, config.forced_center
     )
-    (data,) = _traces(config, range(1))
-    drift = drift_from_matrix(m)
+    drift = drift_from_matrix(config.matrix)
     rated = pred.p is not None and pred.gamma_hat is not None
     rows = []
     for n, x, t, x_prev in zip(data.ns.tolist(), data.x, data.t, data.x_prev):

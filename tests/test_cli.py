@@ -362,7 +362,10 @@ class TestPath:
         assert out.endswith("\n")
         table = parse_path_table(out)
         _, rows = inspect_path(
-            ReplacementMatrix(4, 5, 3, 2), 1.0, 1.0, 16, 5
+            EnsembleConfig(
+                matrix=ReplacementMatrix(4, 5, 3, 2), horizon=16, paths=1,
+                master_seed=5,
+            )
         )
         assert [int(r[0]) for r in table] == [row.n for row in rows]
         assert [int(r[0]) for r in table] == [1, 2, 4, 8, 16]
@@ -389,6 +392,11 @@ class TestPath:
         assert code == 1
         assert out == ""
         assert "initial counts must be positive" in err
+
+    def test_paths_option_is_gone(self, capsys):
+        # the table is always path 0's; a path count would be ignored
+        err = usage_error(capsys, "path", "-m", "4,5,3,2", "--paths", "3")
+        assert "unrecognized arguments: --paths 3" in err
 
     def test_out_file_equals_stdout(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("URNSA_OUT_DIR", str(tmp_path))

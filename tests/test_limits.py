@@ -294,6 +294,14 @@ class TestVarianceAlpha0:
         with pytest.raises(RegimeError, match="not balanced"):
             variance_alpha0(ReplacementMatrix(2e-13, 1e-13, 1e-13, 5e-14))
 
+    def test_overflowing_variance_raises(self):
+        # the unit matrix keeps 2^256 entries, so the four-factor products
+        # overflow; classify's own arithmetic stays finite
+        m = ReplacementMatrix(2.0**-1030, 2.0**300, 2.0**300, 2.0**-1030)
+        with pytest.raises(ConfigError, match="not a finite double"):
+            variance_alpha0(m)
+        assert classify(m).predicted_variance == pytest.approx(1.0 / 12.0)
+
     def test_value_does_not_depend_on_the_scale(self):
         small = ReplacementMatrix(*(math.ldexp(v, -60) for v in (2, 1, 1, 2)))
         assert variance_alpha0(small) == variance_alpha0(ReplacementMatrix(2, 1, 1, 2))

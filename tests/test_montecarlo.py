@@ -50,7 +50,7 @@ from urnsa import (
     values_csv,
     weight,
 )
-from urnsa import acceptance, montecarlo
+from urnsa import acceptance, cli, montecarlo
 from urnsa.urn import COUNT_LIMIT
 
 from sa_helpers import synthetic_step
@@ -349,9 +349,7 @@ class TestEnsembleConfig:
         res = run_ensemble(replace(cfg, forced_center=0.5))
         assert res.prediction.regime is Regime.NOT_APPLICABLE
         assert np.array_equal(res.values, res.final_x - 0.5)
-        pred, rows = inspect_path(
-            m, 1.0, 1.0, 16, 0, forced_scaling=(0.0, 0.0), forced_center=0.5
-        )
+        pred, rows = inspect_path(replace(cfg, forced_center=0.5))
         assert pred.regime is Regime.NOT_APPLICABLE
         assert rows[-1].x == res.final_x[0]
 
@@ -453,13 +451,13 @@ class TestKernelEquivalence:
             mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 10)
             res = run_ensemble(cfg)
             traces = montecarlo._traces(cfg, range(3))
-        for i, data in enumerate(traces):
+        for i in range(3):
             _, states = run_path_scalar(m, w0, b0, 40, rng.path_key(seed, i))
             assert res.final_x[i] == states[-1].fraction
-            for j, n in enumerate(data.ns):
-                assert data.x[j] == states[n].fraction
-                assert data.t[j] == states[n].total
-                assert data.x_prev[j] == states[n - 1].fraction
+            for j, n in enumerate(traces.ns):
+                assert traces.x[j, i] == states[n].fraction
+                assert traces.t[j, i] == states[n].total
+                assert traces.x_prev[j, i] == states[n - 1].fraction
 
     def _check_urn(self, m, w0, b0):
         horizon, paths, seed = 300, 7, 2024
@@ -530,6 +528,26 @@ class TestKernelEquivalence:
         assert last.x[-1] == res.final_x[-1]
         with pytest.raises(IndexError):
             res.path_checkpoints(cfg.paths)
+
+    def test_replay_record_columns_are_path_traces(self, toy_matrix, monkeypatch):
+        """Column i of one replay of every path is path i's own trace, on
+        whichever side of a chunk seam the ensemble stepped it."""
+        split_into(monkeypatch, 3)
+        cfg = EnsembleConfig(
+            matrix=toy_matrix, w0=1, b0=1, horizon=200, paths=23, master_seed=11,
+        )
+        res = run_ensemble(cfg)
+        traces = montecarlo._traces(cfg, range(cfg.paths))
+        assert traces.x.shape == (len(res.checkpoints), cfg.paths)
+        assert np.array_equal(traces.x[-1], res.final_x)
+        for i in range(cfg.paths):
+            data = res.path_checkpoints(i)
+            assert np.array_equal(traces.ns, data.ns)
+            for record, trace in (
+                (traces.x, data.x), (traces.t, data.t), (traces.x_prev, data.x_prev)
+            ):
+                assert trace.ndim == 1
+                assert record[:, i].tobytes() == trace.tobytes()
 
     @staticmethod
     def _assert_trace_matches_scalar(res, i):
@@ -1017,13 +1035,17 @@ class TestSyntheticMoments:
         assert last.variance == res.moments.variance
 
 
+def path_config(m: ReplacementMatrix, horizon: int) -> EnsembleConfig:
+    return EnsembleConfig(matrix=m, horizon=horizon, paths=1, master_seed=0)
+
+
 class TestInspectPath:
     def test_rows_match_ensemble_path_zero(self, toy_matrix):
         horizon, seed = 64, 13
-        pred, rows = inspect_path(toy_matrix, 1.0, 1.0, horizon, seed)
         cfg = EnsembleConfig(
             matrix=toy_matrix, w0=1, b0=1, horizon=horizon, paths=2, master_seed=seed
         )
+        pred, rows = inspect_path(cfg)
         res = run_ensemble(cfg)
         assert pred.regime is res.prediction.regime
         assert [r.n for r in rows] == res.checkpoints
@@ -1043,26 +1065,27 @@ class TestInspectPath:
         still has a restoring strength."""
         s = 2.0**-50
         small = ReplacementMatrix(*(v * s for v in toy_matrix.entries()))
-        _, rows = inspect_path(toy_matrix, 1.0, 1.0, 4096, 13)
-        _, small_rows = inspect_path(small, s, s, 4096, 13)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=4096, paths=1, master_seed=13)
+        _, rows = inspect_path(cfg)
+        _, small_rows = inspect_path(replace(cfg, matrix=small, w0=s, b0=s))
         assert len(rows) == 13
         assert small_rows == rows
 
     def test_unscaled_regime_falls_back_to_unit_weights(self):
-        pred, rows = inspect_path(ReplacementMatrix(2, 2, 1, 1), 1.0, 1.0, 32, 0)
+        pred, rows = inspect_path(path_config(ReplacementMatrix(2, 2, 1, 1), 32))
         assert pred.regime is Regime.SINGULAR_MONOTONE
         for row in rows:
             assert row.scaled == row.x - 0.5
 
     def test_zero_drift_fallback_centers_at_zero(self):
-        pred, rows = inspect_path(ReplacementMatrix(1, 0, 0, 1), 1.0, 1.0, 32, 0)
+        pred, rows = inspect_path(path_config(ReplacementMatrix(1, 0, 0, 1), 32))
         assert pred.regime is Regime.ZERO_DRIFT_BETA
         for row in rows:
             assert row.scaled == row.x
             assert row.gamma_hat_n is None
 
     def test_zero_horizon_row(self, toy_matrix):
-        _, rows = inspect_path(toy_matrix, 1.0, 1.0, 0, 0)
+        _, rows = inspect_path(path_config(toy_matrix, 0))
         assert len(rows) == 1
         assert rows[0].n == 0
         assert rows[0].x == 0.5
@@ -1077,14 +1100,23 @@ class TestInspectPath:
         ],
     )
     def test_refuses_what_the_ensemble_refuses(
-        self, toy_matrix, w0, b0, horizon, message
+        self, toy_matrix, w0, b0, horizon, message, capsys
     ):
         with pytest.raises(ConfigError, match=message):
             EnsembleConfig(
                 matrix=toy_matrix, w0=w0, b0=b0, horizon=horizon, paths=1
             )
-        with pytest.raises(ConfigError, match=message):
-            inspect_path(toy_matrix, w0, b0, horizon, 0)
+        argv = ["path", "-m", "4,5,3,2", f"--w0={w0}", f"--b0={b0}"]
+        assert cli.main([*argv, f"--horizon={horizon}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+    def test_synthetic_config_refused(self):
+        proc = SyntheticProcess(big_gamma=1.0, sigma2=1.0)
+        cfg = EnsembleConfig(synthetic=proc, horizon=16, paths=1, master_seed=0)
+        with pytest.raises(ConfigError, match="only for urn runs"):
+            inspect_path(cfg)
 
 
 SUMMARY_SCHEMA = {

@@ -185,6 +185,13 @@ class TestDrift:
         scaled = DriftPoly(f.quad * factor, f.lin * factor, f.const * factor)
         assert stable_zeros(scaled) == stable_zeros(f)
 
+    def test_infinite_coefficient_raises_config_error(self):
+        # the row sums overflow, so the drift's coefficients do too
+        m = ReplacementMatrix(1e308, 1e308, 1, 1)
+        with pytest.raises(ConfigError, match="must be finite"):
+            stable_zeros(drift_from_matrix(m))
+        assert classify(m).regime is Regime.SINGULAR_MONOTONE
+
     def test_linear_unstable_root(self):
         roots = stable_zeros(DriftPoly(quad=0.0, lin=2.0, const=-1.0))
         assert [r.stability for r in roots] == ["unstable"]

@@ -15,18 +15,26 @@ and montecarlo._MIN_CHUNK_PATH_STEPS:
    chunks, the second stepped in a forked worker process, to find where
    splitting starts to pay;
 4. the same comparison at short horizons, in ms per run, to find how many
-   path-steps a chunk needs to pay for its fork.
+   path-steps a chunk needs to pay for its fork;
+5. montecarlo._URN_BLOCK_ROWS, the integer urn kernel's rows per block:
+   one single-chunk run per benchmark shape at each row count, in seconds
+   per run (the median of --repeats runs), and the ambiguous draws per
+   block, the draws that the block's bounds leave to be decided exactly.
+   The synthetic shape does not run that kernel; its column is a control.
 
 Chunk counts are forced by patching montecarlo._usable_cores (and
 lowering montecarlo._MIN_CHUNK_PATHS and _MIN_CHUNK_PATH_STEPS for steps 3
-and 4), not by the machine.
+and 4), not by the machine.  Step 5 counts ambiguous draws in one more run
+per shape, with montecarlo._resolve and _word_thresholds wrapped.
 It prints the usable core count and the L2 cache size first, read from
 the affinity mask and /sys/devices/system/cpu/cpu0/cache; it sets nothing
 on the machine.  The constants are restored before it exits.
 
     PYTHONPATH=src python3 scripts/block_sweep.py [--repeats 3] [--min-exp 12] [--max-exp 21]
+    PYTHONPATH=src python3 scripts/block_sweep.py --only-rows [--repeats 5]
 
-Takes a few minutes at the defaults on a 2-core machine.
+Takes a few minutes at the defaults on a 2-core machine; --only-rows runs
+step 5 alone.
 """
 
 import argparse
@@ -109,12 +117,69 @@ def rate(shape: dict, repeats: int, workers: int = 1) -> float:
     return shape["paths"] * shape["horizon"] / seconds / 1e6
 
 
+ROW_COUNTS = (16, 32, 48, 64, 96, 128, 192, 255)
+
+
+def ambiguous_per_block(shape: dict) -> float:
+    """Ambiguous draws per block of one single-chunk run of an urn shape."""
+    cfg = EnsembleConfig(master_seed=SEED, **shape)
+    resolve, word_thresholds = montecarlo._resolve, montecarlo._word_thresholds
+    saved = (montecarlo._usable_cores, resolve, word_thresholds)
+    seen = {"draws": 0, "blocks": 0}
+
+    def resolving(counts, s, row, col, base, u, size):
+        seen["draws"] += row.size
+        return resolve(counts, s, row, col, base, u, size)
+
+    def thresholds(*args):
+        seen["blocks"] += 1
+        return word_thresholds(*args)
+
+    montecarlo._usable_cores = lambda: 1
+    montecarlo._resolve, montecarlo._word_thresholds = resolving, thresholds
+    try:
+        montecarlo.run_ensemble(cfg)
+    finally:
+        (
+            montecarlo._usable_cores,
+            montecarlo._resolve,
+            montecarlo._word_thresholds,
+        ) = saved
+    return seen["draws"] / seen["blocks"]
+
+
+def block_rows_step(repeats: int) -> None:
+    saved = montecarlo._URN_BLOCK_ROWS
+    print(f"\ninteger urn kernel rows per block (current {saved}), one chunk: "
+          f"s/run (median of {repeats}) and ambiguous draws per block")
+    print(f"{'rows':>6}" + "".join(f"{n:>24}" for n in SHAPES))
+    try:
+        for rows in ROW_COUNTS:
+            montecarlo._URN_BLOCK_ROWS = rows
+            cells = []
+            for shape in SHAPES.values():
+                seconds = time_ensemble(shape, repeats)
+                if "matrix" in shape:
+                    cells.append(f"{seconds:.3f} s {ambiguous_per_block(shape):9.1f}")
+                else:
+                    cells.append(f"{seconds:.3f} s {'-':>9}")
+            print(f"{rows:>6}" + "".join(f"{c:>24}" for c in cells))
+    finally:
+        montecarlo._URN_BLOCK_ROWS = saved
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--min-exp", type=int, default=12)
     ap.add_argument("--max-exp", type=int, default=21)
+    ap.add_argument("--only-rows", action="store_true",
+                    help="run step 5, the urn kernel's rows per block, alone")
     args = ap.parse_args()
+    if args.only_rows:
+        print(machine())
+        block_rows_step(args.repeats)
+        return
     budgets = [1 << e for e in range(args.min_exp, args.max_exp + 1)]
     saved = (
         montecarlo._BLOCK_ELEMENTS,
@@ -171,6 +236,8 @@ def main() -> None:
                 two = time_ensemble(shape, args.repeats, workers=2) * 1e3
                 print(f"{paths:>8} {horizon:>8} {paths * horizon // 2:>12} "
                       f"{one:>9.1f} {two:>9.1f} {one / two:>6.2f}")
+
+        block_rows_step(args.repeats)
     finally:
         (
             montecarlo._BLOCK_ELEMENTS,

@@ -2,8 +2,10 @@
 
 Each criterion is a self-contained function returning a CriterionResult;
 run_suite executes a named subset and prints one verdict line per
-criterion.  Tolerances are part of the contract and are deliberately
-hard-coded here rather than configurable.
+criterion, and each criterion's wall seconds on a line of its own to
+stderr, so the verdict lines stay byte-stable.  Tolerances are part of
+the contract and are deliberately hard-coded here rather than
+configurable.
 
 The full suite is several minutes of compute; the quick
 suite covers the exact invariants and determinism checks in seconds.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
@@ -461,7 +464,9 @@ QUICK_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 def run_suite(
     suite: str = "full", stream: TextIO | None = None
 ) -> list[CriterionResult]:
-    """Run the acceptance criteria, printing one verdict line each."""
+    """Run the acceptance criteria, printing one verdict line each to
+    stream (stdout by default) and, after it, the criterion's wall seconds
+    to stderr."""
     if stream is None:
         stream = sys.stdout
     if suite == "full":
@@ -472,7 +477,11 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}")
     results = []
     for fn in criteria:
+        start = time.perf_counter()
         result = fn()
+        seconds = time.perf_counter() - start
         print(result.line(), file=stream, flush=True)
+        line = f"[{result.number}] {result.name}: {seconds:.1f} s"
+        print(line, file=sys.stderr, flush=True)
         results.append(result)
     return results

@@ -12,15 +12,19 @@ chunks reach it, so a result keeps only the final X_n and scaled values; a
 path's full trace is replayed from its key.  Urn and synthetic runs share
 one pipeline once their source is resolved.
 
-The per-step urn update is vectorized across the paths of a chunk and
-reproduces the scalar urn_step decision for decision (white iff u < W/T).
-With integer entries and counts the kernel steps the white-draw count and
-derives the counts from it; otherwise it advances them by matrix rows.
-The synthetic update reads only the sign of each draw against 1/2
-(rng.sign_block) and adds +-step exactly as the scalar branch does.  Both
-kernels draw their rows through one block loop (_draw_rows) that differs
-only in its fill: uniform_block for the urn, sign_block then one copysign
-per block for the synthetic recursion.
+The urn kernels are vectorized across the paths of a chunk and reproduce
+the scalar urn_step decision for decision (white iff u < W/T).  With
+integer entries and counts the kernel steps the white-draw count k a block
+of draws at a time: bounds on X over the block and the top 31 bits of each
+draw's sign_block word decide most draws at once, and only the draws near
+their threshold are finished to uniforms and stepped exactly
+(_integer_urn_states).  Fractional entries or counts advance the counts by
+matrix rows, one draw at a time.  The synthetic update reads only the sign
+of each draw against 1/2 (rng.sign_block) and adds +-step exactly as the
+scalar branch does.  The fractional urn and the synthetic kernels draw
+their rows through one block loop (_draw_rows) that differs only in its
+fill: uniform_block for the urn, sign_block then one copysign per block
+for the synthetic recursion.
 """
 from __future__ import annotations
 
@@ -73,12 +77,32 @@ _MIN_CHUNK_PATH_STEPS = 1 << 21
 # benchmark shapes ran within noise of their best there.
 _BLOCK_ELEMENTS = 1 << 16
 # Bytes per path that a run holds at once, at least, summed over the calling
-# process and its workers: its key (8), the urn kernel's w, t, x and k or
-# black tally (4 x 8) and white mask (1), its share of the RNG block and
-# scratch (2 x 8 once a chunk's paths fill a block row), and the runner's
-# checkpoint row and scaled values (2 x 8).  The caller's receive buffers
-# (8) hold only the workers' paths, so they do not raise this lower bound.
-_PATH_BYTES = 73
+# process and its workers.  Every run holds the path's key (8) and the
+# runner's checkpoint row and scaled values (2 x 8).  An urn run adds 64: the
+# integer block kernel's k, X_n, T_n, X_{n-1}, corner bounds lo and hi
+# (6 x 8) and word thresholds (2 x 8); the fractional kernel holds more (w,
+# t, black tally, X_n, X_{n-1} and scratch, white mask, and a share of at
+# least one row of the RNG block and scratch).  A synthetic run adds z and
+# its share of the RNG block and scratch (3 x 8).  The integer kernel's
+# panels hold at most _BLOCK_ELEMENTS words however many paths run, and the
+# caller's receive buffers (8) only the workers' paths, so neither raises
+# these lower bounds.
+_PATH_BYTES = 88
+_SYNTHETIC_PATH_BYTES = 48
+# Draws per block of the integer urn kernel, at most 255 so that a column's
+# counts over a block fit uint8.  More rows share a block's bounds among
+# more draws but widen them: ambiguous draws per block grow about as rows^2.
+# In two runs of scripts/block_sweep.py step 5 (one chunk, medians of 5,
+# 2-core Xeon, 2 MiB L2 per core, shared) 64 rows ran urn-wide in 0.90 and
+# 1.00 s (0.80-1.00 s from 16 to 128 rows) and urn-narrow in 0.23 and
+# 0.21 s (0.16-0.24 s from 48 to 128 rows), while 16 rows ran urn-narrow in
+# 0.33-0.47 s and 192-255 rows urn-wide in 1.00-1.24 s.  The synthetic
+# shape, which never runs this kernel, spread 0.34-0.48 s over the same
+# runs, so the flat middle is noise.  At 64 rows 0.63% (urn-wide) and 0.73%
+# (urn-narrow) of the draws were ambiguous.
+_URN_BLOCK_ROWS = 64
+# the scale of a uniform's top 31 bits, which sign_block's words hold final
+_TOP_BITS = 2.0 ** 31
 
 _SCALED_REGIMES = (
     Regime.CLT_SQRT_N,
@@ -113,7 +137,8 @@ class EnsembleConfig:
     """Full identity of one Monte Carlo run.
 
     Exactly one of matrix or synthetic must be set.  A path count whose
-    buffers (_PATH_BYTES each) exceed physical memory is refused.
+    buffers (_PATH_BYTES each, _SYNTHETIC_PATH_BYTES for a synthetic run)
+    exceed physical memory is refused.
     """
 
     matrix: ReplacementMatrix | None = None
@@ -137,9 +162,10 @@ class EnsembleConfig:
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         except (AttributeError, ValueError, OSError):  # not reported: no bound
             memory = None
-        if memory is not None and self.paths * _PATH_BYTES > memory:
+        per_path = _PATH_BYTES if self.matrix is not None else _SYNTHETIC_PATH_BYTES
+        if memory is not None and self.paths * per_path > memory:
             raise ConfigError(
-                f"{self.paths} paths need at least {self.paths * _PATH_BYTES} bytes,"
+                f"{self.paths} paths need at least {self.paths * per_path} bytes,"
                 f" more than the {memory} bytes of physical memory"
             )
         if self.matrix is not None:
@@ -264,7 +290,7 @@ def ks_statistic(values: Sequence[float], cdf: Callable[[float], float]) -> floa
     n = xs.size
     if n < 1:
         raise ConfigError("KS distance needs at least one value")
-    f = np.array([cdf(float(x)) for x in xs])
+    f = np.fromiter(map(cdf, xs.tolist()), np.float64, n)
     i = np.arange(1, n + 1, dtype=np.float64)
     upper = float(np.max(i / n - f))
     lower = float(np.max(f - (i - 1.0) / n))
@@ -388,59 +414,251 @@ def _urn_states(
     keys: np.ndarray,
     cps: list[int],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Step the urn paths with these keys; yield (W_n, T_n, X_{n-1}) at
+    """Step the urn paths with these keys; yield (X_n, T_n, X_{n-1}) at
     each checkpoint n (X_{n-1} is NaN at n = 0).
 
     The yielded arrays are the kernel's live buffers: read or copy them
-    before asking for the next checkpoint.  Each of the two step loops,
-    chosen once, leaves W_n, T_n in w, t and X_{n-1} in x, and writes x
-    before reading it, so a caller may overwrite x.
+    before asking for the next checkpoint.  Integer entries and counts
+    run the block kernel (_integer_urn_states); fractional ones step one
+    draw at a time.
     """
+    if all(float(v).is_integer() for v in (*m.entries(), w0, b0)):
+        yield from _integer_urn_states(_Counts(m, w0, b0), keys, cps)
+        return
+    # fractional entries or counts: tally black separately so the total
+    # keeps the scalar grouping (w + a) + (black + b)
+    a, b, c, d = m.entries()
     size = keys.size
     w = np.full(size, w0, dtype=np.float64)
+    bl = np.full(size, b0, dtype=np.float64)
     t = np.full(size, w0 + b0, dtype=np.float64)
     x = np.full(size, np.nan)
+    x_now = np.empty(size)
     white = np.empty(size, dtype=bool)
-    a, b, c, d = m.entries()
-    if all(float(v).is_integer() for v in (a, b, c, d, w0, b0)):
-        # W_n = (a-c) k + w0 + c n and T_n = -alpha k + w0 + b0 + (c+d) n
-        # from the white-draw count k: every term is an integer below
-        # COUNT_LIMIT, so W_n, T_n and X_n equal urn_step's bit for bit
-        k = np.zeros(size)
-        a_c, neg_alpha, t0, row_b = a - c, -m.alpha, w0 + b0, c + d
-
-        def advance(rows: Iterator[tuple[int, np.ndarray]]) -> None:
-            for n, u in rows:
-                np.divide(w, t, out=x)
-                np.less(u, x, out=white)
-                np.add(k, white, out=k)
-                np.multiply(k, a_c, out=w)
-                np.add(w, w0 + c * n, out=w)
-                np.multiply(k, neg_alpha, out=t)
-                np.add(t, t0 + row_b * n, out=t)
-
-    else:
-        # fractional entries or counts: tally black separately so the total
-        # keeps the scalar grouping (w + a) + (black + b)
-        bl = np.full(size, b0, dtype=np.float64)
-        tmp = np.empty(size, dtype=np.float64)
-
-        def advance(rows: Iterator[tuple[int, np.ndarray]]) -> None:
-            for _, u in rows:
-                np.divide(w, t, out=x)
-                np.less(u, x, out=white)
-                tmp.fill(c)
-                np.copyto(tmp, a, where=white)
-                np.add(w, tmp, out=w)
-                tmp.fill(d)
-                np.copyto(tmp, b, where=white)
-                np.add(bl, tmp, out=bl)
-                np.add(w, bl, out=t)
-
+    tmp = np.empty(size, dtype=np.float64)
     rows = _draw_rows(keys, 1, horizon, rng.uniform_block)
     for prev, n in zip([0, *cps], cps):
-        advance(itertools.islice(rows, n - prev))
-        yield w, t, x
+        for _, u in itertools.islice(rows, n - prev):
+            np.divide(w, t, out=x)
+            np.less(u, x, out=white)
+            tmp.fill(c)
+            np.copyto(tmp, a, where=white)
+            np.add(w, tmp, out=w)
+            tmp.fill(d)
+            np.copyto(tmp, b, where=white)
+            np.add(bl, tmp, out=bl)
+            np.add(w, bl, out=t)
+        yield np.divide(w, t, out=x_now), t, x
+
+
+class _Counts:
+    """W and T of an integer urn's state (n, k): n draws, k of them white.
+
+    W = w0 + c n + (a-c) k and T = w0 + b0 + (c+d) n - alpha k.  Every
+    term is an integer below COUNT_LIMIT (EnsembleConfig's guard), so any
+    grouping of them is exact and W/T equals urn_step's fraction bit for
+    bit.  The block kernel computes every X it compares or yields (block
+    corners, ambiguous draws, checkpoint rows) through fraction.
+    """
+
+    def __init__(self, m: ReplacementMatrix, w0: float, b0: float):
+        a, b, c, d = m.entries()
+        self._start = (w0, w0 + b0)
+        self._per_draw = (c, c + d)
+        self._per_white = (a - c, -m.alpha)
+
+    def at(self, n, k: int = 0):
+        """(W, T) at n draws with k white; n is a number or an array."""
+        return tuple(
+            s + q * k + p * n
+            for s, p, q in zip(self._start, self._per_draw, self._per_white)
+        )
+
+    def fraction(self, k, at, out=None, t=None):
+        """(X, T) with k more white draws than the state whose (W, T) is
+        `at`; X is written to out and T to t where they are given."""
+        w_at, t_at = at
+        t = np.multiply(k, self._per_white[1], out=t)
+        t += t_at
+        w = np.multiply(k, self._per_white[0], out=out)
+        w += w_at
+        return np.divide(w, t, out=w), t
+
+
+def _integer_urn_states(
+    counts: _Counts, keys: np.ndarray, cps: list[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """_urn_states for an integer urn, stepping the white-draw count k of
+    every path a block of up to _URN_BLOCK_ROWS draws at a time.
+
+    Draws s+1..e+1 of a block read states (n, k) with s <= n <= e and
+    k0 <= k <= k0 + n - s.  X is a ratio of two affine functions of
+    (n, k) with T > 0, so over that triangle it is extreme at a corner:
+    (s, k0), (e, k0) or (e, k0 + e - s); rounding is monotone, so the
+    corners' doubles lo <= hi bound every X the block compares against.
+    A draw's sign_block word holds the final top 31 bits q of its
+    uniform u, and q 2^-31 <= u < (q+1) 2^-31, so the word alone decides
+    white where (q+1) 2^-31 <= lo and black where q 2^-31 >= hi.  A block
+    is filled and compared a panel of columns at a time, at most
+    _BLOCK_ELEMENTS words, so it stays in cache whatever its row count;
+    each panel's ambiguous draws are finished to uniforms
+    (_ambiguous_draws), and those of several panels are decided exactly
+    at once (_resolve).  Blocks end at n - 1 and at n for each
+    checkpoint n, which yields X_{n-1} from k_{n-1}.
+    """
+    size = keys.size
+    rows_max = _URN_BLOCK_ROWS
+    width = min(size, max(1, _BLOCK_ELEMENTS // rows_max))
+    # each mask row is padded to whole uint64 words, so that a uint64 view
+    # adds eight columns' uint8 counts at once, one per byte lane
+    padded = -(-width // 8) * 8
+    k = np.zeros(size)
+    x, t, lo, hi = (np.empty(size) for _ in range(4))
+    x_prev = np.full(size, np.nan)
+    below, above = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    block = np.empty(rows_max * width)
+    scratch = np.empty(rows_max * width, dtype=np.uint64)
+    white = np.zeros((rows_max, padded), dtype=bool)
+    ambiguous = np.zeros((rows_max, padded), dtype=bool)
+    lanes = np.empty((rows_max, padded // 8), dtype=np.uint64)
+
+    def thresholds(s: int, rows: int) -> None:
+        """below and above for draws s+1..s+rows, from X at the corners."""
+        e = s + rows - 1
+        counts.fraction(k, counts.at(s), out=lo, t=t)
+        counts.fraction(k, counts.at(e), out=hi, t=t)
+        counts.fraction(k, counts.at(e, rows - 1), out=x, t=t)
+        np.minimum(lo, hi, out=t)
+        np.maximum(lo, hi, out=hi)
+        np.minimum(t, x, out=lo)
+        np.maximum(hi, x, out=hi)
+        _word_thresholds(lo, hi, below, above)
+
+    def advance(first: int, last: int) -> None:
+        """Step k from n = first to n = last."""
+        for s in range(first, last, rows_max):
+            rows = min(rows_max, last - s)
+            thresholds(s, rows)
+            sure = white[:rows]
+            unsure = ambiguous[:rows]
+            draws, pending = [], 0
+            for c0 in range(0, size, width):
+                c1 = min(c0 + width, size)
+                cols = c1 - c0
+                z = rng.sign_block(
+                    keys[c0:c1], s + 1, rows,
+                    out=block[: rows * cols].reshape(rows, cols), scratch=scratch,
+                ).view(np.uint64)
+                np.less(z, below[c0:c1], out=sure[:, :cols])
+                np.less_equal(z, above[c0:c1], out=unsure[:, :cols])
+                if cols < padded:
+                    sure[:, cols:] = False
+                    unsure[:, cols:] = False
+                np.logical_xor(unsure, sure, out=unsure)
+                # sure whites in rows <= r, per column: row r of a running sum
+                whites = np.add.accumulate(
+                    sure.view(np.uint64), axis=0, out=lanes[:rows]
+                ).view(np.uint8)
+                kp = k[c0:c1]
+                at = np.flatnonzero(unsure)
+                if at.size:
+                    draws.append(_ambiguous_draws(z, whites, at, kp, c0))
+                    pending += at.size
+                kp += whites[-1, :cols]
+                # decide ambiguous draws a batch of panels at a time; a batch
+                # closes once it holds _BLOCK_ELEMENTS / 8 draws, so that its
+                # arrays stay near a panel's size whatever the path count
+                if pending >= _BLOCK_ELEMENTS // 8 or (c1 == size and draws):
+                    batch = map(np.concatenate, zip(*draws))
+                    np.add(k, _resolve(counts, s, *batch, size), out=k)
+                    draws, pending = [], 0
+
+    n = 0
+    for cp in cps:
+        if cp > n:
+            advance(n, cp - 1)
+            counts.fraction(k, counts.at(cp - 1), out=x_prev, t=t)
+            advance(cp - 1, cp)
+            n = cp
+        counts.fraction(k, counts.at(n), out=x, t=t)
+        yield x, t, x_prev
+
+
+def _word_thresholds(
+    lo: np.ndarray, hi: np.ndarray, below: np.ndarray, above: np.ndarray
+) -> None:
+    """Turn bounds lo <= X <= hi into uint64 thresholds on sign_block
+    words: u < lo for every word < below, u >= hi for every word > above.
+    lo and hi are overwritten.
+
+    A word's top 31 bits q give q 2^-31 <= u < (q+1) 2^-31.  So
+    below = floor(lo 2^31) 2^33, capped at (2^31 - 1) 2^33 so that it fits
+    uint64 (lo = 1.0 leaves the top bucket ambiguous), and
+    above = ceil(hi 2^31) 2^33 - 1, which is 2^64 - 1, above every word,
+    where hi 2^31 rounds up to 2^31.
+    """
+    np.multiply(lo, _TOP_BITS, out=lo)
+    np.floor(lo, out=lo)
+    np.minimum(lo, _TOP_BITS - 1, out=lo)
+    np.copyto(below, lo, casting="unsafe")
+    below <<= np.uint64(33)
+    np.multiply(hi, _TOP_BITS, out=hi)
+    np.ceil(hi, out=hi)
+    hi -= 1.0
+    np.copyto(above, hi, casting="unsafe")
+    above <<= np.uint64(33)
+    above |= np.uint64((1 << 33) - 1)
+
+
+def _ambiguous_draws(
+    z: np.ndarray, whites: np.ndarray, at: np.ndarray, k: np.ndarray, c0: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, base, u) of a panel's ambiguous draws, in row order.
+
+    z holds the panel's sign_block words, one column per path from path
+    c0 on; at holds the ambiguous draws' flat indices in the masks, padded
+    as whites is, which counts each column's sure whites in rows <= r; k
+    holds the panel's white draws before the block.  base is k plus the
+    sure whites above the draw, u its finished uniform.
+    """
+    row, col = np.divmod(at, whites.shape[1])
+    base = k[col] + whites.ravel()[at]
+    u = rng._finish_uniforms(z[row, col])
+    return row, col + c0, base, u
+
+
+def _resolve(
+    counts: _Counts,
+    s: int,
+    row: np.ndarray,
+    col: np.ndarray,
+    base: np.ndarray,
+    u: np.ndarray,
+    size: int,
+) -> np.ndarray:
+    """White draws per path among a batch of a block's ambiguous draws,
+    as _ambiguous_draws found them for draws s+1.. of `size` paths, each
+    column's in row order.  A column's draws are decided in that order,
+    the m-th of every column at once: each reads base plus the ones
+    already found white.
+    """
+    # rank each draw in its column: sorted by column, a draw's position
+    # less its column's first
+    by_column = np.argsort(col, kind="stable")
+    sorted_col = col[by_column]
+    index = np.arange(col.size)
+    first = np.ones(col.size, dtype=bool)
+    np.not_equal(sorted_col[1:], sorted_col[:-1], out=first[1:])
+    rank = index - np.maximum.accumulate(index * first)
+    order = by_column[np.argsort(rank, kind="stable")]
+    row, col, base, u = row[order], col[order], base[order], u[order]
+    w_at, t_at = counts.at(s + row)
+    found = np.zeros(size)
+    for lo, hi in itertools.pairwise([0, *np.cumsum(np.bincount(rank))]):
+        c = col[lo:hi]
+        x, _ = counts.fraction(base[lo:hi] + found[c], (w_at[lo:hi], t_at[lo:hi]))
+        found[c] += u[lo:hi] < x
+    return found
 
 
 def _run_synthetic_chunk(
@@ -486,11 +704,9 @@ def _traces(config: EnsembleConfig, indices: range) -> PathCheckpointData:
     keys = rng.path_keys(config.master_seed, indices.start, len(indices))
     rows = [np.empty((len(cps), keys.size)) for _ in range(3)]
     m, w0, b0 = config.matrix, config.w0, config.b0
-    for ci, (w, t, x_prev) in enumerate(
-        _urn_states(m, w0, b0, config.horizon, keys, cps)
-    ):
-        np.divide(w, t, out=rows[0][ci])
-        rows[1][ci], rows[2][ci] = t, x_prev
+    for ci, state in enumerate(_urn_states(m, w0, b0, config.horizon, keys, cps)):
+        for row, value in zip(rows, state):
+            row[ci] = value
     return PathCheckpointData(np.asarray(cps, dtype=np.int64), *rows)
 
 
@@ -575,8 +791,8 @@ def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
         raise ConfigError("forced scaling needs a center for this regime")
 
     def kernel(keys: np.ndarray) -> Iterator[np.ndarray]:
-        for w, t, x in _urn_states(m, w0, b0, horizon, keys, cps):
-            yield np.divide(w, t, out=x)
+        for x, _, _ in _urn_states(m, w0, b0, horizon, keys, cps):
+            yield x
 
     return _Source(
         kernel=kernel,
@@ -884,7 +1100,5 @@ def summary_json(result: EnsembleResult) -> str:
 
 def values_csv(result: EnsembleResult) -> str:
     """Per-path scaled values, shortest round-trip decimal, LF endings."""
-    lines = ["path_id,z_value"]
-    for i, v in enumerate(result.values):
-        lines.append(f"{i},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{i},{v!r}\n" for i, v in enumerate(result.values.tolist())]
+    return "".join(["path_id,z_value\n", *rows])

@@ -19,14 +19,21 @@ caller may pass as scratch= so that refilling the same buffers allocates
 nothing of the block's size.  A buffer of the wrong dtype, layout or size
 raises ValueError.  The values do not depend on which form is used.
 
-sign_block serves callers that only ask whether a draw is below 1/2.  It
-takes the same arguments and buffers but stops the finalizer after its
-second multiply, leaving each entry's sign bit set exactly when
-uniform_block's draw would be >= 0.5; the entry's other bits mean nothing.
-That stop is exact: the last round, z ^= z >> 31, xors a value whose bit 63
-is 0, so it never changes bit 63, and u = (z >> 11) * 2^-53 < 0.5 holds
-exactly when bit 63 is 0.  Skipping that round and the int-to-float step
-leaves 7 of uniform_block's 11 passes over the block.
+sign_block serves callers that need less than the finished draws, such
+as whether each is below 1/2.  It takes the same arguments and buffers but
+stops the finalizer after its second multiply, leaving each entry's sign
+bit set exactly when uniform_block's draw would be >= 0.5.  That stop is
+exact: the last round, z ^= z >> 31, xors a value whose bit 63 is 0, so it
+never changes bit 63, and u = (z >> 11) * 2^-53 < 0.5 holds exactly when
+bit 63 is 0.  Skipping that round and the int-to-float step leaves 7 of
+uniform_block's 11 passes over the block.
+
+More than the sign is final: z ^= z >> 31 xors bits 0-32 only, so bits
+33-63 of each sign_block word, read as uint64, are the top 31 bits of the
+finished word.  A caller may bound each draw from them alone, as
+q * 2^-31 <= u < (q + 1) * 2^-31 with q = word >> 33, and finish only the
+words it cannot decide that way with _finish_uniforms, bit-identical to
+uniform_block.
 """
 from __future__ import annotations
 
@@ -108,13 +115,23 @@ def sign_block(
     sign bits of a float64 block.
 
     Row r column i, read as a float64, has its sign bit set exactly when
-    uniform_draw(keys[i], first_draw + r) >= 0.5; its other bits mean
-    nothing and may read as NaN or inf.  Same shape and buffer contract as
+    uniform_draw(keys[i], first_draw + r) >= 0.5, and may read as NaN or
+    inf.  Read as a uint64, its bits 33-63 are those of the draw's finished
+    word and its other bits are not.  Same shape and buffer contract as
     uniform_block, in 7 of its 11 passes (see the module docstring).
     """
     out, z, t = _counter_block(keys, first_draw, count, out, scratch)
     _premix64_vec(z, t)
     return out
+
+
+def _finish_uniforms(words: np.ndarray) -> np.ndarray:
+    """uniform_block's draws from sign_block words gathered into a 1-D
+    uint64 array: the finalizer's last round, then the int-to-float step.
+    The words are overwritten."""
+    words ^= words >> np.uint64(31)
+    words >>= np.uint64(11)
+    return words * _TO_UNIT
 
 
 def _counter_block(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -494,6 +495,16 @@ class TestVerify:
         assert len(lines) == 2
         assert lines[0].startswith("PASS [7] exact_invariants:")
         assert lines[1].startswith("PASS [9] determinism:")
+
+    def test_quick_suite_times_each_criterion(self, capsys):
+        """Each criterion's wall seconds go to stderr, beside its verdict."""
+        code, out, err = run_cli(capsys, "verify", "--suite", "quick")
+        assert code == 0
+        assert len(out.splitlines()) == 2
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line, name in zip(lines, ("[7] exact_invariants", "[9] determinism")):
+            assert re.fullmatch(rf"{re.escape(name)}: \d+\.\d s", line), line
 
     def test_suite_argument_passthrough(self, capsys, monkeypatch):
         seen: list[str] = []

@@ -300,6 +300,17 @@ class TestEnsembleConfig:
         monkeypatch.delattr(os, "sysconf")
         EnsembleConfig(matrix=toy_matrix, paths=10**13)
 
+    def test_synthetic_memory_bound_boundary(self, monkeypatch):
+        """A synthetic run is bounded by its own, smaller bytes per path."""
+        proc = SyntheticProcess(big_gamma=1.0, sigma2=1.0)
+        size = montecarlo._SYNTHETIC_PATH_BYTES
+        assert size < montecarlo._PATH_BYTES
+        pages = {"SC_PHYS_PAGES": 10, "SC_PAGE_SIZE": size}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
+        EnsembleConfig(synthetic=proc, paths=10)
+        with pytest.raises(ConfigError, match="480 bytes of physical memory"):
+            EnsembleConfig(synthetic=proc, paths=11)
+
     def test_no_thread_count_field(self, toy_matrix):
         assert "threads" not in {f.name for f in fields(EnsembleConfig)}
         with pytest.raises(TypeError):
@@ -379,7 +390,15 @@ class TestKernelEquivalence:
     ):
         counts = self._small_blocks(monkeypatch)
         self._check_urn(m, w0, b0)
-        self._assert_crossed_blocks(counts, steps=300)
+        if all(float(v).is_integer() for v in (*m.entries(), w0, b0)):
+            # the block kernel fills every block in two panels, of 5 and 2
+            # paths: blocks of up to 20 rows, cut at each checkpoint n and
+            # at n - 1, the one-row blocks
+            assert sum(counts) == 2 * 300
+            assert max(counts) == 20
+            assert min(counts) == 1
+        else:
+            self._assert_crossed_blocks(counts, steps=300)
 
     @given(
         st.tuples(*[st.floats(0.0, 8.0)] * 4).filter(
@@ -423,34 +442,82 @@ class TestKernelEquivalence:
             _, states = run_path_scalar(m, w0, b0, 40, rng.path_key(seed, i))
             assert res.final_x[i] == states[-1].fraction
 
-    @given(
-        st.tuples(*[st.integers(0, 9).map(float)] * 4).filter(
-            lambda e: min(e[0] + e[1], e[2] + e[3]) > 0.0
-        ),
-        st.tuples(*[st.integers(1, 10).map(float)] * 2),
-        st.integers(0, 2**64 - 1),
-    )
-    @settings(max_examples=30)
-    @example(entries=(1.0, 6.0, 4.0, 2.0), counts=(3.0, 2.0), seed=5)  # a < c
-    @example(entries=(2.0, 1.0, 2.0, 3.0), counts=(1.0, 4.0), seed=6)  # a = c
-    @example(entries=(2.0, 1.0, 1.0, 2.0), counts=(2.0, 1.0), seed=7)  # alpha = 0
-    @example(entries=(3.0, 0.0, 2.0, 5.0), counts=(4.0, 4.0), seed=8)  # a zero entry
-    # counts at the guard: w0 + b0 + 40 * 9 = COUNT_LIMIT - 1
-    @example(
-        entries=(4.0, 5.0, 3.0, 2.0), counts=(2.0**52, 2.0**52 - 361.0), seed=9
-    )
-    def test_integer_urns_match_scalar_across_blocks(self, entries, counts, seed):
+    def test_integer_urns_match_scalar_across_blocks(self):
+        """The block kernel replays urn_step bit for bit over integer
+        matrices, with 4-row blocks in panels of 2 paths (and 1).  Hooks
+        check the block shape of every example, and that the examples
+        together met ambiguous draws, two of them in one column of one
+        block, and the top-bucket threshold above = 2^64 - 1."""
+        met: set[str] = set()
+
+        @given(
+            st.tuples(*[st.integers(0, 9).map(float)] * 4).filter(
+                lambda e: min(e[0] + e[1], e[2] + e[3]) > 0.0
+            ),
+            st.tuples(*[st.integers(1, 10).map(float)] * 2),
+            st.integers(0, 2**64 - 1),
+        )
+        @settings(max_examples=30)
+        @example(entries=(1.0, 6.0, 4.0, 2.0), counts=(3.0, 2.0), seed=5)  # a < c
+        @example(entries=(2.0, 1.0, 2.0, 3.0), counts=(1.0, 4.0), seed=6)  # a = c
+        @example(entries=(2.0, 1.0, 1.0, 2.0), counts=(2.0, 1.0), seed=7)  # alpha = 0
+        @example(entries=(3.0, 0.0, 2.0, 5.0), counts=(4.0, 4.0), seed=8)  # a zero
+        # counts at the guard: w0 + b0 + 40 * 9 = COUNT_LIMIT - 1
+        @example(
+            entries=(4.0, 5.0, 3.0, 2.0), counts=(2.0**52, 2.0**52 - 361.0), seed=9
+        )
+        # X within 2^-31 of 1: ceil(hi 2^31) = 2^31, the threshold overflow
+        @example(entries=(4.0, 5.0, 3.0, 2.0), counts=(2.0**52, 1.0), seed=10)
+        def check(entries, counts, seed):
+            met.update(self._check_integer_blocks(entries, counts, seed))
+
+        check()
+        assert met == {"ambiguous", "two in a column", "top bucket"}
+
+    @staticmethod
+    def _check_integer_blocks(entries, counts, seed) -> set[str]:
+        """Run one integer urn through the block kernel and check it
+        against urn_step; return what the hooks met."""
         m = ReplacementMatrix(*entries)
         w0, b0 = counts
         cfg = EnsembleConfig(
             matrix=m, w0=w0, b0=b0, horizon=40, paths=3, master_seed=seed,
             forced_scaling=(0.0, 0.0), forced_center=0.5,
         )
+        met: set[str] = set()
+        fills: list[tuple[int, int]] = []
+        sign_block = rng.sign_block
+        resolve = montecarlo._resolve
+        word_thresholds = montecarlo._word_thresholds
+
+        def filling(keys, first_draw, count, **buffers):
+            fills.append((keys.size, count))
+            return sign_block(keys, first_draw, count, **buffers)
+
+        def resolving(counts, s, row, col, base, u, size):
+            met.add("ambiguous")
+            if np.bincount(col).max() >= 2:
+                met.add("two in a column")
+            return resolve(counts, s, row, col, base, u, size)
+
+        def thresholds(lo, hi, below, above):
+            word_thresholds(lo, hi, below, above)
+            if (above == np.uint64(2**64 - 1)).any():
+                met.add("top bucket")
+
         with pytest.MonkeyPatch.context() as mp:
-            # 3 rows of 3 paths per block: 40 steps cross 13 block boundaries
-            mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 10)
+            mp.setattr(montecarlo, "_URN_BLOCK_ROWS", 4)
+            mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 8)  # 2 paths per panel
+            mp.setattr(rng, "sign_block", filling)
+            mp.setattr(montecarlo, "_resolve", resolving)
+            mp.setattr(montecarlo, "_word_thresholds", thresholds)
             res = run_ensemble(cfg)
             traces = montecarlo._traces(cfg, range(3))
+        # every block in two panels; full blocks, and blocks cut short by a
+        # checkpoint n (1 row, from n - 1) or by n - 1 (3 rows, as 13..15)
+        assert {size for size, _ in fills} == {2, 1}
+        assert sum(count for _, count in fills) == 2 * 2 * 40  # run and replay
+        assert {count for _, count in fills} == {1, 3, 4}
         for i in range(3):
             _, states = run_path_scalar(m, w0, b0, 40, rng.path_key(seed, i))
             assert res.final_x[i] == states[-1].fraction
@@ -458,6 +525,30 @@ class TestKernelEquivalence:
                 assert traces.x[j, i] == states[n].fraction
                 assert traces.t[j, i] == states[n].total
                 assert traces.x_prev[j, i] == states[n - 1].fraction
+        return met
+
+    @given(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True))
+    @example(lo=1.0, hi=1.0)
+    @example(lo=1.0 - 2.0**-53, hi=1.0 - 2.0**-40)
+    @example(lo=2.0**-53, hi=0.5)
+    def test_word_thresholds_bound_the_uniforms(self, lo, hi):
+        """Every word below `below` finishes to a uniform < lo, every word
+        above `above` to one >= hi, whatever its low 33 bits; thresholds
+        that would pass 2^64 stay in range."""
+        below, above = np.empty(1, np.uint64), np.empty(1, np.uint64)
+        montecarlo._word_thresholds(np.array([lo]), np.array([hi]), below, above)
+        below, above = int(below[0]), int(above[0])
+        assert below % 2**33 == 0 and below <= (2**31 - 1) * 2**33
+        assert above % 2**33 == 2**33 - 1
+        low_bits = np.array([0, 2**33 - 1, 0x1_5555_5555], dtype=np.uint64)
+        if below > 0:
+            words = np.uint64(below - 2**33) | low_bits
+            assert (rng._finish_uniforms(words) < lo).all()
+        if above < 2**64 - 1:
+            words = np.uint64(above + 1) | low_bits
+            assert (rng._finish_uniforms(words) >= hi).all()
+        else:
+            assert math.ceil(hi * 2**31) == 2**31
 
     def _check_urn(self, m, w0, b0):
         horizon, paths, seed = 300, 7, 2024
@@ -473,12 +564,15 @@ class TestKernelEquivalence:
 
     @staticmethod
     def _small_blocks(monkeypatch) -> list[int]:
-        """Shrink RNG blocks to 14 rows of 7 (or 20 rows of 5) paths.
+        """Shrink RNG blocks to 14 rows of 7 (or 20 rows of 5) paths, and
+        the integer urn kernel's to 20 rows in panels of 5 paths.
 
         Returns the list that records the count of every block drawn, by
-        either fill (the urn kernel's uniforms, the synthetic one's signs).
+        either fill (the fractional urn kernel's uniforms, the integer and
+        synthetic ones' signs).
         """
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 100)
+        monkeypatch.setattr(montecarlo, "_URN_BLOCK_ROWS", 20)
         counts: list[int] = []
 
         def counting(fill):
@@ -781,14 +875,18 @@ class TestForkedWorkers:
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
         cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 10, paths=30_000)
         last_key = rng.path_keys(cfg.master_seed, 20_000, 1)[0]
-        uniform_block = rng.uniform_block
 
-        def failing_block(keys, *args, **kwargs):
-            if keys[0] == last_key:
-                raise RuntimeError("kernel failure in the last chunk")
-            return uniform_block(keys, *args, **kwargs)
+        def failing(fill):
+            def failing_block(keys, *args, **kwargs):
+                if keys[0] == last_key:
+                    raise RuntimeError("kernel failure in the last chunk")
+                return fill(keys, *args, **kwargs)
 
-        monkeypatch.setattr(rng, "uniform_block", failing_block)
+            return failing_block
+
+        # whichever fill the urn kernel draws its words with
+        for name in ("uniform_block", "sign_block"):
+            monkeypatch.setattr(rng, name, failing(getattr(rng, name)))
         _, pids, statuses = record_workers(monkeypatch)
         with pytest.raises(
             UrnsaError, match=r"paths 20000\.\.29999 exited with status 1"
@@ -866,6 +964,15 @@ class TestMemory:
         long = self._traced_peak(EnsembleConfig(**base, horizon=1 << 12))
         assert long - short < chunks * (paths // chunks) * 8
         assert short >= paths * montecarlo._PATH_BYTES
+
+    def test_synthetic_run_holds_its_path_bytes(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MIN_CHUNK_PATH_STEPS", 0)
+        proc = SyntheticProcess(big_gamma=1.0, sigma2=1.0)
+        paths = 20_000
+        peak = self._traced_peak(
+            EnsembleConfig(synthetic=proc, paths=paths, horizon=64, master_seed=3)
+        )
+        assert peak >= paths * montecarlo._SYNTHETIC_PATH_BYTES
 
 
 class TestChunkPlan:

@@ -265,6 +265,27 @@ def test_sign_block_matches_uniform_block_on_random_keys():
     _assert_signs_match_uniforms(keys, 2**40 + 3, 9)
 
 
+def _assert_words_finish_to_uniforms(keys, first_draw, count):
+    u = rng.uniform_block(keys, first_draw, count)
+    words = rng.sign_block(keys, first_draw, count).view(np.uint64)
+    # the top 31 bits bound each draw, and finishing gives it bit for bit
+    top = (words >> np.uint64(33)).astype(np.float64)
+    assert (top * 2.0**-31 <= u).all() and (u < (top + 1.0) * 2.0**-31).all()
+    finished = rng._finish_uniforms(words.ravel().copy()).reshape(u.shape)
+    assert finished.tobytes() == u.tobytes()
+
+
+def test_sign_block_words_finish_to_uniform_block():
+    keys = np.array(
+        [_key_for_draw(u, 5 + r) for u in _BOUNDARY_DRAWS for r in range(3)],
+        dtype=np.uint64,
+    )
+    _assert_words_finish_to_uniforms(keys, 5, 3)
+    _assert_words_finish_to_uniforms(rng.path_keys(31, 0, 257), 1, 40)
+    keys = np.array([2**64 - 1, 0, 2**63, 12345], dtype=np.uint64)
+    _assert_words_finish_to_uniforms(keys, 2**40 + 3, 9)
+
+
 def test_sign_block_out_reuse_matches_allocating_form():
     keys = rng.path_keys(5, 0, 7)
     out = np.empty((8, 7))

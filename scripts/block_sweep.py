@@ -11,11 +11,19 @@ and montecarlo._MIN_CHUNK_PATH_STEPS:
 2. one single-chunk run_ensemble per benchmark workload shape (see
    urnbench/workloads.py) at each budget, in million path-steps per second,
    the median of --repeats runs;
-3. the toy urn at several path counts in one chunk and forced into two
-   chunks, the second stepped in a forked worker process, to find where
-   splitting starts to pay;
-4. the same comparison at short horizons, in ms per run, to find how many
-   path-steps a chunk needs to pay for its fork;
+3. one chunk against two, the second stepped in a forked worker process,
+   for 64 to 2000 paths at 2^25 path-steps, in each kernel: the integer
+   urn (urn-narrow's matrix), the fractional urn (the same matrix from
+   fractional counts) and the synthetic recursion.  Each shape runs one
+   warm-up and then ten pairs of runs that alternate which side runs
+   first, and reports both medians, their ratio and how many pairs two
+   chunks won; the smallest per-chunk path count from which on (at it
+   and at every larger count) two chunks win at least nine pairs in ten
+   in every kernel is montecarlo._MIN_CHUNK_PATHS.  A run takes 0.2-5 s,
+   so a fork's 4-20 ms stays a small share of it: step 4 measures that
+   share;
+4. the toy urn at short horizons, one chunk against two, in ms per run,
+   to find how many path-steps a chunk needs to pay for its fork;
 5. montecarlo._URN_BLOCK_ROWS, the integer urn kernel's rows per block:
    one single-chunk run per benchmark shape at each row count, in seconds
    per run (the median of --repeats runs), and the ambiguous draws per
@@ -33,8 +41,8 @@ on the machine.  The constants are restored before it exits.
     PYTHONPATH=src python3 scripts/block_sweep.py [--repeats 3] [--min-exp 12] [--max-exp 21]
     PYTHONPATH=src python3 scripts/block_sweep.py --only-rows [--repeats 5]
 
-Takes a few minutes at the defaults on a 2-core machine; --only-rows runs
-step 5 alone.
+Takes about ten minutes at the defaults on a 2-core machine, most of it
+in step 3; --only-rows runs step 5 alone.
 """
 
 import argparse
@@ -111,6 +119,46 @@ def time_ensemble(shape: dict, repeats: int, workers: int = 1) -> float:
     return statistics.median(times)
 
 
+SPLIT_PATHS = (64, 128, 200, 300, 400, 500, 1_000, 2_000)
+SPLIT_KERNELS = {
+    "integer urn": dict(matrix=ReplacementMatrix(3, 0, 2, 5), w0=4, b0=4),
+    "fractional urn": dict(matrix=ReplacementMatrix(3, 0, 2, 5), w0=4.5, b0=4),
+    "synthetic": dict(synthetic=SyntheticProcess(big_gamma=1.0, sigma2=1.0)),
+}
+SPLIT_PAIRS = 10
+SPLIT_EXP = 25
+
+
+def split_pairs(shape: dict) -> tuple[float, float, int]:
+    """Median seconds of one chunk and of two, and the pairs two won, over
+    SPLIT_PAIRS pairs of runs that alternate which side runs first."""
+    time_ensemble(shape, 1)
+    one, two = [], []
+    for i in range(SPLIT_PAIRS):
+        for workers in (1, 2) if i % 2 == 0 else (2, 1):
+            (one if workers == 1 else two).append(
+                time_ensemble(shape, 1, workers=workers)
+            )
+    wins = sum(b < a for a, b in zip(one, two))
+    return statistics.median(one), statistics.median(two), wins
+
+
+def split_step() -> None:
+    print(f"\none chunk against two (one forked worker), 2^{SPLIT_EXP} path-steps, "
+          f"ms per run (medians of {SPLIT_PAIRS} alternating pairs), ratio "
+          "and pairs that two chunks won")
+    print(f"{'paths':>6} {'per chunk':>9}"
+          + "".join(f"{name:>30}" for name in SPLIT_KERNELS))
+    for paths in SPLIT_PATHS:
+        cells = []
+        for source in SPLIT_KERNELS.values():
+            shape = dict(source, paths=paths, horizon=(1 << SPLIT_EXP) // paths)
+            one, two, wins = split_pairs(shape)
+            cells.append(f"{one * 1e3:.0f} {two * 1e3:.0f} {one / two:.2f}x "
+                         f"{wins:>2}/{SPLIT_PAIRS}")
+        print(f"{paths:>6} {paths // 2:>9}" + "".join(f"{c:>30}" for c in cells))
+
+
 def rate(shape: dict, repeats: int, workers: int = 1) -> float:
     """Million path-steps per second, from the median run time."""
     seconds = time_ensemble(shape, repeats, workers)
@@ -127,9 +175,9 @@ def ambiguous_per_block(shape: dict) -> float:
     saved = (montecarlo._usable_cores, resolve, word_thresholds)
     seen = {"draws": 0, "blocks": 0}
 
-    def resolving(counts, s, row, col, base, u, size):
+    def resolving(counts, s, row, *args):
         seen["draws"] += row.size
-        return resolve(counts, s, row, col, base, u, size)
+        return resolve(counts, s, row, *args)
 
     def thresholds(*args):
         seen["blocks"] += 1
@@ -209,18 +257,8 @@ def main() -> None:
                   + "".join(f"{r:>16.1f}" for r in rates))
         montecarlo._BLOCK_ELEMENTS = saved[0]
 
-        print("\ntoy urn (4,5;3,2), 2^24 path-steps, one chunk vs two chunks "
-              f"(one forked worker), M path-steps/s (median of {args.repeats})")
-        print(f"{'paths':>8} {'1 chunk':>10} {'2 chunks':>10}")
         montecarlo._MIN_CHUNK_PATHS, montecarlo._MIN_CHUNK_PATH_STEPS = 1, 0
-        for paths in (500, 2_000, 4_000, 8_000, 12_000, 16_000, 20_000):
-            shape = dict(
-                matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1,
-                paths=paths, horizon=(1 << 24) // paths,
-            )
-            one = rate(shape, args.repeats, workers=1)
-            two = rate(shape, args.repeats, workers=2)
-            print(f"{paths:>8} {one:>10.1f} {two:>10.1f}")
+        split_step()
 
         print("\ntoy urn (4,5;3,2) at short horizons, one chunk vs two chunks, "
               f"ms per run (median of {args.repeats})")

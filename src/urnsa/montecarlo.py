@@ -18,13 +18,23 @@ integer entries and counts the kernel steps the white-draw count k a block
 of draws at a time: bounds on X over the block and the top 31 bits of each
 draw's sign_block word decide most draws at once, and only the draws near
 their threshold are finished to uniforms and stepped exactly
-(_integer_urn_states).  Fractional entries or counts advance the counts by
-matrix rows, one draw at a time.  The synthetic update reads only the sign
-of each draw against 1/2 (rng.sign_block) and adds +-step exactly as the
-scalar branch does.  The fractional urn and the synthetic kernels draw
-their rows through one block loop (_draw_rows) that differs only in its
-fill: uniform_block for the urn, sign_block then one copysign per block
-for the synthetic recursion.
+(_integer_urn_states).  A block costs a few dozen numpy calls per panel
+of columns, whatever its width: X at the block's three corners comes from
+one (3, paths) pass, and each ambiguous draw's rank in its column from a
+running count of the ambiguous mask, the same uint8-lane sum that counts
+the sure whites, so no sort by column is needed.  Fractional entries or
+counts advance the counts by matrix rows, one draw at a time.  The
+synthetic update reads only the sign of each draw against 1/2
+(rng.sign_block) and adds +-step exactly as the scalar branch does.  The
+fractional urn and the synthetic kernels draw their rows through one block
+loop (_draw_rows) that differs only in its fill: uniform_block for the
+urn, sign_block then one copysign per block for the synthetic recursion.
+
+An ensemble splits only where each chunk keeps _MIN_CHUNK_PATHS paths and
+_MIN_CHUNK_PATH_STEPS path-steps.  The path floor is the smallest
+per-chunk path count from which on two chunks beat one in at least nine
+of ten pairs of runs in every kernel (scripts/block_sweep.py step 3), so
+500-path runs such as the power-law urn's witnesses stay in one chunk.
 """
 from __future__ import annotations
 
@@ -58,11 +68,22 @@ from .urn import (
 # asymptotic Kolmogorov-Smirnov critical constants, valid for n >= 1000
 KS_CONSTANTS = {0.05: 1.358, 0.01: 1.628}
 
-# A chunk in a forked worker pays from about 1000 paths.  Toy urn at 2^24
-# path-steps, two chunks against one (scripts/block_sweep.py, 2-core Xeon):
-# 1.2-2.0x from 1500 paths up, 1.05-1.25x at 1000 and 0.98-1.10x at 500,
-# as was the 500-path urn-narrow shape (38.5 vs 38.8 and 40.2 vs 42.6 M
-# path-steps/s), so ensembles below 2000 paths stay in one chunk.
+# A chunk in a forked worker pays from 1000 paths: the smallest per-chunk
+# path count from which on two chunks won at least 9 of 10 alternating
+# pairs against one in every kernel.  scripts/block_sweep.py step 3 (2^25
+# path-steps; 2-core Xeon, 2 MiB L2 per core, shared with other tenants),
+# ms per run in one chunk and in two, ratio, pairs two chunks won:
+#
+#    paths     integer urn           fractional urn          synthetic
+#      400  374 323 1.16x  9/10   1326  980 1.35x 10/10   457 352 1.30x  9/10
+#      500  303 283 1.07x  8/10   1139  912 1.25x 10/10   402 304 1.32x 10/10
+#     1000  281 198 1.42x  8/10    993  638 1.56x 10/10   298 204 1.46x 10/10
+#     2000  306 202 1.52x 10/10    871  507 1.72x 10/10   200 161 1.24x  9/10
+#
+# From 64 to 300 paths some kernel won at most 7 pairs; 400 paths passed
+# alone, between rows that did not.  The integer urn kernel gains least
+# from a split at few paths, since both chunks pay its fixed cost per
+# block, so 500-path runs such as urn-narrow stay in one chunk.
 _MIN_CHUNK_PATHS = 1_000
 # A fork costs 4-20 ms, more in a larger process, so a chunk also needs
 # about 2^21 path-steps (paths x horizon) to pay for it.  Toy urn, two
@@ -78,16 +99,17 @@ _MIN_CHUNK_PATH_STEPS = 1 << 21
 _BLOCK_ELEMENTS = 1 << 16
 # Bytes per path that a run holds at once, at least, summed over the calling
 # process and its workers.  Every run holds the path's key (8) and the
-# runner's checkpoint row and scaled values (2 x 8).  An urn run adds 64: the
-# integer block kernel's k, X_n, T_n, X_{n-1}, corner bounds lo and hi
-# (6 x 8) and word thresholds (2 x 8); the fractional kernel holds more (w,
-# t, black tally, X_n, X_{n-1} and scratch, white mask, and a share of at
-# least one row of the RNG block and scratch).  A synthetic run adds z and
-# its share of the RNG block and scratch (3 x 8).  The integer kernel's
-# panels hold at most _BLOCK_ELEMENTS words however many paths run, and the
-# caller's receive buffers (8) only the workers' paths, so neither raises
-# these lower bounds.
-_PATH_BYTES = 88
+# runner's checkpoint row and scaled values (2 x 8).  An urn run adds at
+# least 65, what the fractional kernel holds: w, t, black tally, X_n,
+# X_{n-1} and scratch (6 x 8), the white mask (1) and a share of at least
+# one row of the RNG block and scratch (2 x 8).  The integer block kernel
+# holds more, 96: k, X_n, T_n and X_{n-1} (4 x 8), X and T at the block's
+# three corners (6 x 8) and word thresholds (2 x 8).  A synthetic run adds
+# z and its share of the RNG block and scratch (3 x 8).  The integer
+# kernel's panels hold at most _BLOCK_ELEMENTS words however many paths
+# run, and the caller's receive buffers (8) only the workers' paths, so
+# neither raises these lower bounds.
+_PATH_BYTES = 89
 _SYNTHETIC_PATH_BYTES = 48
 # Draws per block of the integer urn kernel, at most 255 so that a column's
 # counts over a block fit uint8.  More rows share a block's bounds among
@@ -510,28 +532,30 @@ def _integer_urn_states(
     rows_max = _URN_BLOCK_ROWS
     width = min(size, max(1, _BLOCK_ELEMENTS // rows_max))
     # each mask row is padded to whole uint64 words, so that a uint64 view
-    # adds eight columns' uint8 counts at once, one per byte lane
+    # adds eight columns' uint8 counts at once, one per byte lane; the
+    # padding stays False
     padded = -(-width // 8) * 8
     k = np.zeros(size)
-    x, t, lo, hi = (np.empty(size) for _ in range(4))
+    x, t = np.empty(size), np.empty(size)
     x_prev = np.full(size, np.nan)
+    # X and T at the block's three corners, one row per corner
+    corner_x, corner_t = np.empty((3, size)), np.empty((3, size))
     below, above = np.empty(size, np.uint64), np.empty(size, np.uint64)
     block = np.empty(rows_max * width)
     scratch = np.empty(rows_max * width, dtype=np.uint64)
     white = np.zeros((rows_max, padded), dtype=bool)
     ambiguous = np.zeros((rows_max, padded), dtype=bool)
-    lanes = np.empty((rows_max, padded // 8), dtype=np.uint64)
+    white_lanes = np.empty((rows_max, padded // 8), dtype=np.uint64)
+    ambiguous_lanes = np.empty_like(white_lanes)
 
     def thresholds(s: int, rows: int) -> None:
-        """below and above for draws s+1..s+rows, from X at the corners."""
+        """below and above for draws s+1..s+rows, from X at the corners;
+        x and t hold the bounds, which _word_thresholds overwrites."""
         e = s + rows - 1
-        counts.fraction(k, counts.at(s), out=lo, t=t)
-        counts.fraction(k, counts.at(e), out=hi, t=t)
-        counts.fraction(k, counts.at(e, rows - 1), out=x, t=t)
-        np.minimum(lo, hi, out=t)
-        np.maximum(lo, hi, out=hi)
-        np.minimum(t, x, out=lo)
-        np.maximum(hi, x, out=hi)
+        at = np.array([counts.at(s), counts.at(e), counts.at(e, rows - 1)])
+        counts.fraction(k, at.T[..., np.newaxis], out=corner_x, t=corner_t)
+        lo = np.minimum.reduce(corner_x, axis=0, out=x)
+        hi = np.maximum.reduce(corner_x, axis=0, out=t)
         _word_thresholds(lo, hi, below, above)
 
     def advance(first: int, last: int) -> None:
@@ -551,25 +575,27 @@ def _integer_urn_states(
                 ).view(np.uint64)
                 np.less(z, below[c0:c1], out=sure[:, :cols])
                 np.less_equal(z, above[c0:c1], out=unsure[:, :cols])
-                if cols < padded:
+                if cols < width:  # a narrower last panel
                     sure[:, cols:] = False
                     unsure[:, cols:] = False
                 np.logical_xor(unsure, sure, out=unsure)
                 # sure whites in rows <= r, per column: row r of a running sum
-                whites = np.add.accumulate(
-                    sure.view(np.uint64), axis=0, out=lanes[:rows]
-                ).view(np.uint8)
+                whites = _running_count(sure, white_lanes[:rows])
                 kp = k[c0:c1]
                 at = np.flatnonzero(unsure)
                 if at.size:
-                    draws.append(_ambiguous_draws(z, whites, at, kp, c0))
+                    # the same count of ambiguous draws ranks each in its column
+                    ranks = _running_count(unsure, ambiguous_lanes[:rows])
+                    draws.append(_ambiguous_draws(z, whites, ranks, at, kp, c0))
                     pending += at.size
                 kp += whites[-1, :cols]
                 # decide ambiguous draws a batch of panels at a time; a batch
                 # closes once it holds _BLOCK_ELEMENTS / 8 draws, so that its
                 # arrays stay near a panel's size whatever the path count
                 if pending >= _BLOCK_ELEMENTS // 8 or (c1 == size and draws):
-                    batch = map(np.concatenate, zip(*draws))
+                    batch = draws[0]
+                    if len(draws) > 1:
+                        batch = map(np.concatenate, zip(*draws))
                     np.add(k, _resolve(counts, s, *batch, size), out=k)
                     draws, pending = [], 0
 
@@ -610,21 +636,38 @@ def _word_thresholds(
     above |= np.uint64((1 << 33) - 1)
 
 
+def _running_count(mask: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """Row r of the result counts each column's True entries in rows <= r,
+    as uint8: the running sum of a boolean mask whose rows are padded to
+    whole uint64 words, eight columns per word, one per byte lane.  Counts
+    stay exact below 256 rows.  lanes is the uint64 output, shaped as the
+    mask's uint64 view."""
+    return np.add.accumulate(mask.view(np.uint64), axis=0, out=lanes).view(np.uint8)
+
+
 def _ambiguous_draws(
-    z: np.ndarray, whites: np.ndarray, at: np.ndarray, k: np.ndarray, c0: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, base, u) of a panel's ambiguous draws, in row order.
+    z: np.ndarray,
+    whites: np.ndarray,
+    ranks: np.ndarray,
+    at: np.ndarray,
+    k: np.ndarray,
+    c0: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, base, u, rank) of a panel's ambiguous draws.
 
     z holds the panel's sign_block words, one column per path from path
     c0 on; at holds the ambiguous draws' flat indices in the masks, padded
-    as whites is, which counts each column's sure whites in rows <= r; k
-    holds the panel's white draws before the block.  base is k plus the
-    sure whites above the draw, u its finished uniform.
+    as whites and ranks are, which count each column's sure whites and
+    ambiguous draws in rows <= r; k holds the panel's white draws before
+    the block.  base is k plus the sure whites above the draw, u its
+    finished uniform and rank the number of ambiguous draws above it in
+    its column.
     """
     row, col = np.divmod(at, whites.shape[1])
     base = k[col] + whites.ravel()[at]
     u = rng._finish_uniforms(z[row, col])
-    return row, col + c0, base, u
+    rank = ranks.ravel()[at] - np.uint8(1)
+    return row, col + c0, base, u, rank
 
 
 def _resolve(
@@ -634,29 +677,26 @@ def _resolve(
     col: np.ndarray,
     base: np.ndarray,
     u: np.ndarray,
+    rank: np.ndarray,
     size: int,
 ) -> np.ndarray:
     """White draws per path among a batch of a block's ambiguous draws,
-    as _ambiguous_draws found them for draws s+1.. of `size` paths, each
-    column's in row order.  A column's draws are decided in that order,
-    the m-th of every column at once: each reads base plus the ones
-    already found white.
+    as _ambiguous_draws found them for draws s+1.. of `size` paths.  A
+    column's draws are decided in rank order, the m-th of every column at
+    once: each reads base plus the ones already found white.
     """
-    # rank each draw in its column: sorted by column, a draw's position
-    # less its column's first
-    by_column = np.argsort(col, kind="stable")
-    sorted_col = col[by_column]
-    index = np.arange(col.size)
-    first = np.ones(col.size, dtype=bool)
-    np.not_equal(sorted_col[1:], sorted_col[:-1], out=first[1:])
-    rank = index - np.maximum.accumulate(index * first)
-    order = by_column[np.argsort(rank, kind="stable")]
-    row, col, base, u = row[order], col[order], base[order], u[order]
-    w_at, t_at = counts.at(s + row)
+    # a column holds one draw of each rank, so a rank's draws are in
+    # distinct columns, and every column with a draw has one of rank 0
+    order = np.argsort(rank, kind="stable")
+    col, u = col[order], u[order]
+    w_at, t_at = counts.at(s + row[order], base[order])
+    ends = np.cumsum(np.bincount(rank))
     found = np.zeros(size)
-    for lo, hi in itertools.pairwise([0, *np.cumsum(np.bincount(rank))]):
+    # rank 0 reads base alone
+    found[col[: ends[0]]] = u[: ends[0]] < w_at[: ends[0]] / t_at[: ends[0]]
+    for lo, hi in itertools.pairwise(ends):
         c = col[lo:hi]
-        x, _ = counts.fraction(base[lo:hi] + found[c], (w_at[lo:hi], t_at[lo:hi]))
+        x, _ = counts.fraction(found[c], (w_at[lo:hi], t_at[lo:hi]))
         found[c] += u[lo:hi] < x
     return found
 

@@ -445,9 +445,10 @@ class TestKernelEquivalence:
     def test_integer_urns_match_scalar_across_blocks(self):
         """The block kernel replays urn_step bit for bit over integer
         matrices, with 4-row blocks in panels of 2 paths (and 1).  Hooks
-        check the block shape of every example, and that the examples
-        together met ambiguous draws, two of them in one column of one
-        block, and the top-bucket threshold above = 2^64 - 1."""
+        check the block shape of every example and the rank of every
+        ambiguous draw, and that the examples together met ambiguous
+        draws, three of them in one column of one block (ranks 0, 1 and 2),
+        and the top-bucket threshold above = 2^64 - 1."""
         met: set[str] = set()
 
         @given(
@@ -468,11 +469,14 @@ class TestKernelEquivalence:
         )
         # X within 2^-31 of 1: ceil(hi 2^31) = 2^31, the threshold overflow
         @example(entries=(4.0, 5.0, 3.0, 2.0), counts=(2.0**52, 1.0), seed=10)
+        # Polya-like from one ball each: X moves by up to 9/11 a draw, so the
+        # bounds leave three draws of one column of a block ambiguous
+        @example(entries=(9.0, 0.0, 0.0, 9.0), counts=(1.0, 1.0), seed=0)
         def check(entries, counts, seed):
             met.update(self._check_integer_blocks(entries, counts, seed))
 
         check()
-        assert met == {"ambiguous", "two in a column", "top bucket"}
+        assert met == {"ambiguous", "three in a column", "top bucket"}
 
     @staticmethod
     def _check_integer_blocks(entries, counts, seed) -> set[str]:
@@ -494,11 +498,14 @@ class TestKernelEquivalence:
             fills.append((keys.size, count))
             return sign_block(keys, first_draw, count, **buffers)
 
-        def resolving(counts, s, row, col, base, u, size):
+        def resolving(counts, s, row, col, base, u, rank, size):
             met.add("ambiguous")
-            if np.bincount(col).max() >= 2:
-                met.add("two in a column")
-            return resolve(counts, s, row, col, base, u, size)
+            # a draw's rank counts the ambiguous draws above it in its column
+            for c, r, m in zip(col, row, rank):
+                assert m == np.count_nonzero((col == c) & (row < r))
+            if rank.max() >= 2:
+                met.add("three in a column")
+            return resolve(counts, s, row, col, base, u, rank, size)
 
         def thresholds(lo, hi, below, above):
             word_thresholds(lo, hi, below, above)
@@ -749,6 +756,24 @@ class TestDeterminism:
             assert outs[0] == outs[1]
         assert montecarlo._chunk_plan(23, 150, 3) == [(0, 8), (8, 8), (16, 7)]
 
+    def test_few_path_power_law_run_is_invisible_to_its_split(
+        self, power_law_matrix, monkeypatch
+    ):
+        """urn-narrow's urn and path count, at a shorter horizon: the summary
+        JSON and CSV bytes of one chunk and of two forked halves agree."""
+        cfg = EnsembleConfig(
+            matrix=power_law_matrix, w0=4, b0=4, horizon=1 << 12, paths=500,
+            master_seed=20110221,
+        )
+        outs = []
+        for cores in (1, 2):
+            split_into(monkeypatch, cores)
+            starts, _, _ = record_workers(monkeypatch)
+            res = run_ensemble(cfg)
+            outs.append((summary_json(res), values_csv(res)))
+        assert starts == [(0, 250), (250, 250)]
+        assert outs[0] == outs[1]
+
     def test_summaries_equal_one_call_replay(self, toy_matrix, monkeypatch):
         # rows reduced as three chunks yield them equal one seamless replay
         split_into(monkeypatch, 3)
@@ -978,6 +1003,10 @@ class TestMemory:
 class TestChunkPlan:
     def test_narrow_ensemble_stays_in_one_chunk(self):
         assert montecarlo._chunk_plan(500, 1 << 15, 2) == [(0, 500)]
+        # criterion 8's shape, and 64 paths, where two chunks won at most 7
+        # of 10 pairs in each kernel (scripts/block_sweep.py step 3)
+        assert montecarlo._chunk_plan(500, 1 << 22, 2) == [(0, 500)]
+        assert montecarlo._chunk_plan(64, 1 << 16, 2) == [(0, 64)]
 
     def test_wide_ensemble_splits_per_thread(self):
         assert montecarlo._chunk_plan(20_000, 4096, 2) == [

@@ -286,6 +286,28 @@ def test_sign_block_words_finish_to_uniform_block():
     _assert_words_finish_to_uniforms(keys, 2**40 + 3, 9)
 
 
+_DOUBLING = rng._DOUBLING_ROWS
+
+
+@pytest.mark.parametrize(
+    "count", [1, _DOUBLING - 1, _DOUBLING, _DOUBLING + 1, 64, 255]
+)
+def test_fills_match_scalar_draws_on_both_sides_of_doubling(count):
+    """Blocks under _DOUBLING_ROWS rows load their counters in one
+    broadcast add, taller ones by doubling; both fills equal uniform_draw
+    bit for bit, where the counters wrap past 2^64 too."""
+    keys = np.array([2**64 - 1, 0, 2**63, 12345], dtype=np.uint64)
+    for first in (1, 2**63 + 5, 2**64 - count):
+        counters = [k + d * rng.DRAW_STRIDE for k in (2**64 - 1, 2**63)
+                    for d in (first, first + count - 1)]
+        assert min(counters) >= 2**64  # every one of these wraps
+        out = np.full((count + 2, keys.size), -1.0)
+        u = rng.uniform_block(keys, first, count, out=out)
+        _assert_block_matches_draws(u, keys, first)
+        assert (out[count:] == -1.0).all()
+        _assert_words_finish_to_uniforms(keys, first, count)
+
+
 def test_sign_block_out_reuse_matches_allocating_form():
     keys = rng.path_keys(5, 0, 7)
     out = np.empty((8, 7))

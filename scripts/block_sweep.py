@@ -175,9 +175,9 @@ def ambiguous_per_block(shape: dict) -> float:
     saved = (montecarlo._usable_cores, resolve, word_thresholds)
     seen = {"draws": 0, "blocks": 0}
 
-    def resolving(counts, s, row, *args):
+    def resolving(counts, s, row, col, base, u, size):
         seen["draws"] += row.size
-        return resolve(counts, s, row, *args)
+        return resolve(counts, s, row, col, base, u, size)
 
     def thresholds(*args):
         seen["blocks"] += 1

@@ -20,9 +20,9 @@ draw's sign_block word decide most draws at once, and only the draws near
 their threshold are finished to uniforms and stepped exactly
 (_integer_urn_states).  A block costs a few dozen numpy calls per panel
 of columns, whatever its width: X at the block's three corners comes from
-one (3, paths) pass, and each ambiguous draw's rank in its column from a
-running count of the ambiguous mask, the same uint8-lane sum that counts
-the sure whites, so no sort by column is needed.  Fractional entries or
+one (3, paths) pass, and the ambiguous draws, under 1% of a block's in
+the benchmark urns, are ranked in their columns by sorting them alone,
+once per batch of panels.  Fractional entries or
 counts advance the counts by matrix rows, one draw at a time.  The
 synthetic update reads only the sign of each draw against 1/2
 (rng.sign_block) and adds +-step exactly as the scalar branch does.  The
@@ -34,7 +34,8 @@ An ensemble splits only where each chunk keeps _MIN_CHUNK_PATHS paths and
 _MIN_CHUNK_PATH_STEPS path-steps.  The path floor is the smallest
 per-chunk path count from which on two chunks beat one in at least nine
 of ten pairs of runs in every kernel (scripts/block_sweep.py step 3), so
-500-path runs such as the power-law urn's witnesses stay in one chunk.
+a 500-path ensemble of the power-law urn uses two cores.  A path replay
+(_traces) is one kernel call in this process.
 """
 from __future__ import annotations
 
@@ -68,23 +69,27 @@ from .urn import (
 # asymptotic Kolmogorov-Smirnov critical constants, valid for n >= 1000
 KS_CONSTANTS = {0.05: 1.358, 0.01: 1.628}
 
-# A chunk in a forked worker pays from 1000 paths: the smallest per-chunk
+# A chunk in a forked worker pays from 250 paths: the smallest per-chunk
 # path count from which on two chunks won at least 9 of 10 alternating
 # pairs against one in every kernel.  scripts/block_sweep.py step 3 (2^25
 # path-steps; 2-core Xeon, 2 MiB L2 per core, shared with other tenants),
 # ms per run in one chunk and in two, ratio, pairs two chunks won:
 #
-#    paths     integer urn           fractional urn          synthetic
-#      400  374 323 1.16x  9/10   1326  980 1.35x 10/10   457 352 1.30x  9/10
-#      500  303 283 1.07x  8/10   1139  912 1.25x 10/10   402 304 1.32x 10/10
-#     1000  281 198 1.42x  8/10    993  638 1.56x 10/10   298 204 1.46x 10/10
-#     2000  306 202 1.52x 10/10    871  507 1.72x 10/10   200 161 1.24x  9/10
+#    paths     integer urn          fractional urn           synthetic
+#       64  705 586 1.20x  9/10  2694 2404 1.12x 10/10  957 909 1.05x  9/10
+#      128  482 407 1.19x  9/10  1456 1291 1.13x 10/10  492 465 1.06x  7/10
+#      200  326 279 1.17x  9/10  1056  917 1.15x 10/10  351 296 1.19x 10/10
+#      300  273 229 1.20x 10/10   865  689 1.25x 10/10  277 240 1.16x  7/10
+#      400  238 194 1.23x 10/10   764  564 1.35x 10/10  216 177 1.22x  8/10
+#      500  221 168 1.32x 10/10   716  485 1.48x 10/10  201 160 1.26x 10/10
+#     1000  186 148 1.26x 10/10   592  364 1.63x 10/10  149 105 1.42x  9/10
+#     2000  198 117 1.70x 10/10   548  314 1.74x 10/10  137  84 1.62x 10/10
 #
-# From 64 to 300 paths some kernel won at most 7 pairs; 400 paths passed
-# alone, between rows that did not.  The integer urn kernel gains least
-# from a split at few paths, since both chunks pay its fixed cost per
-# block, so 500-path runs such as urn-narrow stay in one chunk.
-_MIN_CHUNK_PATHS = 1_000
+# Below 500 paths the synthetic kernel gained 1.05-1.22x and lost the rule
+# at 128, 300 and 400 paths; earlier runs on the same machine under more
+# load gave 64-300 paths at most 7 of 10 in some kernel.  So a 500-path
+# ensemble such as urn-narrow's runs on two cores.
+_MIN_CHUNK_PATHS = 250
 # A fork costs 4-20 ms, more in a larger process, so a chunk also needs
 # about 2^21 path-steps (paths x horizon) to pay for it.  Toy urn, two
 # chunks against one, medians of 15 (scripts/block_sweep.py step 4, 2-core
@@ -104,11 +109,13 @@ _BLOCK_ELEMENTS = 1 << 16
 # X_{n-1} and scratch (6 x 8), the white mask (1) and a share of at least
 # one row of the RNG block and scratch (2 x 8).  The integer block kernel
 # holds more, 96: k, X_n, T_n and X_{n-1} (4 x 8), X and T at the block's
-# three corners (6 x 8) and word thresholds (2 x 8).  A synthetic run adds
-# z and its share of the RNG block and scratch (3 x 8).  The integer
-# kernel's panels hold at most _BLOCK_ELEMENTS words however many paths
-# run, and the caller's receive buffers (8) only the workers' paths, so
-# neither raises these lower bounds.
+# three corners (6 x 8) and word thresholds (2 x 8), and while it decides
+# a batch of ambiguous draws, the draws found white and each column's
+# count and start (3 x 8).  A synthetic run adds z and its share of the
+# RNG block and scratch (3 x 8).  The integer kernel's panels hold at most
+# _BLOCK_ELEMENTS words however many paths run, and the caller's receive
+# buffers (8) only the workers' paths, so neither raises these lower
+# bounds.
 _PATH_BYTES = 89
 _SYNTHETIC_PATH_BYTES = 48
 # Draws per block of the integer urn kernel, at most 255 so that a column's
@@ -545,8 +552,7 @@ def _integer_urn_states(
     scratch = np.empty(rows_max * width, dtype=np.uint64)
     white = np.zeros((rows_max, padded), dtype=bool)
     ambiguous = np.zeros((rows_max, padded), dtype=bool)
-    white_lanes = np.empty((rows_max, padded // 8), dtype=np.uint64)
-    ambiguous_lanes = np.empty_like(white_lanes)
+    lanes = np.empty((rows_max, padded // 8), dtype=np.uint64)
 
     def thresholds(s: int, rows: int) -> None:
         """below and above for draws s+1..s+rows, from X at the corners;
@@ -580,13 +586,13 @@ def _integer_urn_states(
                     unsure[:, cols:] = False
                 np.logical_xor(unsure, sure, out=unsure)
                 # sure whites in rows <= r, per column: row r of a running sum
-                whites = _running_count(sure, white_lanes[:rows])
+                whites = np.add.accumulate(
+                    sure.view(np.uint64), axis=0, out=lanes[:rows]
+                ).view(np.uint8)
                 kp = k[c0:c1]
                 at = np.flatnonzero(unsure)
                 if at.size:
-                    # the same count of ambiguous draws ranks each in its column
-                    ranks = _running_count(unsure, ambiguous_lanes[:rows])
-                    draws.append(_ambiguous_draws(z, whites, ranks, at, kp, c0))
+                    draws.append(_ambiguous_draws(z, whites, at, kp, c0))
                     pending += at.size
                 kp += whites[-1, :cols]
                 # decide ambiguous draws a batch of panels at a time; a batch
@@ -636,38 +642,21 @@ def _word_thresholds(
     above |= np.uint64((1 << 33) - 1)
 
 
-def _running_count(mask: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-    """Row r of the result counts each column's True entries in rows <= r,
-    as uint8: the running sum of a boolean mask whose rows are padded to
-    whole uint64 words, eight columns per word, one per byte lane.  Counts
-    stay exact below 256 rows.  lanes is the uint64 output, shaped as the
-    mask's uint64 view."""
-    return np.add.accumulate(mask.view(np.uint64), axis=0, out=lanes).view(np.uint8)
-
-
 def _ambiguous_draws(
-    z: np.ndarray,
-    whites: np.ndarray,
-    ranks: np.ndarray,
-    at: np.ndarray,
-    k: np.ndarray,
-    c0: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, base, u, rank) of a panel's ambiguous draws.
+    z: np.ndarray, whites: np.ndarray, at: np.ndarray, k: np.ndarray, c0: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, base, u) of a panel's ambiguous draws, in row order.
 
     z holds the panel's sign_block words, one column per path from path
     c0 on; at holds the ambiguous draws' flat indices in the masks, padded
-    as whites and ranks are, which count each column's sure whites and
-    ambiguous draws in rows <= r; k holds the panel's white draws before
-    the block.  base is k plus the sure whites above the draw, u its
-    finished uniform and rank the number of ambiguous draws above it in
-    its column.
+    as whites is, which counts each column's sure whites in rows <= r; k
+    holds the panel's white draws before the block.  base is k plus the
+    sure whites above the draw, u its finished uniform.
     """
     row, col = np.divmod(at, whites.shape[1])
     base = k[col] + whites.ravel()[at]
     u = rng._finish_uniforms(z[row, col])
-    rank = ranks.ravel()[at] - np.uint8(1)
-    return row, col + c0, base, u, rank
+    return row, col + c0, base, u
 
 
 def _resolve(
@@ -677,22 +666,28 @@ def _resolve(
     col: np.ndarray,
     base: np.ndarray,
     u: np.ndarray,
-    rank: np.ndarray,
     size: int,
 ) -> np.ndarray:
     """White draws per path among a batch of a block's ambiguous draws,
-    as _ambiguous_draws found them for draws s+1.. of `size` paths.  A
-    column's draws are decided in rank order, the m-th of every column at
-    once: each reads base plus the ones already found white.
+    as _ambiguous_draws found them for draws s+1.. of `size` paths, each
+    column's in row order.  A column's draws are decided in that order,
+    the m-th of every column at once: each reads base plus the ones
+    already found white.
     """
-    # a column holds one draw of each rank, so a rank's draws are in
-    # distinct columns, and every column with a draw has one of rank 0
-    order = np.argsort(rank, kind="stable")
+    # rank each draw in its column: sorted by column, a draw's position
+    # less the column's start.  Stable sorts of keys of 16 bits or less run
+    # as radix sorts, several times faster than on int64 keys.
+    per_column = np.bincount(col, minlength=size)
+    start = np.cumsum(per_column) - per_column
+    by_column = np.argsort(col.astype(np.min_scalar_type(size)), kind="stable")
+    rank = (np.arange(col.size) - start[col[by_column]]).astype(np.uint8)
+    order = by_column[np.argsort(rank, kind="stable")]
     col, u = col[order], u[order]
     w_at, t_at = counts.at(s + row[order], base[order])
+    # a column holds one draw of each rank up to its last, so every column
+    # with a draw has one of rank 0, which reads base alone
     ends = np.cumsum(np.bincount(rank))
     found = np.zeros(size)
-    # rank 0 reads base alone
     found[col[: ends[0]]] = u[: ends[0]] < w_at[: ends[0]] / t_at[: ends[0]]
     for lo, hi in itertools.pairwise(ends):
         c = col[lo:hi]

@@ -20,11 +20,11 @@ nothing of the block's size.  A buffer of the wrong dtype, layout or size
 raises ValueError.  The values do not depend on which form is used.
 
 Both fills start from the block's counters, key + draw * DRAW_STRIDE mod
-2^64.  A block of fewer than _DOUBLING_ROWS rows loads them in one
-broadcast add of the keys and the draws' strides.  A taller block loads
-row 0 from the keys and then doubles: rows m..2m-1 are rows 0..m-1 plus
-m * DRAW_STRIDE, one contiguous add each, log2(count) adds in all.  Both
-are the same sums mod 2^64, so the counters are equal bit for bit.
+2^64, loaded by doubling: row 0 from the keys, then rows m..2m-1 as rows
+0..m-1 plus m * DRAW_STRIDE, one contiguous add each, about log2(count)
+adds in all.  These are the same sums mod 2^64 as one broadcast add of
+the keys and the draws' strides, which numpy runs without its contiguous
+fast loop.
 
 sign_block serves callers that need less than the finished draws, such
 as whether each is below 1/2.  It takes the same arguments and buffers but
@@ -54,15 +54,7 @@ KEY_STRIDE = 0x9E3779B97F4A7C15
 DRAW_STRIDE = 0xD1B54A32D192ED03
 
 _U64_KEY_STRIDE = np.uint64(KEY_STRIDE)
-_U64_DRAW_STRIDE = np.uint64(DRAW_STRIDE)
 _TO_UNIT = 2.0 ** -53
-# Blocks of at least this many rows load their counters by doubling (see
-# the module docstring).  Counter loads alone, best of 7 timeit runs on a
-# 2-core Xeon, broadcast against doubling: 59 vs 28 us at 64 x 1024 (the
-# integer urn kernel's panel), 17 vs 13 us at 32 x 500 and 59 vs 27 us at
-# 32 x 2048; below 24 rows doubling lost or tied at most widths, as at
-# 6 x 10000 (a synthetic-wide fill), 19 vs 22 us.
-_DOUBLING_ROWS = 32
 
 
 def mix64(z: int) -> int:
@@ -180,12 +172,8 @@ def _counter_block(
             )
     t = scratch.reshape(-1)[: count * k].reshape(count, k)
     z = out.view(np.uint64)
-    if count < _DOUBLING_ROWS:
-        draws = np.arange(first_draw, first_draw + count, dtype=np.uint64)
-        np.add(keys[np.newaxis, :], (draws * _U64_DRAW_STRIDE)[:, np.newaxis], out=z)
-        return out, z, t
     # row r is row r - m plus m strides: each add copies the filled rows on
-    np.add(keys, np.uint64((first_draw * DRAW_STRIDE) & MASK64), out=z[0])
+    np.add(keys, np.uint64((int(first_draw) * DRAW_STRIDE) & MASK64), out=z[:1])
     m = 1
     while m < count:
         c = min(m, count - m)

@@ -445,10 +445,11 @@ class TestKernelEquivalence:
     def test_integer_urns_match_scalar_across_blocks(self):
         """The block kernel replays urn_step bit for bit over integer
         matrices, with 4-row blocks in panels of 2 paths (and 1).  Hooks
-        check the block shape of every example and the rank of every
-        ambiguous draw, and that the examples together met ambiguous
-        draws, three of them in one column of one block (ranks 0, 1 and 2),
-        and the top-bucket threshold above = 2^64 - 1."""
+        check the block shape of every example and that each column's
+        ambiguous draws reach _resolve in row order, and that the examples
+        together met ambiguous draws, three of them in one column of one
+        block (ranks 0, 1 and 2), and the top-bucket threshold
+        above = 2^64 - 1."""
         met: set[str] = set()
 
         @given(
@@ -498,14 +499,15 @@ class TestKernelEquivalence:
             fills.append((keys.size, count))
             return sign_block(keys, first_draw, count, **buffers)
 
-        def resolving(counts, s, row, col, base, u, rank, size):
+        def resolving(counts, s, row, col, base, u, size):
             met.add("ambiguous")
-            # a draw's rank counts the ambiguous draws above it in its column
-            for c, r, m in zip(col, row, rank):
-                assert m == np.count_nonzero((col == c) & (row < r))
-            if rank.max() >= 2:
+            # each column's draws arrive in row order, which _resolve ranks
+            by_column = np.lexsort((np.arange(col.size), col))
+            same = col[by_column][1:] == col[by_column][:-1]
+            assert (np.diff(row[by_column])[same] > 0).all()
+            if np.bincount(col).max() >= 3:
                 met.add("three in a column")
-            return resolve(counts, s, row, col, base, u, rank, size)
+            return resolve(counts, s, row, col, base, u, size)
 
         def thresholds(lo, hi, below, above):
             word_thresholds(lo, hi, below, above)
@@ -743,36 +745,27 @@ class TestDeterminism:
         assert len(montecarlo._chunk_plan(cfg.paths, cfg.horizon, 3)) > 1
         assert outs[0] == outs[1]
 
-    def test_split_chunks_are_invisible(self, toy_matrix, monkeypatch):
-        # ensembles this small run in one chunk; force the multi-chunk path
+    def test_split_chunks_are_invisible(
+        self, toy_matrix, power_law_matrix, monkeypatch
+    ):
+        # ensembles this small run in one chunk; force the multi-chunk path.
+        # The last source is urn-narrow's urn and path count, at a shorter
+        # horizon
         proc = SyntheticProcess(big_gamma=1.0, sigma2=1.0)
-        for source in (dict(matrix=toy_matrix), dict(synthetic=proc)):
-            cfg = EnsembleConfig(**source, horizon=150, paths=23, master_seed=17)
+        for source in (
+            dict(matrix=toy_matrix, horizon=150, paths=23),
+            dict(synthetic=proc, horizon=150, paths=23),
+            dict(matrix=power_law_matrix, w0=4, b0=4, horizon=1 << 12, paths=500),
+        ):
+            cfg = EnsembleConfig(**source, master_seed=17)
             outs = []
-            for cores in (1, 3):
+            for cores in (1, 2, 3):
                 split_into(monkeypatch, cores)
                 res = run_ensemble(cfg)
                 outs.append((summary_json(res), values_csv(res)))
-            assert outs[0] == outs[1]
+            assert outs[0] == outs[1] == outs[2]
         assert montecarlo._chunk_plan(23, 150, 3) == [(0, 8), (8, 8), (16, 7)]
-
-    def test_few_path_power_law_run_is_invisible_to_its_split(
-        self, power_law_matrix, monkeypatch
-    ):
-        """urn-narrow's urn and path count, at a shorter horizon: the summary
-        JSON and CSV bytes of one chunk and of two forked halves agree."""
-        cfg = EnsembleConfig(
-            matrix=power_law_matrix, w0=4, b0=4, horizon=1 << 12, paths=500,
-            master_seed=20110221,
-        )
-        outs = []
-        for cores in (1, 2):
-            split_into(monkeypatch, cores)
-            starts, _, _ = record_workers(monkeypatch)
-            res = run_ensemble(cfg)
-            outs.append((summary_json(res), values_csv(res)))
-        assert starts == [(0, 250), (250, 250)]
-        assert outs[0] == outs[1]
+        assert montecarlo._chunk_plan(500, 1 << 12, 2) == [(0, 250), (250, 250)]
 
     def test_summaries_equal_one_call_replay(self, toy_matrix, monkeypatch):
         # rows reduced as three chunks yield them equal one seamless replay
@@ -1002,10 +995,10 @@ class TestMemory:
 
 class TestChunkPlan:
     def test_narrow_ensemble_stays_in_one_chunk(self):
-        assert montecarlo._chunk_plan(500, 1 << 15, 2) == [(0, 500)]
-        # criterion 8's shape, and 64 paths, where two chunks won at most 7
-        # of 10 pairs in each kernel (scripts/block_sweep.py step 3)
-        assert montecarlo._chunk_plan(500, 1 << 22, 2) == [(0, 500)]
+        # two chunks need 250 paths each: below 500 paths some kernel won
+        # fewer than 9 of 10 pairs (scripts/block_sweep.py step 3)
+        assert montecarlo._chunk_plan(499, 1 << 15, 2) == [(0, 499)]
+        assert montecarlo._chunk_plan(400, 1 << 16, 2) == [(0, 400)]
         assert montecarlo._chunk_plan(64, 1 << 16, 2) == [(0, 64)]
 
     def test_wide_ensemble_splits_per_thread(self):
@@ -1015,7 +1008,7 @@ class TestChunkPlan:
 
     def test_chunks_keep_the_minimum(self):
         # three cores, but only two chunks of at least the minimum fit
-        assert montecarlo._chunk_plan(2_500, 4096, 3) == [(0, 1_250), (1_250, 1_250)]
+        assert montecarlo._chunk_plan(600, 1 << 15, 3) == [(0, 300), (300, 300)]
 
     def test_short_horizon_stays_in_one_chunk(self):
         assert montecarlo._chunk_plan(20_000, 16, 2) == [(0, 20_000)]
@@ -1031,7 +1024,7 @@ class TestChunkPlan:
         # urn-wide, urn-narrow and synthetic-wide (urnbench/workloads.py)
         shapes = [(20_000, 5_000), (500, 1 << 15), (20_000, 4_096)]
         chunks = [len(montecarlo._chunk_plan(p, h, 2)) for p, h in shapes]
-        assert chunks == [2, 1, 2]
+        assert chunks == [2, 2, 2]
 
     @given(st.integers(1, 10**6), st.integers(0, 10**5), st.integers(1, 8))
     def test_chunks_tile_the_paths(self, n_paths, horizon, threads):

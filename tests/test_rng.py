@@ -286,16 +286,11 @@ def test_sign_block_words_finish_to_uniform_block():
     _assert_words_finish_to_uniforms(keys, 2**40 + 3, 9)
 
 
-_DOUBLING = rng._DOUBLING_ROWS
-
-
-@pytest.mark.parametrize(
-    "count", [1, _DOUBLING - 1, _DOUBLING, _DOUBLING + 1, 64, 255]
-)
-def test_fills_match_scalar_draws_on_both_sides_of_doubling(count):
-    """Blocks under _DOUBLING_ROWS rows load their counters in one
-    broadcast add, taller ones by doubling; both fills equal uniform_draw
-    bit for bit, where the counters wrap past 2^64 too."""
+@pytest.mark.parametrize("count", [1, 2, 3, 31, 32, 33, 64, 255])
+def test_fills_match_scalar_draws_across_doubling(count):
+    """Counters are loaded by doubling the filled rows, the last copy cut
+    short where count is not a power of two; both fills equal
+    uniform_draw bit for bit, where the counters wrap past 2^64 too."""
     keys = np.array([2**64 - 1, 0, 2**63, 12345], dtype=np.uint64)
     for first in (1, 2**63 + 5, 2**64 - count):
         counters = [k + d * rng.DRAW_STRIDE for k in (2**64 - 1, 2**63)
@@ -306,6 +301,12 @@ def test_fills_match_scalar_draws_on_both_sides_of_doubling(count):
         _assert_block_matches_draws(u, keys, first)
         assert (out[count:] == -1.0).all()
         _assert_words_finish_to_uniforms(keys, first, count)
+
+
+def test_empty_block():
+    keys = rng.path_keys(3, 0, 4)
+    assert rng.uniform_block(keys, 7, 0).shape == (0, 4)
+    assert rng.sign_block(keys, 7, 0).shape == (0, 4)
 
 
 def test_sign_block_out_reuse_matches_allocating_form():

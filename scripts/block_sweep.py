@@ -22,27 +22,32 @@ and montecarlo._MIN_CHUNK_PATH_STEPS:
    in every kernel is montecarlo._MIN_CHUNK_PATHS.  A run takes 0.2-5 s,
    so a fork's 4-20 ms stays a small share of it: step 4 measures that
    share;
-4. the toy urn at short horizons, one chunk against two, in ms per run,
-   to find how many path-steps a chunk needs to pay for its fork;
-5. montecarlo._URN_BLOCK_ROWS, the integer urn kernel's rows per block:
-   one single-chunk run per benchmark shape at each row count, in seconds
-   per run (the median of --repeats runs), and the ambiguous draws per
-   block, the draws that the block's bounds leave to be decided exactly.
-   The synthetic shape does not run that kernel; its column is a control.
+4. the toy urn at 2^6 to 2^11 steps for 2000, 4000 and 20000 paths, one
+   chunk against two in ms per run, in pairs as in step 3; the smallest
+   per-chunk path-step count from which on two chunks win at least nine
+   pairs in ten at every path count, taken over several runs, sets
+   montecarlo._MIN_CHUNK_PATH_STEPS (its comment quotes five);
+5. the integer urn kernel's rows per block, montecarlo._urn_block_rows,
+   against fixed rows of 64, 128 and 255, at the chunk widths that run
+   (1, 250, 500, 1000 and 10000 paths of urn-narrow's urn, one chunk),
+   in ms per run, in pairs as in step 3 for each fixed row count, and the
+   share of draws left ambiguous under the rule, the draws that a block's
+   bounds leave to be decided exactly.
 
 Chunk counts are forced by patching montecarlo._usable_cores (and
 lowering montecarlo._MIN_CHUNK_PATHS and _MIN_CHUNK_PATH_STEPS for steps 3
-and 4), not by the machine.  Step 5 counts ambiguous draws in one more run
-per shape, with montecarlo._resolve and _word_thresholds wrapped.
+and 4), not by the machine; fixed rows by patching _urn_block_rows.  Step 5
+counts ambiguous draws in one more run per width, with montecarlo._resolve
+wrapped.
 It prints the usable core count and the L2 cache size first, read from
 the affinity mask and /sys/devices/system/cpu/cpu0/cache; it sets nothing
 on the machine.  The constants are restored before it exits.
 
     PYTHONPATH=src python3 scripts/block_sweep.py [--repeats 3] [--min-exp 12] [--max-exp 21]
-    PYTHONPATH=src python3 scripts/block_sweep.py --only-rows [--repeats 5]
+    PYTHONPATH=src python3 scripts/block_sweep.py --only-rows
 
-Takes about ten minutes at the defaults on a 2-core machine, most of it
-in step 3; --only-rows runs step 5 alone.
+Takes about fifteen minutes at the defaults on a 2-core machine, most of
+it in step 3; --only-rows runs step 5 alone, in about a minute.
 """
 
 import argparse
@@ -129,18 +134,25 @@ SPLIT_PAIRS = 10
 SPLIT_EXP = 25
 
 
-def split_pairs(shape: dict) -> tuple[float, float, int]:
-    """Median seconds of one chunk and of two, and the pairs two won, over
-    SPLIT_PAIRS pairs of runs that alternate which side runs first."""
-    time_ensemble(shape, 1)
-    one, two = [], []
+def pairs(one, two) -> tuple[float, float, int]:
+    """Median seconds of calling one() and two(), and the pairs two won,
+    after one warm-up each, over SPLIT_PAIRS pairs of calls that alternate
+    which side runs first."""
+    one(), two()
+    times = {one: [], two: []}
     for i in range(SPLIT_PAIRS):
-        for workers in (1, 2) if i % 2 == 0 else (2, 1):
-            (one if workers == 1 else two).append(
-                time_ensemble(shape, 1, workers=workers)
-            )
-    wins = sum(b < a for a, b in zip(one, two))
-    return statistics.median(one), statistics.median(two), wins
+        for side in (one, two) if i % 2 == 0 else (two, one):
+            times[side].append(side())
+    wins = sum(b < a for a, b in zip(times[one], times[two]))
+    return statistics.median(times[one]), statistics.median(times[two]), wins
+
+
+def split_pairs(shape: dict) -> tuple[float, float, int]:
+    """pairs() of one chunk against two for this shape."""
+    return pairs(
+        lambda: time_ensemble(shape, 1, workers=1),
+        lambda: time_ensemble(shape, 1, workers=2),
+    )
 
 
 def split_step() -> None:
@@ -165,55 +177,90 @@ def rate(shape: dict, repeats: int, workers: int = 1) -> float:
     return shape["paths"] * shape["horizon"] / seconds / 1e6
 
 
-ROW_COUNTS = (16, 32, 48, 64, 96, 128, 192, 255)
+FORK_PATHS = (2_000, 4_000, 20_000)
+FORK_EXPS = range(6, 12)
 
 
-def ambiguous_per_block(shape: dict) -> float:
-    """Ambiguous draws per block of one single-chunk run of an urn shape."""
+def fork_step() -> None:
+    toy = dict(matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1)
+    print("\ntoy urn (4,5;3,2) at short horizons, one chunk against two, ms per "
+          f"run (medians of {SPLIT_PAIRS} alternating pairs), ratio and pairs "
+          "that two chunks won")
+    print(f"{'paths':>8} {'horizon':>8} {'steps/chunk':>12} "
+          f"{'1 chunk':>9} {'2 chunks':>9} {'ratio':>6} {'won':>6}")
+    won = {}
+    for paths in FORK_PATHS:
+        for e in FORK_EXPS:
+            horizon = 1 << e
+            one, two, wins = split_pairs(dict(toy, paths=paths, horizon=horizon))
+            per_chunk = paths * horizon // 2
+            won[per_chunk, paths] = wins
+            print(f"{paths:>8} {horizon:>8} {per_chunk:>12} {one * 1e3:>9.1f} "
+                  f"{two * 1e3:>9.1f} {one / two:>6.2f} {wins:>3}/{SPLIT_PAIRS}")
+    floor = None
+    for steps in sorted({s for s, _ in won}, reverse=True):
+        if any(w * 10 < 9 * SPLIT_PAIRS for (s, _), w in won.items() if s == steps):
+            break
+        floor = steps
+    print(f"smallest per-chunk path-steps from which on two chunks win 9 of 10 "
+          f"at every path count: {floor}")
+
+
+ROW_WIDTHS = {1: 1 << 17, 250: 1 << 15, 500: 1 << 15, 1_000: 1 << 14, 10_000: 1 << 12}
+FIXED_ROWS = (64, 128, 255)
+ROW_URN = SPLIT_KERNELS["integer urn"]
+
+
+def ambiguous_share(shape: dict) -> float:
+    """Percent of the draws of one single-chunk run left ambiguous."""
     cfg = EnsembleConfig(master_seed=SEED, **shape)
-    resolve, word_thresholds = montecarlo._resolve, montecarlo._word_thresholds
-    saved = (montecarlo._usable_cores, resolve, word_thresholds)
-    seen = {"draws": 0, "blocks": 0}
+    resolve = montecarlo._resolve
+    saved = (montecarlo._usable_cores, resolve)
+    draws = 0
 
     def resolving(counts, s, row, col, base, u, size):
-        seen["draws"] += row.size
+        nonlocal draws
+        draws += row.size
         return resolve(counts, s, row, col, base, u, size)
 
-    def thresholds(*args):
-        seen["blocks"] += 1
-        return word_thresholds(*args)
-
-    montecarlo._usable_cores = lambda: 1
-    montecarlo._resolve, montecarlo._word_thresholds = resolving, thresholds
+    montecarlo._usable_cores, montecarlo._resolve = (lambda: 1), resolving
     try:
         montecarlo.run_ensemble(cfg)
     finally:
-        (
-            montecarlo._usable_cores,
-            montecarlo._resolve,
-            montecarlo._word_thresholds,
-        ) = saved
-    return seen["draws"] / seen["blocks"]
+        montecarlo._usable_cores, montecarlo._resolve = saved
+    return 100.0 * draws / (cfg.paths * cfg.horizon)
 
 
-def block_rows_step(repeats: int) -> None:
-    saved = montecarlo._URN_BLOCK_ROWS
-    print(f"\ninteger urn kernel rows per block (current {saved}), one chunk: "
-          f"s/run (median of {repeats}) and ambiguous draws per block")
-    print(f"{'rows':>6}" + "".join(f"{n:>24}" for n in SHAPES))
+def time_rows(shape: dict, rows: int | None) -> float:
+    """Seconds of one single-chunk run in blocks of `rows` rows, or of the
+    rule's rows where rows is None."""
+    rule = montecarlo._urn_block_rows
+    if rows is not None:
+        montecarlo._urn_block_rows = lambda paths: rows
     try:
-        for rows in ROW_COUNTS:
-            montecarlo._URN_BLOCK_ROWS = rows
-            cells = []
-            for shape in SHAPES.values():
-                seconds = time_ensemble(shape, repeats)
-                if "matrix" in shape:
-                    cells.append(f"{seconds:.3f} s {ambiguous_per_block(shape):9.1f}")
-                else:
-                    cells.append(f"{seconds:.3f} s {'-':>9}")
-            print(f"{rows:>6}" + "".join(f"{c:>24}" for c in cells))
+        return time_ensemble(shape, 1)
     finally:
-        montecarlo._URN_BLOCK_ROWS = saved
+        montecarlo._urn_block_rows = rule
+
+
+def block_rows_step() -> None:
+    print("\ninteger urn kernel rows per block, urn-narrow's urn in one chunk: "
+          "the rule's rows and ambiguous share, then per fixed row count "
+          f"ms per run of the rule and of the fixed rows (medians of "
+          f"{SPLIT_PAIRS} alternating pairs) and pairs that the rule won")
+    print(f"{'paths':>6} {'horizon':>8} {'rows':>5} {'ambig':>6}"
+          + "".join(f"{'vs ' + str(r):>22}" for r in FIXED_ROWS))
+    for paths, horizon in ROW_WIDTHS.items():
+        shape = dict(ROW_URN, paths=paths, horizon=horizon)
+        cells = []
+        for rows in FIXED_ROWS:
+            fixed, rule, wins = pairs(
+                lambda: time_rows(shape, rows), lambda: time_rows(shape, None)
+            )
+            cells.append(f"{rule * 1e3:.0f} {fixed * 1e3:.0f} {wins:>2}/{SPLIT_PAIRS}")
+        print(f"{paths:>6} {'2^%d' % (horizon.bit_length() - 1):>8} "
+              f"{montecarlo._urn_block_rows(paths):>5} "
+              f"{ambiguous_share(shape):>5.2f}%" + "".join(f"{c:>22}" for c in cells))
 
 
 def main() -> None:
@@ -226,7 +273,7 @@ def main() -> None:
     args = ap.parse_args()
     if args.only_rows:
         print(machine())
-        block_rows_step(args.repeats)
+        block_rows_step()
         return
     budgets = [1 << e for e in range(args.min_exp, args.max_exp + 1)]
     saved = (
@@ -260,22 +307,8 @@ def main() -> None:
         montecarlo._MIN_CHUNK_PATHS, montecarlo._MIN_CHUNK_PATH_STEPS = 1, 0
         split_step()
 
-        print("\ntoy urn (4,5;3,2) at short horizons, one chunk vs two chunks, "
-              f"ms per run (median of {args.repeats})")
-        print(f"{'paths':>8} {'horizon':>8} {'steps/chunk':>12} "
-              f"{'1 chunk':>9} {'2 chunks':>9} {'ratio':>6}")
-        for paths in (2_000, 20_000):
-            for horizon in (16, 64, 128, 256, 512, 1024):
-                shape = dict(
-                    matrix=ReplacementMatrix(4, 5, 3, 2), w0=1, b0=1,
-                    paths=paths, horizon=horizon,
-                )
-                one = time_ensemble(shape, args.repeats, workers=1) * 1e3
-                two = time_ensemble(shape, args.repeats, workers=2) * 1e3
-                print(f"{paths:>8} {horizon:>8} {paths * horizon // 2:>12} "
-                      f"{one:>9.1f} {two:>9.1f} {one / two:>6.2f}")
-
-        block_rows_step(args.repeats)
+        fork_step()
+        block_rows_step()
     finally:
         (
             montecarlo._BLOCK_ELEMENTS,

@@ -20,15 +20,18 @@ draw's sign_block word decide most draws at once, and only the draws near
 their threshold are finished to uniforms and stepped exactly
 (_integer_urn_states).  A block costs a few dozen numpy calls per panel
 of columns, whatever its width: X at the block's three corners comes from
-one (3, paths) pass, and the ambiguous draws, under 1% of a block's in
+one (3, paths) pass, and the ambiguous draws, 0.6-2.4% of the draws in
 the benchmark urns, are ranked in their columns by sorting them alone,
-once per batch of panels.  Fractional entries or
+once per batch of panels.  So a chunk of few paths takes blocks of more
+rows, up to 255, to fill its panel (_urn_block_rows) and pays that cost
+on fewer blocks.  Fractional entries or
 counts advance the counts by matrix rows, one draw at a time.  The
 synthetic update reads only the sign of each draw against 1/2
 (rng.sign_block) and adds +-step exactly as the scalar branch does.  The
 fractional urn and the synthetic kernels draw their rows through one block
 loop (_draw_rows) that differs only in its fill: uniform_block for the
-urn, sign_block then one copysign per block for the synthetic recursion.
+urn, sign_block then each step's bits under each draw's sign bit for the
+synthetic recursion.
 
 An ensemble splits only where each chunk keeps _MIN_CHUNK_PATHS paths and
 _MIN_CHUNK_PATH_STEPS path-steps.  The path floor is the smallest
@@ -91,10 +94,32 @@ KS_CONSTANTS = {0.05: 1.358, 0.01: 1.628}
 # ensemble such as urn-narrow's runs on two cores.
 _MIN_CHUNK_PATHS = 250
 # A fork costs 4-20 ms, more in a larger process, so a chunk also needs
-# about 2^21 path-steps (paths x horizon) to pay for it.  Toy urn, two
-# chunks against one, medians of 15 (scripts/block_sweep.py step 4, 2-core
-# Xeon): 0.68-0.96x at 0.5-1.3 M path-steps per chunk for 4000 and 20000
-# paths (1.15-1.27x for 2000), and 1.11-1.25x from 2 M up at every count.
+# 2^21 path-steps (paths x horizon) to pay for it.  scripts/block_sweep.py
+# step 4 (toy urn; 2-core Xeon, 2 MiB L2 per core, shared), one chunk
+# against two: per-chunk path-steps, the range of five runs' median ratios,
+# and the pairs of ten that two chunks won in each run:
+#
+#    paths  horizon  per chunk        ratio  pairs won
+#     2000       64      64000  0.70-0.73x    0  0  0  0  0
+#     2000      128     128000  0.74-0.88x    0  0  0  0  0
+#     2000      256     256000  0.89-1.03x    3  6  1  8  8
+#     2000      512     512000  1.12-1.17x   10 10 10 10  6
+#     2000     1024    1024000  1.21-1.27x   10 10  9 10  8
+#     2000     2048    2048000  1.21-1.46x    6 10 10  8 10
+#     4000       64     128000  0.72-0.92x    0  0  1  0  0
+#     4000      128     256000  0.80-1.10x   10  8  8  0 10
+#     4000      256     512000  1.19-1.27x   10  8 10  9 10
+#     4000      512    1024000  1.00-1.34x    8 10 10  5 10
+#     4000     1024    2048000  1.42-1.51x   10 10 10 10 10
+#     4000     2048    4096000  1.47-1.59x   10 10 10 10 10
+#    20000       64     640000  1.21-1.29x   10 10 10 10  9
+#    20000      128    1280000  1.26-1.40x   10 10 10 10 10
+#    20000  256-2048  2.6-20.5 M 1.36-1.79x   10 in every run
+#
+# The smallest count from which on two chunks won 9 of 10 at every path
+# count was 2.56 M, 0.64 M, 0.51 M, 2.56 M and 1.28 M in the five runs.
+# The floor stays at 2^21: no shape lies between 2.05 M and 2.56 M, so it
+# splits these shapes from 2.56 M up, where every run passed.
 _MIN_CHUNK_PATH_STEPS = 1 << 21
 # RNG block budget in uniforms (whole rows of a chunk's paths): 2^16 float64
 # plus their uint64 scratch is 1 MiB, which fits a 2 MiB L2.  In two runs of
@@ -113,25 +138,45 @@ _BLOCK_ELEMENTS = 1 << 16
 # a batch of ambiguous draws, the draws found white and each column's
 # count and start (3 x 8).  A synthetic run adds z and its share of the
 # RNG block and scratch (3 x 8).  The integer kernel's panels hold at most
-# _BLOCK_ELEMENTS words however many paths run, and the caller's receive
-# buffers (8) only the workers' paths, so neither raises these lower
-# bounds.
+# _BLOCK_ELEMENTS words however many paths run, whatever its rows per block:
+# a panel of 255 rows spans at most 257 paths.  Its two masks and their
+# uint64 lanes add 3 bytes a draw, rows padded to 8 columns (at most 255 x
+# 264 draws, about 200 KB).  The caller's receive buffers (8) hold only the
+# workers' paths.  So none of these raises the lower bounds.
 _PATH_BYTES = 89
 _SYNTHETIC_PATH_BYTES = 48
-# Draws per block of the integer urn kernel, at most 255 so that a column's
-# counts over a block fit uint8.  More rows share a block's bounds among
-# more draws but widen them: ambiguous draws per block grow about as rows^2.
-# In two runs of scripts/block_sweep.py step 5 (one chunk, medians of 5,
-# 2-core Xeon, 2 MiB L2 per core, shared) 64 rows ran urn-wide in 0.90 and
-# 1.00 s (0.80-1.00 s from 16 to 128 rows) and urn-narrow in 0.23 and
-# 0.21 s (0.16-0.24 s from 48 to 128 rows), while 16 rows ran urn-narrow in
-# 0.33-0.47 s and 192-255 rows urn-wide in 1.00-1.24 s.  The synthetic
-# shape, which never runs this kernel, spread 0.34-0.48 s over the same
-# runs, so the flat middle is noise.  At 64 rows 0.63% (urn-wide) and 0.73%
-# (urn-narrow) of the draws were ambiguous.
+# Draws per block of the integer urn kernel in a chunk of many paths; a
+# chunk of few takes more rows, as many as fill a panel of _BLOCK_ELEMENTS,
+# up to 255 so that a column's counts over a block fit uint8
+# (_urn_block_rows).  A block costs a few dozen numpy calls per panel
+# whatever its width, while more rows widen its bounds: ambiguous draws per
+# block grow about as rows^2.  scripts/block_sweep.py step 5 (urn-narrow's
+# urn in one chunk; 2-core Xeon, 2 MiB L2 per core, shared): the rule's
+# rows, the share of draws left ambiguous, and ms per run of the rule
+# against fixed rows, medians of ten alternating pairs, with the pairs
+# that the rule won, in two runs:
+#
+#    paths  horizon  rows  ambiguous     vs 64         vs 128         vs 255
+#        1     2^17   255      0.94%  49  112 10/10  46  66 10/10  47  46 4/10
+#                                     40   95 10/10  41  57 10/10  44  43 5/10
+#      250     2^15   255      2.40%  62   80 10/10  61  63  8/10  60  61 6/10
+#                                     56   74 10/10  64  64  4/10  58  59 4/10
+#      500     2^15   131      1.39% 100  109 10/10 103 101  3/10 103 109 9/10
+#                                     96  104 10/10 101 101  5/10 100 109 10/10
+#     1000     2^14    65      1.36%  96   96  6/10 103 111  8/10 104 137 10/10
+#                                     95   95  6/10  98 104  9/10  92 125 10/10
+#    10000     2^12    64      4.07% 287  286  5/10 284 381 10/10 288 583 10/10
+#                                    272  271  3/10 266 355 10/10 293 569 10/10
+#
+# No width lost to fixed 64 rows in 9 of 10 pairs, and from 500 paths down
+# the rule won all ten.  Ambiguous shares are of the short runs above; in
+# the benchmark, urn-wide's 10000-path chunks leave 0.63% and urn-narrow's
+# 250-path chunks 2.4%.
 _URN_BLOCK_ROWS = 64
 # the scale of a uniform's top 31 bits, which sign_block's words hold final
 _TOP_BITS = 2.0 ** 31
+# a float64's sign bit, read as uint64
+_SIGN_BIT = np.uint64(1 << 63)
 
 _SCALED_REGIMES = (
     Regime.CLT_SQRT_N,
@@ -518,7 +563,7 @@ def _integer_urn_states(
     counts: _Counts, keys: np.ndarray, cps: list[int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """_urn_states for an integer urn, stepping the white-draw count k of
-    every path a block of up to _URN_BLOCK_ROWS draws at a time.
+    every path a block of up to _urn_block_rows(paths) draws at a time.
 
     Draws s+1..e+1 of a block read states (n, k) with s <= n <= e and
     k0 <= k <= k0 + n - s.  X is a ratio of two affine functions of
@@ -536,7 +581,7 @@ def _integer_urn_states(
     checkpoint n, which yields X_{n-1} from k_{n-1}.
     """
     size = keys.size
-    rows_max = _URN_BLOCK_ROWS
+    rows_max = _urn_block_rows(size)
     width = min(size, max(1, _BLOCK_ELEMENTS // rows_max))
     # each mask row is padded to whole uint64 words, so that a uint64 view
     # adds eight columns' uint8 counts at once, one per byte lane; the
@@ -614,6 +659,13 @@ def _integer_urn_states(
             n = cp
         counts.fraction(k, counts.at(n), out=x, t=t)
         yield x, t, x_prev
+
+
+def _urn_block_rows(paths: int) -> int:
+    """Draws per block of the integer urn kernel for a chunk of `paths`:
+    _URN_BLOCK_ROWS, or as many rows as fill a panel of _BLOCK_ELEMENTS
+    words across every path, up to the 255 a column's uint8 counts hold."""
+    return min(255, max(_URN_BLOCK_ROWS, _BLOCK_ELEMENTS // paths))
 
 
 def _word_thresholds(
@@ -715,7 +767,7 @@ def _run_synthetic_chunk(
         block = rng.sign_block(keys, j, count, **buffers)
         g = map(proc.family.value_at, range(j - 1, j - 1 + count))
         steps = np.fromiter((size / math.sqrt(v) for v in g), np.float64, count)
-        return np.copysign(steps[:, np.newaxis], block, out=block)
+        return _copysign_rows(steps, block)
 
     # draw n moves Z_{n-1} to Z_n; the process only starts moving at `start`
     rows = _draw_rows(keys, start + 1, horizon, signed_steps)
@@ -724,6 +776,16 @@ def _run_synthetic_chunk(
             z *= 1.0 - proc.big_gamma / proc.family.value_at(n - 1)
             z += noise
         yield z
+
+
+def _copysign_rows(steps: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """np.copysign(steps[:, np.newaxis], block, out=block) for steps >= 0,
+    in two uint64 passes over the block: keep each entry's sign bit, then
+    or in its row's step, whose own sign bit is clear."""
+    bits = block.view(np.uint64)
+    bits &= _SIGN_BIT
+    bits |= steps.view(np.uint64)[:, np.newaxis]
+    return block
 
 
 def _traces(config: EnsembleConfig, indices: range) -> PathCheckpointData:

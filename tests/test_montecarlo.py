@@ -479,6 +479,58 @@ class TestKernelEquivalence:
         check()
         assert met == {"ambiguous", "three in a column", "top bucket"}
 
+    @pytest.mark.parametrize(
+        "paths,rows,panels",
+        [(1, 255, 1), (250, 255, 1), (500, 131, 1), (1000, 65, 1), (10_000, 64, 10)],
+    )
+    def test_block_rows_follow_chunk_width(self, paths, rows, panels):
+        """A block's rows fill one panel of _BLOCK_ELEMENTS words across
+        the chunk, from _URN_BLOCK_ROWS up to 255 rows."""
+        assert montecarlo._urn_block_rows(paths) == rows
+        assert -(-paths // (montecarlo._BLOCK_ELEMENTS // rows)) == panels
+
+    @pytest.mark.parametrize(
+        "m,w0,b0",
+        [(ReplacementMatrix(3, 0, 2, 5), 4.0, 4.0), (ReplacementMatrix(4, 5, 3, 2), 1.0, 1.0)],
+        ids=["power-law", "toy"],
+    )
+    def test_integer_urns_match_scalar_in_full_blocks(self, m, w0, b0):
+        """Three paths run in 255-row blocks, the most a column's uint8
+        counts hold, with eight or more ambiguous draws in one column of
+        one 255-row block (ranks 0 to 7 and up), and match urn_step."""
+        cfg = EnsembleConfig(
+            matrix=m, w0=w0, b0=b0, horizon=1000, paths=3, master_seed=0,
+            forced_scaling=(0.0, 0.0), forced_center=0.5,
+        )
+        fills: list[int] = []
+        deepest = 0
+        sign_block, resolve = rng.sign_block, montecarlo._resolve
+
+        def filling(keys, first_draw, count, **buffers):
+            fills.append(count)
+            return sign_block(keys, first_draw, count, **buffers)
+
+        def resolving(counts, s, row, col, base, u, size):
+            nonlocal deepest
+            if fills[-1] == 255:  # this block's one panel
+                deepest = max(deepest, int(np.bincount(col).max()))
+            return resolve(counts, s, row, col, base, u, size)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "sign_block", filling)
+            mp.setattr(montecarlo, "_resolve", resolving)
+            res = run_ensemble(cfg)
+            traces = montecarlo._traces(cfg, range(3))
+        assert max(fills) == 255
+        assert deepest >= 8
+        for i in range(3):
+            _, states = run_path_scalar(m, w0, b0, 1000, rng.path_key(0, i))
+            assert res.final_x[i] == states[-1].fraction
+            for j, n in enumerate(traces.ns):
+                assert traces.x[j, i] == states[n].fraction
+                assert traces.t[j, i] == states[n].total
+                assert traces.x_prev[j, i] == states[n - 1].fraction
+
     @staticmethod
     def _check_integer_blocks(entries, counts, seed) -> set[str]:
         """Run one integer urn through the block kernel and check it
@@ -678,6 +730,26 @@ class TestKernelEquivalence:
         self._check_synthetic()
         start = self.SYNTHETIC.family.first_positive_index()
         self._assert_crossed_blocks(counts, steps=300 - start)
+
+    def test_copysign_rows_matches_np_copysign(self):
+        """The synthetic kernel's sign transfer equals np.copysign bit for
+        bit: a zero step (sigma2 = 0) gives -0.0 under a set sign bit, and
+        block words that read as NaN or inf only lend their sign."""
+        words = np.array(
+            [
+                0, 1 << 63, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
+                0x7FF8_0000_0000_0001, 0xFFFF_FFFF_FFFF_FFFF, 0x8000_0000_0000_0001,
+                0x3FE0_0000_0000_0000,
+            ],
+            dtype=np.uint64,
+        )
+        more = np.random.default_rng(5).integers(0, 2**64, 24, dtype=np.uint64)
+        block = np.concatenate([words, more]).view(np.float64).reshape(4, 8)
+        steps = np.array([0.0, 1.0, 5e-324, 1.7976931348623157e308])
+        want = np.copysign(steps[:, np.newaxis], block)
+        got = montecarlo._copysign_rows(steps, block.copy())
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        assert np.signbit(got[0, 1]) and got[0, 1] == 0.0
 
     def _check_synthetic(self):
         proc = self.SYNTHETIC

@@ -1,8 +1,8 @@
 """Time the RNG fills and the ensemble kernels across block budgets.
 
-montecarlo._BLOCK_ELEMENTS caps how many draws one RNG fill writes (whole
-rows of a chunk's paths): rng.uniform_block for the urn kernel,
-rng.sign_block for the synthetic one.  This script reproduces the
+montecarlo._BLOCK_ELEMENTS caps how many draws one rng.sign_block fill
+writes: a block of whole rows of a chunk's paths in the synthetic kernel,
+a panel of columns in the urn kernel.  This script reproduces the
 measurement behind that constant, and behind montecarlo._MIN_CHUNK_PATHS
 and montecarlo._MIN_CHUNK_PATH_STEPS:
 
@@ -12,9 +12,8 @@ and montecarlo._MIN_CHUNK_PATH_STEPS:
    urnbench/workloads.py) at each budget, in million path-steps per second,
    the median of --repeats runs;
 3. one chunk against two, the second stepped in a forked worker process,
-   for 64 to 2000 paths at 2^25 path-steps, in each kernel: the integer
-   urn (urn-narrow's matrix), the fractional urn (the same matrix from
-   fractional counts) and the synthetic recursion.  Each shape runs one
+   for 64 to 2000 paths at 2^25 path-steps, in each kernel: the urn
+   (urn-narrow's matrix) and the synthetic recursion.  Each shape runs one
    warm-up and then ten pairs of runs that alternate which side runs
    first, and reports both medians, their ratio and how many pairs two
    chunks won; the smallest per-chunk path count from which on (at it
@@ -27,7 +26,7 @@ and montecarlo._MIN_CHUNK_PATH_STEPS:
    per-chunk path-step count from which on two chunks win at least nine
    pairs in ten at every path count, taken over several runs, sets
    montecarlo._MIN_CHUNK_PATH_STEPS (its comment quotes five);
-5. the integer urn kernel's rows per block, montecarlo._urn_block_rows,
+5. the urn kernel's rows per block, montecarlo._urn_block_rows,
    against fixed rows of 64, 128 and 255, at the chunk widths that run
    (1, 250, 500, 1000 and 10000 paths of urn-narrow's urn, one chunk),
    in ms per run, in pairs as in step 3 for each fixed row count, and the
@@ -126,8 +125,7 @@ def time_ensemble(shape: dict, repeats: int, workers: int = 1) -> float:
 
 SPLIT_PATHS = (64, 128, 200, 300, 400, 500, 1_000, 2_000)
 SPLIT_KERNELS = {
-    "integer urn": dict(matrix=ReplacementMatrix(3, 0, 2, 5), w0=4, b0=4),
-    "fractional urn": dict(matrix=ReplacementMatrix(3, 0, 2, 5), w0=4.5, b0=4),
+    "urn": dict(matrix=ReplacementMatrix(3, 0, 2, 5), w0=4, b0=4),
     "synthetic": dict(synthetic=SyntheticProcess(big_gamma=1.0, sigma2=1.0)),
 }
 SPLIT_PAIRS = 10
@@ -208,7 +206,7 @@ def fork_step() -> None:
 
 ROW_WIDTHS = {1: 1 << 17, 250: 1 << 15, 500: 1 << 15, 1_000: 1 << 14, 10_000: 1 << 12}
 FIXED_ROWS = (64, 128, 255)
-ROW_URN = SPLIT_KERNELS["integer urn"]
+ROW_URN = SPLIT_KERNELS["urn"]
 
 
 def ambiguous_share(shape: dict) -> float:
@@ -244,7 +242,7 @@ def time_rows(shape: dict, rows: int | None) -> float:
 
 
 def block_rows_step() -> None:
-    print("\ninteger urn kernel rows per block, urn-narrow's urn in one chunk: "
+    print("\nurn kernel rows per block, urn-narrow's urn in one chunk: "
           "the rule's rows and ambiguous share, then per fixed row count "
           f"ms per run of the rule and of the fixed rows (medians of "
           f"{SPLIT_PAIRS} alternating pairs) and pairs that the rule won")

@@ -12,26 +12,22 @@ chunks reach it, so a result keeps only the final X_n and scaled values; a
 path's full trace is replayed from its key.  Urn and synthetic runs share
 one pipeline once their source is resolved.
 
-The urn kernels are vectorized across the paths of a chunk and reproduce
-the scalar urn_step decision for decision (white iff u < W/T).  With
-integer entries and counts the kernel steps the white-draw count k a block
-of draws at a time: bounds on X over the block and the top 31 bits of each
-draw's sign_block word decide most draws at once, and only the draws near
-their threshold are finished to uniforms and stepped exactly
-(_integer_urn_states).  A block costs a few dozen numpy calls per panel
-of columns, whatever its width: X at the block's three corners comes from
-one (3, paths) pass, and the ambiguous draws, 0.6-2.4% of the draws in
-the benchmark urns, are ranked in their columns by sorting them alone,
-once per batch of panels.  So a chunk of few paths takes blocks of more
-rows, up to 255, to fill its panel (_urn_block_rows) and pays that cost
-on fewer blocks.  Fractional entries or
-counts advance the counts by matrix rows, one draw at a time.  The
-synthetic update reads only the sign of each draw against 1/2
-(rng.sign_block) and adds +-step exactly as the scalar branch does.  The
-fractional urn and the synthetic kernels draw their rows through one block
-loop (_draw_rows) that differs only in its fill: uniform_block for the
-urn, sign_block then each step's bits under each draw's sign bit for the
-synthetic recursion.
+The urn kernel is vectorized across the paths of a chunk and reproduces
+the scalar urn_step decision for decision (white iff u < W/T).  It steps
+the white-draw count k a block of draws at a time, and computes every W
+and T from (n, k) through urn.urn_counts, as urn_step does, for integer
+and fractional urns alike: bounds on X over the block, padded by the
+largest rounding error, and the top 31 bits of each draw's sign_block word
+decide most draws at once, and only the draws near their threshold are
+finished to uniforms and stepped exactly (_urn_states).  A block costs a
+few dozen numpy calls per panel of columns, whatever its width: X at the
+block's three corners comes from three passes over the paths, and the
+ambiguous draws, 0.6-2.4% of the draws in the benchmark urns, are ranked
+in their columns by sorting them alone, once per batch of panels.  So a
+chunk of few paths takes blocks of more rows, up to 255, to fill its panel
+(_urn_block_rows) and pays that cost on fewer blocks.  The synthetic
+update reads only the sign of each draw against 1/2 (rng.sign_block) and
+adds +-step exactly as the scalar branch does.
 
 An ensemble splits only where each chunk keeps _MIN_CHUNK_PATHS paths and
 _MIN_CHUNK_PATH_STEPS path-steps.  The path floor is the smallest
@@ -65,8 +61,10 @@ from .special import normal_cdf
 from .urn import (
     COUNT_LIMIT,
     ReplacementMatrix,
+    drawn_counts,
     drift_from_matrix,
     error_poly_from_matrix,
+    urn_counts,
 )
 
 # asymptotic Kolmogorov-Smirnov critical constants, valid for n >= 1000
@@ -78,15 +76,15 @@ KS_CONSTANTS = {0.05: 1.358, 0.01: 1.628}
 # path-steps; 2-core Xeon, 2 MiB L2 per core, shared with other tenants),
 # ms per run in one chunk and in two, ratio, pairs two chunks won:
 #
-#    paths     integer urn          fractional urn           synthetic
-#       64  705 586 1.20x  9/10  2694 2404 1.12x 10/10  957 909 1.05x  9/10
-#      128  482 407 1.19x  9/10  1456 1291 1.13x 10/10  492 465 1.06x  7/10
-#      200  326 279 1.17x  9/10  1056  917 1.15x 10/10  351 296 1.19x 10/10
-#      300  273 229 1.20x 10/10   865  689 1.25x 10/10  277 240 1.16x  7/10
-#      400  238 194 1.23x 10/10   764  564 1.35x 10/10  216 177 1.22x  8/10
-#      500  221 168 1.32x 10/10   716  485 1.48x 10/10  201 160 1.26x 10/10
-#     1000  186 148 1.26x 10/10   592  364 1.63x 10/10  149 105 1.42x  9/10
-#     2000  198 117 1.70x 10/10   548  314 1.74x 10/10  137  84 1.62x 10/10
+#    paths         urn                synthetic
+#       64  705 586 1.20x  9/10  957 909 1.05x  9/10
+#      128  482 407 1.19x  9/10  492 465 1.06x  7/10
+#      200  326 279 1.17x  9/10  351 296 1.19x 10/10
+#      300  273 229 1.20x 10/10  277 240 1.16x  7/10
+#      400  238 194 1.23x 10/10  216 177 1.22x  8/10
+#      500  221 168 1.32x 10/10  201 160 1.26x 10/10
+#     1000  186 148 1.26x 10/10  149 105 1.42x  9/10
+#     2000  198 117 1.70x 10/10  137  84 1.62x 10/10
 #
 # Below 500 paths the synthetic kernel gained 1.05-1.22x and lost the rule
 # at 128, 300 and 400 paths; earlier runs on the same machine under more
@@ -129,23 +127,21 @@ _MIN_CHUNK_PATH_STEPS = 1 << 21
 _BLOCK_ELEMENTS = 1 << 16
 # Bytes per path that a run holds at once, at least, summed over the calling
 # process and its workers.  Every run holds the path's key (8) and the
-# runner's checkpoint row and scaled values (2 x 8).  An urn run adds at
-# least 65, what the fractional kernel holds: w, t, black tally, X_n,
-# X_{n-1} and scratch (6 x 8), the white mask (1) and a share of at least
-# one row of the RNG block and scratch (2 x 8).  The integer block kernel
-# holds more, 96: k, X_n, T_n and X_{n-1} (4 x 8), X and T at the block's
-# three corners (6 x 8) and word thresholds (2 x 8), and while it decides
-# a batch of ambiguous draws, the draws found white and each column's
-# count and start (3 x 8).  A synthetic run adds z and its share of the
-# RNG block and scratch (3 x 8).  The integer kernel's panels hold at most
-# _BLOCK_ELEMENTS words however many paths run, whatever its rows per block:
-# a panel of 255 rows spans at most 257 paths.  Its two masks and their
-# uint64 lanes add 3 bytes a draw, rows padded to 8 columns (at most 255 x
-# 264 draws, about 200 KB).  The caller's receive buffers (8) hold only the
-# workers' paths.  So none of these raises the lower bounds.
-_PATH_BYTES = 89
+# runner's checkpoint row and scaled values (2 x 8).  An urn run adds the
+# block kernel's 96: k, X_n, T_n and X_{n-1} (4 x 8), X at the block's
+# three corners with the counts behind the last of them (6 x 8), and word
+# thresholds (2 x 8); and while it decides a batch of ambiguous draws, the
+# draws found white and each column's count and start (3 x 8).  A
+# synthetic run adds z and its share of the RNG block and scratch (3 x 8).
+# The urn kernel's panels hold at most _BLOCK_ELEMENTS words however many
+# paths run, whatever its rows per block: a panel of 255 rows spans at most
+# 257 paths.  Its two masks and their uint64 lanes add 3 bytes a draw, rows
+# padded to 8 columns (at most 255 x 264 draws, about 200 KB).  The
+# caller's receive buffers (8) hold only the workers' paths.  So none of
+# these raises the lower bounds.
+_PATH_BYTES = 120
 _SYNTHETIC_PATH_BYTES = 48
-# Draws per block of the integer urn kernel in a chunk of many paths; a
+# Draws per block of the urn kernel in a chunk of many paths; a
 # chunk of few takes more rows, as many as fill a panel of _BLOCK_ELEMENTS,
 # up to 255 so that a column's counts over a block fit uint8
 # (_urn_block_rows).  A block costs a few dozen numpy calls per panel
@@ -457,129 +453,32 @@ def _gamma_hat_n(
 # vectorized kernels
 
 
-def _draw_rows(
-    keys: np.ndarray, first: int, last: int, fill: Callable[..., np.ndarray]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (j, row j) for draw indices j = first..last, where
-    fill(keys, j, count, out=, scratch=) writes rows j..j+count-1, one
-    column per key, into out[:count] as rng.uniform_block does.
-
-    Rows are filled a block at a time into one block and RNG scratch,
-    allocated once: up to _BLOCK_ELEMENTS draws (whole rows, at least one,
-    no more than the range needs), so both stay in cache while the step
-    loop reads them.  A yielded row is overwritten by the next block.
-    """
-    k = keys.size
-    rows = max(1, min(_BLOCK_ELEMENTS // max(k, 1), last - first + 1))
-    block = np.empty((rows, k), dtype=np.float64)
-    scratch = np.empty(block.size, dtype=np.uint64)
-    for j in range(first, last + 1, rows):
-        count = min(rows, last - j + 1)
-        fill(keys, j, count, out=block, scratch=scratch)
-        for r in range(count):
-            yield j + r, block[r]
-
-
 def _urn_states(
     m: ReplacementMatrix,
     w0: float,
     b0: float,
-    horizon: int,
     keys: np.ndarray,
     cps: list[int],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Step the urn paths with these keys; yield (X_n, T_n, X_{n-1}) at
     each checkpoint n (X_{n-1} is NaN at n = 0).
 
-    The yielded arrays are the kernel's live buffers: read or copy them
-    before asking for the next checkpoint.  Integer entries and counts
-    run the block kernel (_integer_urn_states); fractional ones step one
-    draw at a time.
+    Every path's state is its white-draw count k, stepped a block of up
+    to _urn_block_rows(paths) draws at a time.  Draws s+1..e+1 of a block
+    read states (n, k) with s <= n <= e and k0 <= k <= k0 + n - s, whose
+    X lie within _Counts.bounds' padded bounds lo <= hi.  A draw's
+    sign_block word holds the final top 31 bits q of its uniform u, and
+    q 2^-31 <= u < (q+1) 2^-31, so the word alone decides white where
+    (q+1) 2^-31 <= lo and black where q 2^-31 >= hi.  A block is filled
+    and compared a panel of columns at a time, at most _BLOCK_ELEMENTS
+    words, so it stays in cache whatever its row count; each panel's
+    ambiguous draws are finished to uniforms (_ambiguous_draws), and those
+    of several panels are decided exactly at once (_resolve).  Blocks end
+    at n - 1 and at n for each checkpoint n, which yields X_{n-1} from
+    k_{n-1}.  The yielded arrays may be the kernel's live buffers: read
+    or copy them before asking for the next checkpoint.
     """
-    if all(float(v).is_integer() for v in (*m.entries(), w0, b0)):
-        yield from _integer_urn_states(_Counts(m, w0, b0), keys, cps)
-        return
-    # fractional entries or counts: tally black separately so the total
-    # keeps the scalar grouping (w + a) + (black + b)
-    a, b, c, d = m.entries()
-    size = keys.size
-    w = np.full(size, w0, dtype=np.float64)
-    bl = np.full(size, b0, dtype=np.float64)
-    t = np.full(size, w0 + b0, dtype=np.float64)
-    x = np.full(size, np.nan)
-    x_now = np.empty(size)
-    white = np.empty(size, dtype=bool)
-    tmp = np.empty(size, dtype=np.float64)
-    rows = _draw_rows(keys, 1, horizon, rng.uniform_block)
-    for prev, n in zip([0, *cps], cps):
-        for _, u in itertools.islice(rows, n - prev):
-            np.divide(w, t, out=x)
-            np.less(u, x, out=white)
-            tmp.fill(c)
-            np.copyto(tmp, a, where=white)
-            np.add(w, tmp, out=w)
-            tmp.fill(d)
-            np.copyto(tmp, b, where=white)
-            np.add(bl, tmp, out=bl)
-            np.add(w, bl, out=t)
-        yield np.divide(w, t, out=x_now), t, x
-
-
-class _Counts:
-    """W and T of an integer urn's state (n, k): n draws, k of them white.
-
-    W = w0 + c n + (a-c) k and T = w0 + b0 + (c+d) n - alpha k.  Every
-    term is an integer below COUNT_LIMIT (EnsembleConfig's guard), so any
-    grouping of them is exact and W/T equals urn_step's fraction bit for
-    bit.  The block kernel computes every X it compares or yields (block
-    corners, ambiguous draws, checkpoint rows) through fraction.
-    """
-
-    def __init__(self, m: ReplacementMatrix, w0: float, b0: float):
-        a, b, c, d = m.entries()
-        self._start = (w0, w0 + b0)
-        self._per_draw = (c, c + d)
-        self._per_white = (a - c, -m.alpha)
-
-    def at(self, n, k: int = 0):
-        """(W, T) at n draws with k white; n is a number or an array."""
-        return tuple(
-            s + q * k + p * n
-            for s, p, q in zip(self._start, self._per_draw, self._per_white)
-        )
-
-    def fraction(self, k, at, out=None, t=None):
-        """(X, T) with k more white draws than the state whose (W, T) is
-        `at`; X is written to out and T to t where they are given."""
-        w_at, t_at = at
-        t = np.multiply(k, self._per_white[1], out=t)
-        t += t_at
-        w = np.multiply(k, self._per_white[0], out=out)
-        w += w_at
-        return np.divide(w, t, out=w), t
-
-
-def _integer_urn_states(
-    counts: _Counts, keys: np.ndarray, cps: list[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """_urn_states for an integer urn, stepping the white-draw count k of
-    every path a block of up to _urn_block_rows(paths) draws at a time.
-
-    Draws s+1..e+1 of a block read states (n, k) with s <= n <= e and
-    k0 <= k <= k0 + n - s.  X is a ratio of two affine functions of
-    (n, k) with T > 0, so over that triangle it is extreme at a corner:
-    (s, k0), (e, k0) or (e, k0 + e - s); rounding is monotone, so the
-    corners' doubles lo <= hi bound every X the block compares against.
-    A draw's sign_block word holds the final top 31 bits q of its
-    uniform u, and q 2^-31 <= u < (q+1) 2^-31, so the word alone decides
-    white where (q+1) 2^-31 <= lo and black where q 2^-31 >= hi.  A block
-    is filled and compared a panel of columns at a time, at most
-    _BLOCK_ELEMENTS words, so it stays in cache whatever its row count;
-    each panel's ambiguous draws are finished to uniforms
-    (_ambiguous_draws), and those of several panels are decided exactly
-    at once (_resolve).  Blocks end at n - 1 and at n for each
-    checkpoint n, which yields X_{n-1} from k_{n-1}.
-    """
+    counts = _Counts(m, w0, b0, cps[-1])
     size = keys.size
     rows_max = _urn_block_rows(size)
     width = min(size, max(1, _BLOCK_ELEMENTS // rows_max))
@@ -588,10 +487,8 @@ def _integer_urn_states(
     # padding stays False
     padded = -(-width // 8) * 8
     k = np.zeros(size)
-    x, t = np.empty(size), np.empty(size)
     x_prev = np.full(size, np.nan)
-    # X and T at the block's three corners, one row per corner
-    corner_x, corner_t = np.empty((3, size)), np.empty((3, size))
+    lo, hi = np.empty(size), np.empty(size)
     below, above = np.empty(size, np.uint64), np.empty(size, np.uint64)
     block = np.empty(rows_max * width)
     scratch = np.empty(rows_max * width, dtype=np.uint64)
@@ -599,21 +496,12 @@ def _integer_urn_states(
     ambiguous = np.zeros((rows_max, padded), dtype=bool)
     lanes = np.empty((rows_max, padded // 8), dtype=np.uint64)
 
-    def thresholds(s: int, rows: int) -> None:
-        """below and above for draws s+1..s+rows, from X at the corners;
-        x and t hold the bounds, which _word_thresholds overwrites."""
-        e = s + rows - 1
-        at = np.array([counts.at(s), counts.at(e), counts.at(e, rows - 1)])
-        counts.fraction(k, at.T[..., np.newaxis], out=corner_x, t=corner_t)
-        lo = np.minimum.reduce(corner_x, axis=0, out=x)
-        hi = np.maximum.reduce(corner_x, axis=0, out=t)
-        _word_thresholds(lo, hi, below, above)
-
     def advance(first: int, last: int) -> None:
         """Step k from n = first to n = last."""
         for s in range(first, last, rows_max):
             rows = min(rows_max, last - s)
-            thresholds(s, rows)
+            counts.bounds(k, s, rows, lo, hi)
+            _word_thresholds(lo, hi, below, above)
             sure = white[:rows]
             unsure = ambiguous[:rows]
             draws, pending = [], 0
@@ -654,15 +542,91 @@ def _integer_urn_states(
     for cp in cps:
         if cp > n:
             advance(n, cp - 1)
-            counts.fraction(k, counts.at(cp - 1), out=x_prev, t=t)
+            x_prev, _ = counts.fraction(k, counts.at(cp - 1))
             advance(cp - 1, cp)
             n = cp
-        counts.fraction(k, counts.at(n), out=x, t=t)
+        x, t = counts.fraction(k, counts.at(n))
         yield x, t, x_prev
 
 
+class _Counts:
+    """X and T of an urn's states (n, k), n draws with k of them white,
+    from urn.urn_counts: the kernel computes every X it compares or yields
+    (block corners, ambiguous draws, checkpoint rows) through fraction,
+    so each equals urn_step's fraction bit for bit.
+
+    Every X is within a few ulps of the exact ratio X' of the counts
+    that urn_counts rounds, (w0 + c n + p k) / (w0 + b0 + (c+d) n +
+    (p+q) k) with p and q the doubles a - c and b - d.  X' is a ratio of
+    affine functions of (n, k) with a positive denominator, so over a
+    block's triangle of states it is extreme at a corner: (s, k0), (e, k0)
+    or (e, k0 + e - s).  The corners' X, padded by twice the largest
+    rounding error and clamped to [0, 1], bound every X of the block
+    (bounds).  With integer entries and counts the counts are exact, so X
+    is X' rounded once, and the pad only turns a few sure draws ambiguous.
+    """
+
+    def __init__(self, m: ReplacementMatrix, w0: float, b0: float, horizon: int):
+        self._m, self._origin = m, (w0, b0)
+        self.pad = _bound_pad(m, w0, b0, horizon)
+
+    def at(self, n):
+        """urn.drawn_counts at n draws; n is a number or an array."""
+        return drawn_counts(self._m, self._origin, n)
+
+    def fraction(self, k, at) -> tuple[np.ndarray, np.ndarray]:
+        """(X, T) at the states with k white draws among the n draws whose
+        drawn counts are `at`."""
+        white, _, total = urn_counts(self._m, at, k)
+        return np.divide(white, total), total
+
+    def bounds(
+        self, k: np.ndarray, s: int, rows: int, lo: np.ndarray, hi: np.ndarray
+    ) -> None:
+        """Write into lo and hi bounds lo <= X <= hi, in [0, 1], on every
+        state that draws s+1..s+rows read from white-draw counts k at n = s."""
+        e = s + rows - 1
+        x0, _ = self.fraction(k, self.at(s))
+        x1, _ = self.fraction(k, self.at(e))
+        x2, _ = self.fraction(k + (rows - 1), self.at(e))
+        np.minimum(np.minimum(x0, x1, out=lo), x2, out=lo)
+        np.maximum(np.maximum(x0, x1, out=hi), x2, out=hi)
+        lo -= self.pad
+        np.fmax(lo, 0.0, out=lo)
+        hi += self.pad
+        np.fmin(hi, 1.0, out=hi)
+
+
+def _bound_pad(m: ReplacementMatrix, w0: float, b0: float, horizon: int) -> float:
+    """The pad that _Counts.bounds puts on a block's corner bounds: it
+    covers the rounding of every X that urn.urn_counts gives up to
+    n = horizon, or is 1.0, every draw ambiguous, where that bound fails.
+
+    With u = 2^-53 and eta = 2^-1075, white and black are each within
+    3.0001 u S + 3 eta of the exact count they round, S being the sum of
+    the magnitudes of the count's terms.  Both S together are
+    w0 + b0 + (c + d) n + (|p| + |q|) k, and the exact total is
+    w0 + b0 + (c + d)(n - k) + (c + p + d + q) k.  Their ratio, of two
+    affine functions of (n, k), is largest at a corner of
+    0 <= k <= n <= horizon: 1 at k = 0, and `spread` at k = n = horizon.
+    So rho, both errors over the exact total, is at most
+    3.0001 u spread + 6 eta / (w0 + b0), and while rho is at most 2^-10
+    every X is within 2.003 rho + 2.002 u + eta of X'.  A state's error
+    and a corner's, plus u for rounding lo - pad, stay below
+    16 u (spread + 1) + 32 eta / (w0 + b0); where that is at most 2^-8,
+    rho is below 2^-10.
+    """
+    a, b, c, d = m.entries()
+    p, q = a - c, b - d
+    start = w0 + b0
+    terms = start + (c + d + abs(p) + abs(q)) * horizon
+    spread = terms / (start + ((c + p) + (d + q)) * horizon)
+    pad = 2.0**-49 * (spread + 1.0) + 2.0**-1070 / start
+    return pad if pad <= 2.0**-8 else 1.0
+
+
 def _urn_block_rows(paths: int) -> int:
-    """Draws per block of the integer urn kernel for a chunk of `paths`:
+    """Draws per block of the urn kernel for a chunk of `paths`:
     _URN_BLOCK_ROWS, or as many rows as fill a panel of _BLOCK_ELEMENTS
     words across every path, up to the 255 a column's uint8 counts hold."""
     return min(255, max(_URN_BLOCK_ROWS, _BLOCK_ELEMENTS // paths))
@@ -734,16 +698,12 @@ def _resolve(
     by_column = np.argsort(col.astype(np.min_scalar_type(size)), kind="stable")
     rank = (np.arange(col.size) - start[col[by_column]]).astype(np.uint8)
     order = by_column[np.argsort(rank, kind="stable")]
-    col, u = col[order], u[order]
-    w_at, t_at = counts.at(s + row[order], base[order])
-    # a column holds one draw of each rank up to its last, so every column
-    # with a draw has one of rank 0, which reads base alone
-    ends = np.cumsum(np.bincount(rank))
+    col, u, base = col[order], u[order], base[order]
+    w_at, b_at = counts.at(s + row[order])
     found = np.zeros(size)
-    found[col[: ends[0]]] = u[: ends[0]] < w_at[: ends[0]] / t_at[: ends[0]]
-    for lo, hi in itertools.pairwise(ends):
+    for lo, hi in itertools.pairwise([0, *np.cumsum(np.bincount(rank)).tolist()]):
         c = col[lo:hi]
-        x, _ = counts.fraction(found[c], (w_at[lo:hi], t_at[lo:hi]))
+        x, _ = counts.fraction(found[c] + base[lo:hi], (w_at[lo:hi], b_at[lo:hi]))
         found[c] += u[lo:hi] < x
     return found
 
@@ -755,26 +715,36 @@ def _run_synthetic_chunk(
     checkpoint n, as a live buffer like _urn_states'.
 
     Draw n moves Z_{n-1} to Z_n with noise +step_n where u < 1/2 and -step_n
-    otherwise, step_n = size/sqrt(g_{n-1}).  Each block of draws is read
-    through its sign bits (rng.sign_block) and turned into +-step_n once,
-    so a step is two ufunc passes, z *= 1 - Gamma/g_{n-1} and z += row.
+    otherwise, step_n = size/sqrt(g_{n-1}).  Draws are filled a block at a
+    time into one block and RNG scratch, allocated once: up to
+    _BLOCK_ELEMENTS draws (whole rows, at least one), so both stay in cache
+    while the step loop reads them.  Each block is read through its sign
+    bits (rng.sign_block) and turned into +-step_n once, so a step is two
+    ufunc passes, z *= 1 - Gamma/g_{n-1} and z += row.
     """
     z = np.full(keys.size, proc.z0, dtype=np.float64)
+    # draw n moves Z_{n-1} to Z_n; the process only starts moving at `start`
     start = proc.family.first_positive_index()
     size = proc.noise_size
+    rows = max(1, min(_BLOCK_ELEMENTS // keys.size, horizon - start))
+    block = np.empty((rows, keys.size), dtype=np.float64)
+    scratch = np.empty(block.size, dtype=np.uint64)
 
-    def signed_steps(keys, j: int, count: int, **buffers) -> np.ndarray:
-        block = rng.sign_block(keys, j, count, **buffers)
-        g = map(proc.family.value_at, range(j - 1, j - 1 + count))
-        steps = np.fromiter((size / math.sqrt(v) for v in g), np.float64, count)
-        return _copysign_rows(steps, block)
+    def noise_rows() -> Iterator[tuple[int, np.ndarray]]:
+        """(n, draw n's row of +-step_n) for n = start+1..horizon; a row
+        is overwritten by the next block."""
+        for j in range(start + 1, horizon + 1, rows):
+            count = min(rows, horizon - j + 1)
+            signs = rng.sign_block(keys, j, count, out=block, scratch=scratch)
+            g = map(proc.family.value_at, range(j - 1, j - 1 + count))
+            steps = np.fromiter((size / math.sqrt(v) for v in g), np.float64, count)
+            yield from zip(range(j, j + count), _copysign_rows(steps, signs))
 
-    # draw n moves Z_{n-1} to Z_n; the process only starts moving at `start`
-    rows = _draw_rows(keys, start + 1, horizon, signed_steps)
+    noise = noise_rows()
     for prev, cp in zip([0, *cps], cps):
-        for n, noise in itertools.islice(rows, max(cp, start) - max(prev, start)):
+        for n, row in itertools.islice(noise, max(cp, start) - max(prev, start)):
             z *= 1.0 - proc.big_gamma / proc.family.value_at(n - 1)
-            z += noise
+            z += row
         yield z
 
 
@@ -801,7 +771,7 @@ def _traces(config: EnsembleConfig, indices: range) -> PathCheckpointData:
     keys = rng.path_keys(config.master_seed, indices.start, len(indices))
     rows = [np.empty((len(cps), keys.size)) for _ in range(3)]
     m, w0, b0 = config.matrix, config.w0, config.b0
-    for ci, state in enumerate(_urn_states(m, w0, b0, config.horizon, keys, cps)):
+    for ci, state in enumerate(_urn_states(m, w0, b0, keys, cps)):
         for row, value in zip(rows, state):
             row[ci] = value
     return PathCheckpointData(np.asarray(cps, dtype=np.int64), *rows)
@@ -888,7 +858,7 @@ def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
         raise ConfigError("forced scaling needs a center for this regime")
 
     def kernel(keys: np.ndarray) -> Iterator[np.ndarray]:
-        for x, _, _ in _urn_states(m, w0, b0, horizon, keys, cps):
+        for x, _, _ in _urn_states(m, w0, b0, keys, cps):
             yield x
 
     return _Source(

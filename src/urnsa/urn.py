@@ -110,15 +110,13 @@ class ReplacementMatrix:
 
 @dataclass(frozen=True)
 class UrnState:
-    """Counts after n draws plus the bookkeeping needed to replay them.
+    """Counts after n draws from the origin (w0, b0), white_draws of them
+    white.
 
-    total is always white + black; white_draws counts the draws that came
-    up white, which together with n determines the counts exactly:
-
-        white = white_0 + c*n + (a-c)*white_draws
-        total = total_0 + (c+d)*n - alpha*white_draws
-
-    Integer matrix entries keep all fields integer-exact below 2^53.
+    urn_step computes a state's white, black and total from its origin and
+    (n, white_draws) through urn_counts, so total is always white + black.
+    origin defaults to the state's own counts at n = 0 and must be given
+    at n > 0.
     """
 
     white: float
@@ -126,8 +124,13 @@ class UrnState:
     total: float
     n: int
     white_draws: int
+    origin: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        if self.origin is None:
+            if self.n > 0:
+                raise InvalidStateError("a state after draws needs its origin")
+            object.__setattr__(self, "origin", (self.white, self.black))
         if self.white <= 0.0 and self.black <= 0.0:
             raise InvalidStateError("urn must contain mass of some color")
         if self.white < 0.0 or self.black < 0.0:
@@ -148,6 +151,36 @@ class UrnState:
         if w0 <= 0.0 or b0 <= 0.0:
             raise InvalidStateError("initial counts must both be positive")
         return UrnState(w0, b0, w0 + b0, 0, 0)
+
+
+def drawn_counts(m: ReplacementMatrix, origin: tuple[float, float], n):
+    """(w0 + c n, b0 + d n) from origin (w0, b0): the terms of urn_counts
+    that depend on n alone.  n is a number or a numpy array."""
+    w0, b0 = origin
+    return w0 + m.c * n, b0 + m.d * n
+
+
+def urn_counts(m: ReplacementMatrix, drawn, k):
+    """(white, black, total) after n draws, k of them white, where drawn
+    is drawn_counts(m, origin, n).
+
+    The one float expression that defines the state (n, k) of every urn,
+    integer or fractional, each operation rounded in this order:
+
+        white = (w0 + c n) + (a - c) k
+        black = (b0 + d n) + (b - d) k
+        total = white + black
+
+    and X_n = white / total.  urn_step and the montecarlo kernel evaluate
+    it, the kernel elementwise over numpy arrays, so both give the same
+    X_n bit for bit.  With integer entries and counts every term is an
+    integer below COUNT_LIMIT, so every count is exact.  Otherwise each
+    count is within a few ulps of its exact value, and never negative:
+    where a < c, |a - c| k <= c n, and rounding is monotone (black alike).
+    """
+    white = drawn[0] + (m.a - m.c) * k
+    black = drawn[1] + (m.b - m.d) * k
+    return white, black, white + black
 
 
 def drift_from_matrix(m: ReplacementMatrix) -> DriftPoly:
@@ -177,21 +210,10 @@ def urn_step(state: UrnState, m: ReplacementMatrix, u: float) -> UrnState:
     """Apply one draw decided by the uniform u: white iff u < white/total."""
     if not 0.0 <= u < 1.0:
         raise ConfigError(f"uniform draw must lie in [0,1), got {u}")
-    if u < state.white / state.total:
-        white = state.white + m.a
-        black = state.black + m.b
-        hit = 1
-    else:
-        white = state.white + m.c
-        black = state.black + m.d
-        hit = 0
-    return UrnState(
-        white=white,
-        black=black,
-        total=white + black,
-        n=state.n + 1,
-        white_draws=state.white_draws + hit,
-    )
+    n = state.n + 1
+    k = state.white_draws + (u < state.fraction)
+    counts = urn_counts(m, drawn_counts(m, state.origin, n), k)
+    return UrnState(*counts, n=n, white_draws=k, origin=state.origin)
 
 
 def urn_noise(before: UrnState, after: UrnState, drift: DriftPoly) -> float:

@@ -20,7 +20,7 @@ import jsonschema
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from urnsa import (
@@ -390,15 +390,12 @@ class TestKernelEquivalence:
     ):
         counts = self._small_blocks(monkeypatch)
         self._check_urn(m, w0, b0)
-        if all(float(v).is_integer() for v in (*m.entries(), w0, b0)):
-            # the block kernel fills every block in two panels, of 5 and 2
-            # paths: blocks of up to 20 rows, cut at each checkpoint n and
-            # at n - 1, the one-row blocks
-            assert sum(counts) == 2 * 300
-            assert max(counts) == 20
-            assert min(counts) == 1
-        else:
-            self._assert_crossed_blocks(counts, steps=300)
+        # the block kernel fills every block in two panels, of 5 and 2
+        # paths: blocks of up to 20 rows, cut at each checkpoint n and at
+        # n - 1, the one-row blocks
+        assert sum(counts) == 2 * 300
+        assert max(counts) == 20
+        assert min(counts) == 1
 
     @given(
         st.tuples(*[st.floats(0.0, 8.0)] * 4).filter(
@@ -430,8 +427,10 @@ class TestKernelEquivalence:
         m = ReplacementMatrix(*entries)
         w0, b0 = counts
         with pytest.MonkeyPatch.context() as mp:
-            # 3 rows of 3 paths per block: 40 steps cross 13 block boundaries
+            # blocks of up to 3 rows in one panel of 3 paths, cut at each
+            # checkpoint n and n - 1: 40 steps in 20 blocks
             mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 10)
+            mp.setattr(montecarlo, "_URN_BLOCK_ROWS", 3)
             res = run_ensemble(
                 EnsembleConfig(
                     matrix=m, w0=w0, b0=b0, horizon=40, paths=3, master_seed=seed,
@@ -588,6 +587,53 @@ class TestKernelEquivalence:
                 assert traces.x_prev[j, i] == states[n - 1].fraction
         return met
 
+    @given(
+        st.tuples(*[st.floats(0.0, 8.0)] * 4),
+        st.tuples(*[st.floats(0.1, 10.0)] * 2),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.integers(1, 255),
+    )
+    @settings(max_examples=200)
+    # Each example below leaves a state's X outside its block's unpadded
+    # corner bounds.  a < c from k = n: (w0 + c n) + (a - c) k cancels
+    # down to w0 + a n, whose rounding follows c n
+    @example(
+        entries=(0.14, 0.84, 5.48, 4.67), counts=(1.21, 7.26),
+        k0=11229, black=0, rows=255,
+    )
+    # subnormal entries: X' moves only with black draws
+    @example(
+        entries=(5e-324, 5e-324, 0.98, 3.94), counts=(3.39, 3.52),
+        k0=1738, black=1124, rows=255,
+    )
+    # w0 = 2^52: a count's ulp is 1, so most terms round away
+    @example(
+        entries=(0.89, 0.6, 0.41, 0.0), counts=(2.0**52, 8.5),
+        k0=24415, black=21128, rows=255,
+    )
+    def test_padded_bounds_hold_every_state_of_a_block(
+        self, entries, counts, k0, black, rows
+    ):
+        """_Counts.bounds' padded corner bounds, in [0, 1], hold the X of
+        every state (n, k) of a block from (s, k0), s = k0 + black:
+        s <= n <= s + rows - 1 and k0 <= k <= k0 + n - s."""
+        m = ReplacementMatrix(*entries)
+        w0, b0 = counts
+        s = k0 + black
+        horizon = s + rows
+        assume(w0 + b0 + horizon * max(m.row_white, m.row_black) < COUNT_LIMIT)
+        urn = montecarlo._Counts(m, w0, b0, horizon)
+        lo, hi = np.empty(1), np.empty(1)
+        urn.bounds(np.array([float(k0)]), s, rows, lo, hi)
+        assert 0.0 <= lo[0] <= hi[0] <= 1.0
+        # row i of the triangle: n = s + i and i + 1 white-draw counts
+        size = np.arange(1, rows + 1)
+        n = np.repeat(s + np.arange(rows), size)
+        k = k0 + np.arange(n.size) - np.repeat(np.cumsum(size) - size, size)
+        x, _ = urn.fraction(k.astype(np.float64), urn.at(n))
+        assert lo[0] <= x.min() and x.max() <= hi[0]
+
     @given(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True))
     @example(lo=1.0, hi=1.0)
     @example(lo=1.0 - 2.0**-53, hi=1.0 - 2.0**-40)
@@ -625,26 +671,23 @@ class TestKernelEquivalence:
 
     @staticmethod
     def _small_blocks(monkeypatch) -> list[int]:
-        """Shrink RNG blocks to 14 rows of 7 (or 20 rows of 5) paths, and
-        the integer urn kernel's to 20 rows in panels of 5 paths.
+        """Shrink the synthetic kernel's RNG blocks to 14 rows of 7 (or 20
+        rows of 5) paths, and the urn kernel's to 20 rows in panels of 5
+        paths.
 
-        Returns the list that records the count of every block drawn, by
-        either fill (the fractional urn kernel's uniforms, the integer and
-        synthetic ones' signs).
+        Returns the list that records the row count of every sign_block
+        fill, the one fill both kernels draw with.
         """
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 100)
         monkeypatch.setattr(montecarlo, "_URN_BLOCK_ROWS", 20)
         counts: list[int] = []
+        sign_block = rng.sign_block
 
-        def counting(fill):
-            def fill_and_count(keys, first_draw, count, *args, **kwargs):
-                counts.append(count)
-                return fill(keys, first_draw, count, *args, **kwargs)
+        def fill_and_count(keys, first_draw, count, *args, **kwargs):
+            counts.append(count)
+            return sign_block(keys, first_draw, count, *args, **kwargs)
 
-            return fill_and_count
-
-        for name in ("uniform_block", "sign_block"):
-            monkeypatch.setattr(rng, name, counting(getattr(rng, name)))
+        monkeypatch.setattr(rng, "sign_block", fill_and_count)
         return counts
 
     @staticmethod
@@ -966,17 +1009,14 @@ class TestForkedWorkers:
         cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 10, paths=30_000)
         last_key = rng.path_keys(cfg.master_seed, 20_000, 1)[0]
 
-        def failing(fill):
-            def failing_block(keys, *args, **kwargs):
-                if keys[0] == last_key:
-                    raise RuntimeError("kernel failure in the last chunk")
-                return fill(keys, *args, **kwargs)
+        sign_block = rng.sign_block
 
-            return failing_block
+        def failing_block(keys, *args, **kwargs):
+            if keys[0] == last_key:
+                raise RuntimeError("kernel failure in the last chunk")
+            return sign_block(keys, *args, **kwargs)
 
-        # whichever fill the urn kernel draws its words with
-        for name in ("uniform_block", "sign_block"):
-            monkeypatch.setattr(rng, name, failing(getattr(rng, name)))
+        monkeypatch.setattr(rng, "sign_block", failing_block)
         _, pids, statuses = record_workers(monkeypatch)
         with pytest.raises(
             UrnsaError, match=r"paths 20000\.\.29999 exited with status 1"

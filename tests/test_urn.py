@@ -118,6 +118,17 @@ class TestUrnState:
         with pytest.raises(InvalidStateError):
             UrnState.initial(0.0, 1.0)
 
+    def test_origin(self, toy_matrix):
+        """A state at n = 0 is its own origin; a state after draws needs
+        one, and urn_step carries it."""
+        s = UrnState.initial(2.0, 3.0)
+        assert s.origin == (2.0, 3.0)
+        after = urn_step(s, toy_matrix, 0.0)
+        assert after.origin == (2.0, 3.0)
+        assert after == UrnState(6.0, 8.0, 14.0, n=1, white_draws=1, origin=(2.0, 3.0))
+        with pytest.raises(InvalidStateError, match="origin"):
+            UrnState(white=6.0, black=8.0, total=14.0, n=1, white_draws=1)
+
     def test_step_white_and_black_branches(self, toy_matrix):
         s = UrnState.initial(1.0, 1.0)
         after_white = urn_step(s, toy_matrix, 0.0)  # u < 1/2 draws white
@@ -397,6 +408,18 @@ class TestScalarPath:
         for x, s in zip(path.values, states):
             assert x == s.fraction
         assert states[-1].n == 100
+
+    def test_fractional_states_follow_the_count_expression(self):
+        """Every state's counts are urn_counts' expression of (n, k), with
+        its rounding order, not a running sum of matrix rows."""
+        m = ReplacementMatrix(0.1, 0.7, 0.3, 0.2)
+        _, states = run_path_scalar(m, 2.5, 3.5, 300, rng.path_key(3, 0))
+        for s in states:
+            n, k = s.n, s.white_draws
+            assert s.white == (2.5 + m.c * n) + (m.a - m.c) * k
+            assert s.black == (3.5 + m.d * n) + (m.b - m.d) * k
+            assert s.total == s.white + s.black
+        assert 0 < states[-1].white_draws < 300
 
     def test_zero_horizon(self, toy_matrix):
         path, states = run_path_scalar(

@@ -26,18 +26,19 @@ and montecarlo._MIN_CHUNK_PATH_STEPS:
    per-chunk path-step count from which on two chunks win at least nine
    pairs in ten at every path count, taken over several runs, sets
    montecarlo._MIN_CHUNK_PATH_STEPS (its comment quotes five);
-5. the urn kernel's rows per block, montecarlo._urn_block_rows,
-   against fixed rows of 64, 128 and 255, at the chunk widths that run
-   (1, 250, 500, 1000 and 10000 paths of urn-narrow's urn, one chunk),
-   in ms per run, in pairs as in step 3 for each fixed row count, and the
-   share of draws left ambiguous under the rule, the draws that a block's
-   bounds leave to be decided exactly.
+5. the urn kernel's rows per block, montecarlo._urn_block_rows, which
+   grow with n, against fixed rows of 64, 128 and 255, at the chunk widths
+   that run (1, 250, 500, 1000 and 10000 paths of urn-narrow's urn, one
+   chunk), in ms per run, in pairs as in step 3 for each fixed row count;
+   and under the rule the share of draws left ambiguous, the draws that a
+   block's bounds leave to be decided exactly, and the fixed-point passes
+   that montecarlo._resolve takes per batch of them.
 
 Chunk counts are forced by patching montecarlo._usable_cores (and
 lowering montecarlo._MIN_CHUNK_PATHS and _MIN_CHUNK_PATH_STEPS for steps 3
 and 4), not by the machine; fixed rows by patching _urn_block_rows.  Step 5
-counts ambiguous draws in one more run per width, with montecarlo._resolve
-wrapped.
+counts ambiguous draws and passes in one more run per width, with
+montecarlo._resolve wrapped.
 It prints the usable core count and the L2 cache size first, read from
 the affinity mask and /sys/devices/system/cpu/cpu0/cache; it sets nothing
 on the machine.  The constants are restored before it exits.
@@ -209,24 +210,45 @@ FIXED_ROWS = (64, 128, 255)
 ROW_URN = SPLIT_KERNELS["urn"]
 
 
-def ambiguous_share(shape: dict) -> float:
-    """Percent of the draws of one single-chunk run left ambiguous."""
+class _CountingCounts:
+    """A kernel's montecarlo._Counts that counts its fraction calls: one
+    per fixed-point pass of montecarlo._resolve."""
+
+    def __init__(self, counts):
+        self.counts, self.calls = counts, 0
+
+    def at(self, n):
+        return self.counts.at(n)
+
+    def fraction(self, k, at):
+        self.calls += 1
+        return self.counts.fraction(k, at)
+
+
+def resolve_stats(shape: dict) -> tuple[float, float, int]:
+    """Percent of the draws of one single-chunk run left ambiguous, and
+    the mean and most fixed-point passes that montecarlo._resolve took
+    per batch of them."""
     cfg = EnsembleConfig(master_seed=SEED, **shape)
     resolve = montecarlo._resolve
     saved = (montecarlo._usable_cores, resolve)
-    draws = 0
+    draws, passes = 0, []
 
     def resolving(counts, s, row, col, base, u, size):
         nonlocal draws
         draws += row.size
-        return resolve(counts, s, row, col, base, u, size)
+        counting = _CountingCounts(counts)
+        found = resolve(counting, s, row, col, base, u, size)
+        passes.append(counting.calls)
+        return found
 
     montecarlo._usable_cores, montecarlo._resolve = (lambda: 1), resolving
     try:
         montecarlo.run_ensemble(cfg)
     finally:
         montecarlo._usable_cores, montecarlo._resolve = saved
-    return 100.0 * draws / (cfg.paths * cfg.horizon)
+    share = 100.0 * draws / (cfg.paths * cfg.horizon)
+    return share, statistics.mean(passes), max(passes)
 
 
 def time_rows(shape: dict, rows: int | None) -> float:
@@ -234,7 +256,7 @@ def time_rows(shape: dict, rows: int | None) -> float:
     rule's rows where rows is None."""
     rule = montecarlo._urn_block_rows
     if rows is not None:
-        montecarlo._urn_block_rows = lambda paths: rows
+        montecarlo._urn_block_rows = lambda paths, n: rows
     try:
         return time_ensemble(shape, 1)
     finally:
@@ -243,10 +265,12 @@ def time_rows(shape: dict, rows: int | None) -> float:
 
 def block_rows_step() -> None:
     print("\nurn kernel rows per block, urn-narrow's urn in one chunk: "
-          "the rule's rows and ambiguous share, then per fixed row count "
-          f"ms per run of the rule and of the fixed rows (medians of "
-          f"{SPLIT_PAIRS} alternating pairs) and pairs that the rule won")
-    print(f"{'paths':>6} {'horizon':>8} {'rows':>5} {'ambig':>6}"
+          "the rule's rows from the first block to the last, the ambiguous "
+          "share and the fixed-point passes per batch (mean, most), then per "
+          "fixed row count ms per run of the rule and of the fixed rows "
+          f"(medians of {SPLIT_PAIRS} alternating pairs) and pairs that the "
+          "rule won")
+    print(f"{'paths':>6} {'horizon':>8} {'rows':>8} {'ambig':>6} {'passes':>9}"
           + "".join(f"{'vs ' + str(r):>22}" for r in FIXED_ROWS))
     for paths, horizon in ROW_WIDTHS.items():
         shape = dict(ROW_URN, paths=paths, horizon=horizon)
@@ -256,9 +280,11 @@ def block_rows_step() -> None:
                 lambda: time_rows(shape, rows), lambda: time_rows(shape, None)
             )
             cells.append(f"{rule * 1e3:.0f} {fixed * 1e3:.0f} {wins:>2}/{SPLIT_PAIRS}")
+        first, last = (montecarlo._urn_block_rows(paths, n) for n in (0, horizon - 1))
+        share, mean, most = resolve_stats(shape)
         print(f"{paths:>6} {'2^%d' % (horizon.bit_length() - 1):>8} "
-              f"{montecarlo._urn_block_rows(paths):>5} "
-              f"{ambiguous_share(shape):>5.2f}%" + "".join(f"{c:>22}" for c in cells))
+              f"{f'{first}-{last}':>8} {share:>5.2f}% {mean:>5.2f} {most:>3}"
+              + "".join(f"{c:>22}" for c in cells))
 
 
 def main() -> None:

@@ -29,7 +29,7 @@ from .montecarlo import (
     EnsembleConfig,
     EnsembleResult,
     PathCheckpointData,
-    _summary_moments,
+    _checkpoint_summary,
     _traces,
     deviation_split,
     gamma_hat_rate_check,
@@ -392,11 +392,10 @@ def _replayed_summaries(res: EnsembleResult) -> list[CheckpointSummary]:
     """res's checkpoint summaries, reduced from one replay of all its paths."""
     traces = _traces(res.config, range(res.config.paths))
     sx, sy = res.scaling
-    out = []
-    for n, row in zip(res.checkpoints, traces.x):
-        m = _summary_moments(weight(n, sx, sy) * (row - res.center))
-        out.append(CheckpointSummary(n=n, mean=m.mean, variance=m.variance))
-    return out
+    return [
+        _checkpoint_summary(n, weight(n, sx, sy) * (row - res.center))
+        for n, row in zip(res.checkpoints, traces.x)
+    ]
 
 
 def determinism() -> CriterionResult:

@@ -22,12 +22,15 @@ decide most draws at once, and only the draws near their threshold are
 finished to uniforms and stepped exactly (_urn_states).  A block costs a
 few dozen numpy calls per panel of columns, whatever its width: X at the
 block's three corners comes from three passes over the paths, and the
-ambiguous draws, 0.6-2.4% of the draws in the benchmark urns, are ranked
-in their columns by sorting them alone, once per batch of panels.  So a
-chunk of few paths takes blocks of more rows, up to 255, to fill its panel
-(_urn_block_rows) and pays that cost on fewer blocks.  The synthetic
-update reads only the sign of each draw against 1/2 (rng.sign_block) and
-adds +-step exactly as the scalar branch does.
+ambiguous draws, 0.3-1.4% of the draws in the benchmark urns, are decided
+once per batch of panels by a fixed point (_resolve): sorted by column
+once, every draw is decided from the whites that the last pass found above
+it in its column, until a recount changes nothing, in two or three passes
+for most batches.  A block's ambiguous draws grow about as rows^2 / n, so
+its rows grow as sqrt(n), more in a chunk of few paths, whose panels are
+narrow, up to 255 (_urn_block_rows).  The synthetic update reads only the
+sign of each draw against 1/2 (rng.sign_block) and adds +-step exactly as
+the scalar branch does.
 
 An ensemble splits only where each chunk keeps _MIN_CHUNK_PATHS paths and
 _MIN_CHUNK_PATH_STEPS path-steps.  The path floor is the smallest
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import itertools
 import json
 import math
@@ -57,7 +61,7 @@ from .drift import DriftPoly
 from .errors import ConfigError, DegenerateVarianceError, UrnsaError
 from .limits import LimitPrediction, Regime, classify, reference_prediction
 from .sa import SyntheticProcess, weight
-from .special import normal_cdf
+from .special import _normal_cdfs, normal_cdf
 from .urn import (
     COUNT_LIMIT,
     ReplacementMatrix,
@@ -131,44 +135,46 @@ _BLOCK_ELEMENTS = 1 << 16
 # block kernel's 96: k, X_n, T_n and X_{n-1} (4 x 8), X at the block's
 # three corners with the counts behind the last of them (6 x 8), and word
 # thresholds (2 x 8); and while it decides a batch of ambiguous draws, the
-# draws found white and each column's count and start (3 x 8).  A
-# synthetic run adds z and its share of the RNG block and scratch (3 x 8).
-# The urn kernel's panels hold at most _BLOCK_ELEMENTS words however many
-# paths run, whatever its rows per block: a panel of 255 rows spans at most
-# 257 paths.  Its two masks and their uint64 lanes add 3 bytes a draw, rows
-# padded to 8 columns (at most 255 x 264 draws, about 200 KB).  The
+# whites it found per path (8).  A batch's own arrays, about a dozen values
+# a draw, hold fewer than _BLOCK_ELEMENTS / 8 draws plus one panel's,
+# whatever the path count.  A synthetic run adds z and its share of the
+# RNG block and scratch (3 x 8).  The urn kernel's panels hold at most
+# _BLOCK_ELEMENTS words however many paths run, whatever its rows per
+# block: a panel of r rows spans at most _BLOCK_ELEMENTS // r paths.  Its
+# two masks and their uint64 lanes add 3 bytes a draw, rows padded to 8
+# columns (at most _BLOCK_ELEMENTS + 8 x 255 draws, about 200 KB).  The
 # caller's receive buffers (8) hold only the workers' paths.  So none of
 # these raises the lower bounds.
 _PATH_BYTES = 120
 _SYNTHETIC_PATH_BYTES = 48
-# Draws per block of the urn kernel in a chunk of many paths; a
-# chunk of few takes more rows, as many as fill a panel of _BLOCK_ELEMENTS,
-# up to 255 so that a column's counts over a block fit uint8
-# (_urn_block_rows).  A block costs a few dozen numpy calls per panel
-# whatever its width, while more rows widen its bounds: ambiguous draws per
-# block grow about as rows^2.  scripts/block_sweep.py step 5 (urn-narrow's
-# urn in one chunk; 2-core Xeon, 2 MiB L2 per core, shared): the rule's
-# rows, the share of draws left ambiguous, and ms per run of the rule
-# against fixed rows, medians of ten alternating pairs, with the pairs
-# that the rule won, in two runs:
+# Rows per block of the urn kernel: a block of a chunk of p paths, from
+# state n on, takes sqrt((n + 1) max(4, _URN_ROW_PATHS / p)) rows while
+# they fit one panel (_urn_block_rows).  Fitted to the fastest fixed rows
+# per octave of n (kernel alone, 2-core Xeon): about 2.5 sqrt(n) at 250
+# paths, 1.5-1.7 at 500, 1.2 at 1000 and 0.6-1.6 from 4000 paths up, where
+# rows past one panel cost a panel each.  scripts/block_sweep.py step 5
+# (urn-narrow's urn in one chunk; 2-core Xeon, 2 MiB L2 per core, shared):
+# the rule's rows at the first block and the last, the share of draws left
+# ambiguous, _resolve's passes per batch (mean, most), and ms per run of
+# the rule against fixed rows, medians of ten alternating pairs, with the
+# pairs that the rule won, in two runs:
 #
-#    paths  horizon  rows  ambiguous     vs 64         vs 128         vs 255
-#        1     2^17   255      0.94%  49  112 10/10  46  66 10/10  47  46 4/10
-#                                     40   95 10/10  41  57 10/10  44  43 5/10
-#      250     2^15   255      2.40%  62   80 10/10  61  63  8/10  60  61 6/10
-#                                     56   74 10/10  64  64  4/10  58  59 4/10
-#      500     2^15   131      1.39% 100  109 10/10 103 101  3/10 103 109 9/10
-#                                     96  104 10/10 101 101  5/10 100 109 10/10
-#     1000     2^14    65      1.36%  96   96  6/10 103 111  8/10 104 137 10/10
-#                                     95   95  6/10  98 104  9/10  92 125 10/10
-#    10000     2^12    64      4.07% 287  286  5/10 284 381 10/10 288 583 10/10
-#                                    272  271  3/10 266 355 10/10 293 569 10/10
+#  paths horizon    rows ambig passes     vs 64        vs 128        vs 255
+#      1    2^17  38-255 0.94% 1.51 5  35  97 10/10  35  57 10/10  36  35  3/10
+#                                      35  96 10/10  35  56 10/10  35  35  6/10
+#    250    2^15   2-255 1.40% 2.71 5  49  68 10/10  49  54 10/10  49  53 10/10
+#                                      48  67 10/10  48  53 10/10  48  53 10/10
+#    500    2^15   2-131 0.93% 2.40 5  83  97 10/10  83  88 10/10  83 101 10/10
+#                                      83  96  9/10  83  88 10/10  83 102 10/10
+#   1000    2^14    2-65 1.05% 2.30 5  84  88 10/10  84 102 10/10  84 130 10/10
+#                                      83  88 10/10  83 102 10/10  83 129 10/10
+#  10000    2^12    2-60 1.58% 2.96 5 211 321 10/10 212 447 10/10 211 643 10/10
+#                                     212 320 10/10 211 446 10/10 210 641 10/10
 #
-# No width lost to fixed 64 rows in 9 of 10 pairs, and from 500 paths down
-# the rule won all ten.  Ambiguous shares are of the short runs above; in
-# the benchmark, urn-wide's 10000-path chunks leave 0.63% and urn-narrow's
-# 250-path chunks 2.4%.
-_URN_BLOCK_ROWS = 64
+# The rule won at least 9 of 10 against every fixed height but 255 rows at
+# one path, where the two ran level (35 ms).  At 250 paths it beat 128
+# rows, which the 255-row rule before it lost to.
+_URN_ROW_PATHS = 1500
 # the scale of a uniform's top 31 bits, which sign_block's words hold final
 _TOP_BITS = 2.0 ** 31
 # a float64's sign bit, read as uint64
@@ -349,6 +355,13 @@ def _summary_moments(values: np.ndarray) -> Moments:
         return Moments(mean=mean, variance=0.0, skewness=None, count=values.size)
 
 
+def _checkpoint_summary(n: int, values: np.ndarray) -> CheckpointSummary:
+    """Checkpoint n's mean and variance, those of _summary_moments(values)
+    bit for bit, without its skewness."""
+    variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
+    return CheckpointSummary(n, float(np.mean(values)), variance)
+
+
 def ks_statistic(values: Sequence[float], cdf: Callable[[float], float]) -> float:
     """Kolmogorov-Smirnov distance between a sample and a distribution.
 
@@ -360,7 +373,10 @@ def ks_statistic(values: Sequence[float], cdf: Callable[[float], float]) -> floa
     n = xs.size
     if n < 1:
         raise ConfigError("KS distance needs at least one value")
-    f = np.fromiter(map(cdf, xs.tolist()), np.float64, n)
+    if isinstance(cdf, _NormalCdf):
+        f = _normal_cdfs(xs, cdf.mean, cdf.variance)
+    else:
+        f = np.fromiter(map(cdf, xs.tolist()), np.float64, n)
     i = np.arange(1, n + 1, dtype=np.float64)
     upper = float(np.max(i / n - f))
     lower = float(np.max(f - (i - 1.0) / n))
@@ -463,10 +479,11 @@ def _urn_states(
     """Step the urn paths with these keys; yield (X_n, T_n, X_{n-1}) at
     each checkpoint n (X_{n-1} is NaN at n = 0).
 
-    Every path's state is its white-draw count k, stepped a block of up
-    to _urn_block_rows(paths) draws at a time.  Draws s+1..e+1 of a block
-    read states (n, k) with s <= n <= e and k0 <= k <= k0 + n - s, whose
-    X lie within _Counts.bounds' padded bounds lo <= hi.  A draw's
+    Every path's state is its white-draw count k, stepped a block of
+    _urn_block_rows(paths, s) draws at a time, rows that grow with the
+    block's first state n = s.  Draws s+1..e+1 of a block read states
+    (n, k) with s <= n <= e and k0 <= k <= k0 + n - s, whose X lie within
+    _Counts.bounds' padded bounds lo <= hi.  A draw's
     sign_block word holds the final top 31 bits q of its uniform u, and
     q 2^-31 <= u < (q+1) 2^-31, so the word alone decides white where
     (q+1) 2^-31 <= lo and black where q 2^-31 >= hi.  A block is filled
@@ -480,30 +497,50 @@ def _urn_states(
     """
     counts = _Counts(m, w0, b0, cps[-1])
     size = keys.size
-    rows_max = _urn_block_rows(size)
-    width = min(size, max(1, _BLOCK_ELEMENTS // rows_max))
-    # each mask row is padded to whole uint64 words, so that a uint64 view
-    # adds eight columns' uint8 counts at once, one per byte lane; the
-    # padding stays False
-    padded = -(-width // 8) * 8
+    # rows grow with n, so no block takes more than the horizon's rows; a
+    # block of r rows is filled in panels of min(size, _BLOCK_ELEMENTS // r)
+    # columns, and each mask row is padded to whole uint64 words, so that a
+    # uint64 view adds eight columns' uint8 counts at once, one per byte lane
+    rows_max = _urn_block_rows(size, cps[-1])
+    elements = min(rows_max * -(-size // 8) * 8, _BLOCK_ELEMENTS + 8 * rows_max)
     k = np.zeros(size)
     x_prev = np.full(size, np.nan)
     lo, hi = np.empty(size), np.empty(size)
     below, above = np.empty(size, np.uint64), np.empty(size, np.uint64)
-    block = np.empty(rows_max * width)
-    scratch = np.empty(rows_max * width, dtype=np.uint64)
-    white = np.zeros((rows_max, padded), dtype=bool)
-    ambiguous = np.zeros((rows_max, padded), dtype=bool)
-    lanes = np.empty((rows_max, padded // 8), dtype=np.uint64)
+    block = np.empty(elements)
+    scratch = np.empty(elements, dtype=np.uint64)
+    white = np.zeros(elements, dtype=bool)
+    ambiguous = np.zeros(elements, dtype=bool)
+    lanes = np.empty(elements // 8, dtype=np.uint64)
+    tall = width = 0  # the last block's rows by the rule, and its panel width
+
+    @functools.cache
+    def masks(rows: int, padded: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The two masks and their uint64 lanes, rows x padded columns."""
+        cut = rows * padded
+        return (
+            white[:cut].reshape(rows, padded),
+            ambiguous[:cut].reshape(rows, padded),
+            lanes[: cut // 8].reshape(rows, padded // 8),
+        )
 
     def advance(first: int, last: int) -> None:
         """Step k from n = first to n = last."""
-        for s in range(first, last, rows_max):
-            rows = min(rows_max, last - s)
+        nonlocal tall, width
+        s = first
+        while s < last:
+            if tall < rows_max:
+                tall = _urn_block_rows(size, s)
+                panel = min(size, max(1, _BLOCK_ELEMENTS // tall))
+                if panel != width:
+                    width = panel
+                    # a new layout: every mask row's padding must read False
+                    white[:] = False
+                    ambiguous[:] = False
+            rows = min(tall, last - s)
+            sure, unsure, counted = masks(rows, -(-width // 8) * 8)
             counts.bounds(k, s, rows, lo, hi)
             _word_thresholds(lo, hi, below, above)
-            sure = white[:rows]
-            unsure = ambiguous[:rows]
             draws, pending = [], 0
             for c0 in range(0, size, width):
                 c1 = min(c0 + width, size)
@@ -520,7 +557,7 @@ def _urn_states(
                 np.logical_xor(unsure, sure, out=unsure)
                 # sure whites in rows <= r, per column: row r of a running sum
                 whites = np.add.accumulate(
-                    sure.view(np.uint64), axis=0, out=lanes[:rows]
+                    sure.view(np.uint64), axis=0, out=counted
                 ).view(np.uint8)
                 kp = k[c0:c1]
                 at = np.flatnonzero(unsure)
@@ -537,6 +574,7 @@ def _urn_states(
                         batch = map(np.concatenate, zip(*draws))
                     np.add(k, _resolve(counts, s, *batch, size), out=k)
                     draws, pending = [], 0
+            s += rows
 
     n = 0
     for cp in cps:
@@ -625,11 +663,23 @@ def _bound_pad(m: ReplacementMatrix, w0: float, b0: float, horizon: int) -> floa
     return pad if pad <= 2.0**-8 else 1.0
 
 
-def _urn_block_rows(paths: int) -> int:
-    """Draws per block of the urn kernel for a chunk of `paths`:
-    _URN_BLOCK_ROWS, or as many rows as fill a panel of _BLOCK_ELEMENTS
-    words across every path, up to the 255 a column's uint8 counts hold."""
-    return min(255, max(_URN_BLOCK_ROWS, _BLOCK_ELEMENTS // paths))
+def _urn_block_rows(paths: int, n: int) -> int:
+    """Draws per block of the urn kernel for a chunk of `paths`, the first
+    of them draw n + 1.
+
+    A block's ambiguous draws per path grow about as rows^2 / n, while its
+    fixed cost is paid per panel of _BLOCK_ELEMENTS words, so its rows grow
+    as sqrt(n): sqrt((n + 1) max(4, _URN_ROW_PATHS / paths)) while they fit
+    one panel across the chunk, more for fewer paths.  Rows past one panel
+    add a panel each, so there a block takes sqrt(n + 1) rows rounded down
+    to whole panels, and at least one.  At most 255, which a column's uint8
+    counts hold.  Rows never fall as n grows.
+    """
+    rows = math.isqrt((n + 1) * max(4, _URN_ROW_PATHS // paths))
+    panel = max(1, _BLOCK_ELEMENTS // paths)
+    if rows > panel:
+        rows = max(panel, rows // 2 // panel * panel)
+    return min(rows, 255)
 
 
 def _word_thresholds(
@@ -686,26 +736,25 @@ def _resolve(
 ) -> np.ndarray:
     """White draws per path among a batch of a block's ambiguous draws,
     as _ambiguous_draws found them for draws s+1.. of `size` paths, each
-    column's in row order.  A column's draws are decided in that order,
-    the m-th of every column at once: each reads base plus the ones
-    already found white.
+    column's in row order.  A draw is white iff u < X at base plus the
+    whites above it in its column.  Each pass decides every draw from the
+    whites that the last pass found above it, until a recount changes
+    nothing: after pass p the draws of rank < p in their columns are final,
+    so the one fixed point is the in-order result, by the deepest's pass.
     """
-    # rank each draw in its column: sorted by column, a draw's position
-    # less the column's start.  Stable sorts of keys of 16 bits or less run
-    # as radix sorts, several times faster than on int64 keys.
-    per_column = np.bincount(col, minlength=size)
-    start = np.cumsum(per_column) - per_column
-    by_column = np.argsort(col.astype(np.min_scalar_type(size)), kind="stable")
-    rank = (np.arange(col.size) - start[col[by_column]]).astype(np.uint8)
-    order = by_column[np.argsort(rank, kind="stable")]
+    # by column, each column's draws in row order (a radix sort: <= 16 bits)
+    order = np.argsort(col.astype(np.min_scalar_type(size)), kind="stable")
     col, u, base = col[order], u[order], base[order]
-    w_at, b_at = counts.at(s + row[order])
-    found = np.zeros(size)
-    for lo, hi in itertools.pairwise([0, *np.cumsum(np.bincount(rank)).tolist()]):
-        c = col[lo:hi]
-        x, _ = counts.fraction(found[c] + base[lo:hi], (w_at[lo:hi], b_at[lo:hi]))
-        found[c] += u[lo:hi] < x
-    return found
+    at = counts.at(s + row[order])
+    head = np.searchsorted(col, col)  # where each draw's column starts
+    above = 0
+    while True:
+        white = u < counts.fraction(base + above, at)[0]
+        found = np.cumsum(white) - white
+        found -= found[head]
+        if (found == above).all():
+            return np.bincount(col, white, size)
+        above = found
 
 
 def _run_synthetic_chunk(
@@ -924,8 +973,9 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         for n in cps:
             x = np.concatenate([next(first), *worker_rows()])
             values = weight(n, sx, sy) * (x - src.center)
-            moments = _summary_moments(values)
-            summaries.append(CheckpointSummary(n, moments.mean, moments.variance))
+            summaries.append(_checkpoint_summary(n, values))
+
+    moments = _summary_moments(values)
 
     return EnsembleResult(
         config=config,
@@ -1043,14 +1093,24 @@ def _reference_ks(
     if values.size < 2:
         return None
     if predicted_variance is not None:
-        target = predicted_variance
-        return ks_report(
-            values, lambda z: normal_cdf(z, 0.0, target), "predicted-normal"
-        )
+        cdf = _NormalCdf(0.0, predicted_variance)
+        return ks_report(values, cdf, "predicted-normal")
     if moments.variance <= 0.0:
         return None
-    mean, var = moments.mean, moments.variance
-    return ks_report(values, lambda z: normal_cdf(z, mean, var), "fitted-normal")
+    return ks_report(values, _NormalCdf(moments.mean, moments.variance), "fitted-normal")
+
+
+@dataclass(frozen=True)
+class _NormalCdf:
+    """normal_cdf(z, mean, variance) as a KS reference.  ks_statistic
+    evaluates it over the whole sorted sample at once (special._normal_cdfs),
+    bit for bit what calling it on each value gives."""
+
+    mean: float
+    variance: float
+
+    def __call__(self, z: float) -> float:
+        return normal_cdf(z, self.mean, self.variance)
 
 
 # ---------------------------------------------------------------------------

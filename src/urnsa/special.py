@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ConfigError
 
 # Lanczos coefficients for g = 7 (Godfrey's classic set)
@@ -44,7 +46,22 @@ def gamma_function(x: float) -> float:
 
 def normal_cdf(z: float, mean: float = 0.0, variance: float = 1.0) -> float:
     """Distribution function of N(mean, variance), absolute error <= 1e-12."""
-    if variance <= 0.0:
-        raise ConfigError(f"variance must be positive, got {variance}")
+    _check_variance(variance)
     standardized = (z - mean) / math.sqrt(variance)
     return 0.5 * math.erfc(-standardized / math.sqrt(2.0))
+
+
+def _normal_cdfs(z: np.ndarray, mean: float, variance: float) -> np.ndarray:
+    """normal_cdf of every value of the float64 array z, bit for bit: the
+    same IEEE operations in the same order, elementwise in numpy, with
+    math.erfc mapped over the standardized values.  Like Python floats,
+    it overflows to infinities without a warning."""
+    _check_variance(variance)
+    with np.errstate(all="ignore"):
+        args = -((z - mean) / math.sqrt(variance)) / math.sqrt(2.0)
+    return 0.5 * np.fromiter(map(math.erfc, args.tolist()), np.float64, z.size)
+
+
+def _check_variance(variance: float) -> None:
+    if variance <= 0.0:
+        raise ConfigError(f"variance must be positive, got {variance}")

@@ -8,6 +8,7 @@ shape ever changes output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -54,6 +55,21 @@ from urnsa import acceptance, cli, montecarlo
 from urnsa.urn import COUNT_LIMIT
 
 from sa_helpers import synthetic_step
+
+
+class _CountingCounts:
+    """A kernel's montecarlo._Counts that counts its fraction calls: one
+    per fixed-point pass of montecarlo._resolve."""
+
+    def __init__(self, counts):
+        self.counts, self.calls = counts, 0
+
+    def at(self, n):
+        return self.counts.at(n)
+
+    def fraction(self, k, at):
+        self.calls += 1
+        return self.counts.fraction(k, at)
 
 
 class TestCheckpointSchedule:
@@ -105,7 +121,45 @@ class TestSampleMoments:
             sample_moments([5.0])
 
 
+    @pytest.mark.parametrize(
+        "values",
+        [[5.0], [0.0, 1.0], [2.0, 2.0, 2.0], [0.1, 0.1, 0.1], [1e-170, 0.0, -1e-170],
+         [0.0, 0.0, 0.0, 4.0], [1.0, math.nan, 2.0], list(np.linspace(-3, 7, 1001) ** 3)],
+    )
+    def test_checkpoint_summary_keeps_summary_moments_bits(self, values):
+        """A checkpoint's mean and variance are _summary_moments' bit for
+        bit: zero variance for one value or no spread."""
+        v = np.asarray(values)
+        got = montecarlo._checkpoint_summary(7, v)
+        want = montecarlo._summary_moments(v)
+        assert got.n == 7
+        assert np.array([got.mean, got.variance]).tobytes() == (
+            np.array([want.mean, want.variance]).tobytes()
+        )
+
+
 class TestKolmogorovSmirnov:
+    @pytest.mark.parametrize(
+        "extra",
+        [[0.0, -0.0], [5e-324, -5e-324], [40.0, -40.0], [-1e300], [1e300, 3.0]],
+    )
+    @pytest.mark.parametrize("mean,variance", [(0.0, 1.0), (0.25, 1e-10), (-3.0, 7.5)])
+    def test_reference_cdf_matches_scalar_path(self, extra, mean, variance):
+        """The normal reference, evaluated over the sorted sample in numpy,
+        gives d and both verdicts bit for bit as normal_cdf value by value,
+        at signed zeros, subnormals, far tails and overflowing values."""
+        xs = np.concatenate([np.tan(np.linspace(-1.5, 1.5, 997)), extra])
+        cdf = montecarlo._NormalCdf(mean, variance)
+        got = ks_report(xs, cdf, "normal")
+        want = ks_report(xs, lambda z: normal_cdf(z, mean, variance), "normal")
+        assert np.array(got.d).tobytes() == np.array(want.d).tobytes()
+        assert (got.pass_at_5, got.pass_at_1) == (want.pass_at_5, want.pass_at_1)
+        assert cdf(float(xs[0])) == normal_cdf(float(xs[0]), mean, variance)
+
+    def test_reference_cdf_refuses_no_variance(self):
+        with pytest.raises(ConfigError, match="variance must be positive"):
+            ks_statistic([0.0, 1.0], montecarlo._NormalCdf(0.0, 0.0))
+
     def test_matches_scipy_on_normal(self):
         xs = np.tan(np.linspace(-1.2, 1.2, 501))  # heavy-tailed spread
         d = ks_statistic(xs, lambda z: normal_cdf(z, 0.0, 1.0))
@@ -430,7 +484,7 @@ class TestKernelEquivalence:
             # blocks of up to 3 rows in one panel of 3 paths, cut at each
             # checkpoint n and n - 1: 40 steps in 20 blocks
             mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 10)
-            mp.setattr(montecarlo, "_URN_BLOCK_ROWS", 3)
+            mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: 3)
             res = run_ensemble(
                 EnsembleConfig(
                     matrix=m, w0=w0, b0=b0, horizon=40, paths=3, master_seed=seed,
@@ -478,15 +532,112 @@ class TestKernelEquivalence:
         check()
         assert met == {"ambiguous", "three in a column", "top bucket"}
 
+    @given(
+        st.one_of(
+            st.tuples(*[st.integers(0, 9).map(float)] * 4),
+            st.tuples(*[st.floats(0.0, 8.0)] * 4),
+        ).filter(lambda e: min(e[0] + e[1], e[2] + e[3]) > 0.0),
+        st.tuples(*[st.floats(0.5, 10.0)] * 2),
+        st.integers(0, 5000),
+        st.integers(1, 255),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    # Polya-like from one ball each, where each decision moves the next
+    # draw's X by up to 9/11
+    @example(
+        entries=(9.0, 0.0, 0.0, 9.0), counts=(1.0, 1.0), s=0, deepest=255,
+        columns=3, seed=1,
+    )
+    @example(
+        entries=(3.0, 0.0, 2.0, 5.0), counts=(4.0, 4.0), s=100, deepest=255,
+        columns=40, seed=2,
+    )
+    def test_resolve_matches_in_order_decisions(
+        self, entries, counts, s, deepest, columns, seed
+    ):
+        """_resolve's fixed point equals deciding each column's draws in
+        row order, one at a time, and takes at most as many passes as the
+        deepest column holds draws."""
+        m = ReplacementMatrix(*entries)
+        w0, b0 = counts
+        urn = montecarlo._Counts(m, w0, b0, s + 255)
+        gen = np.random.default_rng(seed)
+        size = columns + 5
+        paths = gen.permutation(size)[:columns]
+        rows, cols, bases = [], [], []
+        for i, path in enumerate(paths):
+            depth = deepest if i == 0 else int(gen.integers(1, deepest + 1))
+            row = np.sort(gen.choice(255, depth, replace=False))
+            # sure whites above each draw: at most the other rows above it
+            sure = np.floor((row - np.arange(depth)) * gen.random())
+            rows.append(row)
+            cols.append(np.full(depth, path))
+            bases.append(np.floor(s * gen.random()) + sure)
+        row, col, base = (np.concatenate(a) for a in (rows, cols, bases))
+        flat = np.argsort(row * size + col)  # one panel's order, row by row
+        row, col, base = row[flat], col[flat], base[flat]
+        u = gen.random(row.size)
+        counting = _CountingCounts(urn)
+        found = montecarlo._resolve(counting, s, row, col, base, u, size)
+        want = np.zeros(size)
+        for j in np.lexsort((row, col)):  # each column in row order
+            c = col[j]
+            x, _ = urn.fraction(base[j] + want[c], urn.at(s + row[j]))
+            want[c] += u[j] < x
+        assert found.tobytes() == want.tobytes()
+        assert 1 <= counting.calls <= deepest
+
+    @pytest.mark.parametrize("u,whites,passes", [(0.4, 2.0, 2), (0.6, 0.0, 1)])
+    def test_resolve_flips_the_next_decision(self, u, whites, passes):
+        """(9,0;0,9) from (1, 1): the first draw reads X = 1/2, and the
+        second X = 10/11 after a white and 1/11 after a black, so u = 0.6
+        on the second is white only after a white first (u = 0.4).  The
+        first pass decides it black, the second white."""
+        urn = montecarlo._Counts(ReplacementMatrix(9, 0, 0, 9), 1.0, 1.0, 2)
+        counting = _CountingCounts(urn)
+        row, col, base = np.array([0, 1]), np.array([0, 0]), np.zeros(2)
+        found = montecarlo._resolve(
+            counting, 0, row, col, base, np.array([u, 0.6]), 1
+        )
+        assert list(found) == [whites]
+        assert counting.calls == passes
+
     @pytest.mark.parametrize(
         "paths,rows,panels",
-        [(1, 255, 1), (250, 255, 1), (500, 131, 1), (1000, 65, 1), (10_000, 64, 10)],
+        [(1, 255, 1), (250, 255, 1), (500, 131, 1), (1000, 65, 1), (10_000, 60, 10)],
     )
     def test_block_rows_follow_chunk_width(self, paths, rows, panels):
-        """A block's rows fill one panel of _BLOCK_ELEMENTS words across
-        the chunk, from _URN_BLOCK_ROWS up to 255 rows."""
-        assert montecarlo._urn_block_rows(paths) == rows
+        """The last block of each width's run in scripts/block_sweep.py
+        step 5: up to 1000 paths it fills one panel of _BLOCK_ELEMENTS
+        words across the chunk, at most 255 rows, and 10000 paths take
+        sqrt(n + 1) rows in whole panels."""
+        horizon = {1: 1 << 17, 250: 1 << 15, 500: 1 << 15, 1000: 1 << 14}
+        n = horizon.get(paths, 1 << 12) - 1
+        assert montecarlo._urn_block_rows(paths, n) == rows
         assert -(-paths // (montecarlo._BLOCK_ELEMENTS // rows)) == panels
+
+    @pytest.mark.parametrize(
+        "paths,n,rows",
+        [
+            (1, 0, 38), (250, 0, 2), (250, 1023, 78), (500, 4095, 128),
+            (500, 1 << 20, 255), (1000, 1023, 64), (1000, 1 << 16, 195),
+            (10_000, 0, 2), (10_000, 99_999, 255),
+        ],
+    )
+    def test_block_rows_grow_as_sqrt_n(self, paths, n, rows):
+        """sqrt((n + 1) max(4, 1500 / paths)) rows within one panel, and
+        past it sqrt(n + 1) rounded down to whole panels (131 rows at 500
+        paths, 65 at 1000)."""
+        assert montecarlo._urn_block_rows(paths, n) == rows
+
+    @pytest.mark.parametrize("paths", [1, 250, 300, 500, 1000, 10_000, 100_000])
+    def test_block_rows_never_fall(self, paths):
+        """The kernel sizes its buffers from the horizon's rows."""
+        rows = [montecarlo._urn_block_rows(paths, n) for n in range(1 << 16)]
+        assert rows[0] >= 1 and max(rows) <= 255
+        assert all(a <= b for a, b in itertools.pairwise(rows))
 
     @pytest.mark.parametrize(
         "m,w0,b0",
@@ -566,7 +717,7 @@ class TestKernelEquivalence:
                 met.add("top bucket")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_URN_BLOCK_ROWS", 4)
+            mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: 4)
             mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 8)  # 2 paths per panel
             mp.setattr(rng, "sign_block", filling)
             mp.setattr(montecarlo, "_resolve", resolving)
@@ -679,7 +830,7 @@ class TestKernelEquivalence:
         fill, the one fill both kernels draw with.
         """
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 100)
-        monkeypatch.setattr(montecarlo, "_URN_BLOCK_ROWS", 20)
+        monkeypatch.setattr(montecarlo, "_urn_block_rows", lambda paths, n: 20)
         counts: list[int] = []
         sign_block = rng.sign_block
 
@@ -1032,15 +1183,15 @@ class TestForkedWorkers:
         cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 10, paths=20_000)
         failure = KeyError("third checkpoint")
         calls = []
-        summary_moments = montecarlo._summary_moments
+        checkpoint_summary = montecarlo._checkpoint_summary
 
-        def failing_moments(values):
+        def failing_summary(n, values):
             calls.append(values.size)
             if len(calls) == 3:
                 raise failure
-            return summary_moments(values)
+            return checkpoint_summary(n, values)
 
-        monkeypatch.setattr(montecarlo, "_summary_moments", failing_moments)
+        monkeypatch.setattr(montecarlo, "_checkpoint_summary", failing_summary)
         _, pids, statuses = record_workers(monkeypatch)
         with pytest.raises(KeyError) as info:
             run_ensemble(cfg)

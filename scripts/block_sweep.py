@@ -2,9 +2,10 @@
 
 montecarlo._BLOCK_ELEMENTS caps how many draws one rng.sign_block fill
 writes: a block of whole rows of a chunk's paths in the synthetic kernel,
-a panel of columns in the urn kernel.  This script reproduces the
-measurement behind that constant, and behind montecarlo._MIN_CHUNK_PATHS
-and montecarlo._MIN_CHUNK_PATH_STEPS:
+a tile (a slab of rows across the chunk) in the urn kernel.  This script
+reproduces the measurement behind that constant, and behind
+montecarlo._MIN_CHUNK_PATHS, _MIN_CHUNK_PATH_STEPS, _URN_ROW_PATHS and
+_ROW_SUM_ROWS:
 
 1. each fill alone, filling reused buffers, in ns per draw, for 20000 and
    500 paths at each budget;
@@ -32,26 +33,39 @@ and montecarlo._MIN_CHUNK_PATH_STEPS:
    chunk), in ms per run, in pairs as in step 3 for each fixed row count;
    and under the rule the share of draws left ambiguous, the draws that a
    block's bounds leave to be decided exactly, and the fixed-point passes
-   that montecarlo._resolve takes per batch of them.
+   that montecarlo._resolve takes per batch of them;
+6. the urn kernel's tiles (montecarlo._urn_tile) at 250 to 20000 paths of
+   the toy urn, one chunk each: the running sum of a full tile's sure
+   whites in ns per draw, by row adds and by np.add.accumulate
+   (montecarlo._running_sum), then the kernel alone with each, in pairs
+   as in step 3.  The tallest tile at which row adds cost less per draw
+   than accumulate and do not lose the kernel pairs (accumulate winning
+   nine or more in ten) sets montecarlo._ROW_SUM_ROWS.  With --against
+   SRC it also pairs the urn kernel of the urnsa package under SRC,
+   another checkout's src directory, against this one at each width.
 
 Chunk counts are forced by patching montecarlo._usable_cores (and
 lowering montecarlo._MIN_CHUNK_PATHS and _MIN_CHUNK_PATH_STEPS for steps 3
-and 4), not by the machine; fixed rows by patching _urn_block_rows.  Step 5
-counts ambiguous draws and passes in one more run per width, with
-montecarlo._resolve wrapped.
+and 4), not by the machine; fixed rows by patching _urn_block_rows, the
+running sum by patching _ROW_SUM_ROWS.  Step 5 counts ambiguous draws and
+passes in one more run per width, with montecarlo._resolve wrapped.
 It prints the usable core count and the L2 cache size first, read from
 the affinity mask and /sys/devices/system/cpu/cpu0/cache; it sets nothing
 on the machine.  The constants are restored before it exits.
 
     PYTHONPATH=src python3 scripts/block_sweep.py [--repeats 3] [--min-exp 12] [--max-exp 21]
     PYTHONPATH=src python3 scripts/block_sweep.py --only-rows
+    PYTHONPATH=src python3 scripts/block_sweep.py --only-tiles [--against ../base/src]
 
 Takes about fifteen minutes at the defaults on a 2-core machine, most of
-it in step 3; --only-rows runs step 5 alone, in about a minute.
+it in step 3; --only-rows runs step 5 alone, in about a minute, and
+--only-tiles step 6 alone, in one to two minutes.
 """
 
 import argparse
+import importlib.util
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -287,6 +301,105 @@ def block_rows_step() -> None:
               + "".join(f"{c:>22}" for c in cells))
 
 
+def load_checkout(src: str):
+    """The montecarlo module of the urnsa package under another checkout's
+    src directory, imported as urnsa_base so that it runs beside this one."""
+    root = Path(src).resolve() / "urnsa"
+    spec = importlib.util.spec_from_file_location(
+        "urnsa_base", root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules["urnsa_base"] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module("urnsa_base.montecarlo")
+
+
+TILE_WIDTHS = (250, 500, 1_000, 2_000, 5_000, 10_000, 20_000)
+TILE_URN = dict(entries=(4, 5, 3, 2), w0=1, b0=1)  # urn-wide's toy urn
+TILE_STEPS = 1 << 25
+
+
+def time_running_sums(width: int, min_draws: int = 1 << 24) -> tuple[float, float]:
+    """ns per draw of montecarlo._running_sum over one full tile of a chunk
+    of `width` paths, by row adds and by np.add.accumulate; the sure mask is
+    refilled before each call, and the refill's own time taken out."""
+    rows, columns = montecarlo._urn_tile(width)
+    mask = np.random.default_rng(SEED).random((rows, -(-columns // 8) * 8)) < 0.5
+    sure = np.empty_like(mask)
+    calls = max(3, min_draws // mask.size)
+
+    def seconds(running) -> float:
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            np.copyto(sure, mask)
+            if running is not None:
+                running(rows)
+        return time.perf_counter() - t0
+
+    refill = min(seconds(None) for _ in range(3))
+    return tuple(
+        (min(seconds(running) for _ in range(3)) - refill) / (calls * mask.size) * 1e9
+        for running in (montecarlo._running_sum(sure, flag) for flag in (True, False))
+    )
+
+
+def kernel_seconds(mc, paths: int, row_sum_rows: int | None = None) -> float:
+    """Seconds of one chunk of `paths` toy-urn paths through the urn kernel
+    of the montecarlo module mc, as run_ensemble steps a chunk, to the
+    horizon TILE_STEPS / paths (at least 2^11); with row_sum_rows, under
+    that crossover."""
+    horizon = max(1 << 11, TILE_STEPS // paths)
+    cfg = mc.EnsembleConfig(
+        matrix=mc.ReplacementMatrix(*TILE_URN["entries"]), w0=TILE_URN["w0"],
+        b0=TILE_URN["b0"], horizon=horizon, paths=paths, master_seed=SEED,
+    )
+    cps = mc.checkpoint_schedule(horizon)
+    keys = mc.rng.path_keys(SEED, 0, paths)
+    if row_sum_rows is not None:
+        saved, mc._ROW_SUM_ROWS = mc._ROW_SUM_ROWS, row_sum_rows
+    try:
+        t0 = time.perf_counter()
+        for _ in mc._source(cfg, cps).kernel(keys):
+            pass
+        return time.perf_counter() - t0
+    finally:
+        if row_sum_rows is not None:
+            mc._ROW_SUM_ROWS = saved
+
+
+def tile_step(against: str | None) -> None:
+    print("\nurn kernel tiles, toy urn (4,5;3,2) in one chunk, kernel alone, "
+          f"{TILE_STEPS >> 20} Mi path-steps per run (horizon at least 2^11): "
+          "per chunk width its tile, the running sum of sure whites in ns per "
+          "draw by row adds and by np.add.accumulate (best of three), then ms "
+          f"per run (medians of {SPLIT_PAIRS} alternating pairs) of "
+          "accumulate against row adds, with the pairs that row adds won"
+          + (f", and of {against} against this checkout, with the pairs this "
+             "checkout won" if against else ""))
+    base = load_checkout(against) if against else None
+    print(f"{'paths':>6} {'tile':>10} {'adds':>6} {'accum':>6} {'accum vs adds':>22}"
+          + (f"{'base vs this':>22}" if base else ""))
+    for paths in TILE_WIDTHS:
+        adds, accumulate = time_running_sums(paths)
+        cells = []
+        acc, add, wins = pairs(
+            lambda: kernel_seconds(montecarlo, paths, 0),
+            lambda: kernel_seconds(montecarlo, paths, 255),
+        )
+        cells.append(f"{acc * 1e3:.0f} {add * 1e3:.0f} {wins:>2}/{SPLIT_PAIRS}")
+        if base:
+            old, new, wins = pairs(
+                lambda: kernel_seconds(base, paths),
+                lambda: kernel_seconds(montecarlo, paths),
+            )
+            cells.append(f"{old * 1e3:.0f} {new * 1e3:.0f} {wins:>2}/{SPLIT_PAIRS}")
+        tile = "%dx%d" % montecarlo._urn_tile(paths)
+        print(f"{paths:>6} {tile:>10} {adds:>6.2f} {accumulate:>6.2f}"
+              + "".join(f"{c:>22}" for c in cells))
+    print(f"_ROW_SUM_ROWS = {montecarlo._ROW_SUM_ROWS}: row adds in tiles of at "
+          "most as many rows")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=3)
@@ -294,10 +407,18 @@ def main() -> None:
     ap.add_argument("--max-exp", type=int, default=21)
     ap.add_argument("--only-rows", action="store_true",
                     help="run step 5, the urn kernel's rows per block, alone")
+    ap.add_argument("--only-tiles", action="store_true",
+                    help="run step 6, the urn kernel's tiles, alone")
+    ap.add_argument("--against", metavar="SRC",
+                    help="step 6 also pairs the urn kernel of the urnsa package "
+                    "under this src directory (another checkout) against this one")
     args = ap.parse_args()
-    if args.only_rows:
+    if args.only_rows or args.only_tiles:
         print(machine())
-        block_rows_step()
+        if args.only_rows:
+            block_rows_step()
+        if args.only_tiles:
+            tile_step(args.against)
         return
     budgets = [1 << e for e in range(args.min_exp, args.max_exp + 1)]
     saved = (
@@ -333,6 +454,7 @@ def main() -> None:
 
         fork_step()
         block_rows_step()
+        tile_step(args.against)
     finally:
         (
             montecarlo._BLOCK_ELEMENTS,

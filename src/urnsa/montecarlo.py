@@ -19,18 +19,22 @@ and T from (n, k) through urn.urn_counts, as urn_step does, for integer
 and fractional urns alike: bounds on X over the block, padded by the
 largest rounding error, and the top 31 bits of each draw's sign_block word
 decide most draws at once, and only the draws near their threshold are
-finished to uniforms and stepped exactly (_urn_states).  A block costs a
-few dozen numpy calls per panel of columns, whatever its width: X at the
-block's three corners comes from three passes over the paths, and the
-ambiguous draws, 0.3-1.4% of the draws in the benchmark urns, are decided
-once per batch of panels by a fixed point (_resolve): sorted by column
-once, every draw is decided from the whites that the last pass found above
-it in its column, until a recount changes nothing, in two or three passes
-for most batches.  A block's ambiguous draws grow about as rows^2 / n, so
-its rows grow as sqrt(n), more in a chunk of few paths, whose panels are
-narrow, up to 255 (_urn_block_rows).  The synthetic update reads only the
-sign of each draw against 1/2 (rng.sign_block) and adds +-step exactly as
-the scalar branch does.
+finished to uniforms and stepped exactly (_urn_states).  A block is
+stepped in slabs of rows across the whole chunk, each one tile of a shape
+fixed for the chunk (_urn_tile): as many rows of the chunk's paths as fit
+_BLOCK_ELEMENTS words, 6 rows at 10000 paths and 255 at 250.  A slab
+costs a few dozen numpy calls, whatever its width, and after each slab k
+absorbs its sure whites, so that the next slab's ambiguous draws read
+their base from k.  X at the block's three corners comes from three
+passes over the paths, and the ambiguous draws, 0.3-1.4% of the draws in
+the benchmark urns, are decided once per batch of tiles by a fixed point
+(_resolve): sorted by column once, every draw is decided from the whites
+that the last pass found above it in its column, until a recount changes
+nothing, in two or three passes for most batches.  A block's ambiguous
+draws grow about as rows^2 / n, so its rows grow as sqrt(n), more in a
+chunk of few paths, whose tiles are tall, up to 255 (_urn_block_rows).
+The synthetic update reads only the sign of each draw against 1/2
+(rng.sign_block) and adds +-step exactly as the scalar branch does.
 
 An ensemble splits only where each chunk keeps _MIN_CHUNK_PATHS paths and
 _MIN_CHUNK_PATH_STEPS path-steps.  The path floor is the smallest
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import functools
 import itertools
 import json
 import math
@@ -123,36 +126,43 @@ _MIN_CHUNK_PATHS = 250
 # The floor stays at 2^21: no shape lies between 2.05 M and 2.56 M, so it
 # splits these shapes from 2.56 M up, where every run passed.
 _MIN_CHUNK_PATH_STEPS = 1 << 21
-# RNG block budget in uniforms (whole rows of a chunk's paths): 2^16 float64
-# plus their uint64 scratch is 1 MiB, which fits a 2 MiB L2.  In two runs of
-# scripts/block_sweep.py (2-core Xeon, 2 MiB L2 per core) 2^15-2^16 filled
-# blocks at 4.3-5.4 ns/draw against 7.6-8.8 from 2^18 up, and the three
-# benchmark shapes ran within noise of their best there.
+# RNG block budget in uniforms: it caps the synthetic kernel's blocks (whole
+# rows of a chunk's paths) and the urn kernel's tiles (_urn_tile).  2^16
+# float64 plus their uint64 scratch is 1 MiB, which fits a 2 MiB L2.  In
+# two runs of scripts/block_sweep.py (2-core Xeon, 2 MiB L2 per core)
+# 2^15-2^16 filled blocks at 4.3-5.4 ns/draw against 7.6-8.8 from 2^18 up,
+# and the three benchmark shapes ran within noise of their best there.
 _BLOCK_ELEMENTS = 1 << 16
 # Bytes per path that a run holds at once, at least, summed over the calling
 # process and its workers.  Every run holds the path's key (8) and the
 # runner's checkpoint row and scaled values (2 x 8).  An urn run adds the
-# block kernel's 96: k, X_n, T_n and X_{n-1} (4 x 8), X at the block's
-# three corners with the counts behind the last of them (6 x 8), and word
-# thresholds (2 x 8); and while it decides a batch of ambiguous draws, the
-# whites it found per path (8).  A batch's own arrays, about a dozen values
-# a draw, hold fewer than _BLOCK_ELEMENTS / 8 draws plus one panel's,
-# whatever the path count.  A synthetic run adds z and its share of the
-# RNG block and scratch (3 x 8).  The urn kernel's panels hold at most
-# _BLOCK_ELEMENTS words however many paths run, whatever its rows per
-# block: a panel of r rows spans at most _BLOCK_ELEMENTS // r paths.  Its
-# two masks and their uint64 lanes add 3 bytes a draw, rows padded to 8
-# columns (at most _BLOCK_ELEMENTS + 8 x 255 draws, about 200 KB).  The
-# caller's receive buffers (8) hold only the workers' paths.  So none of
-# these raises the lower bounds.
-_PATH_BYTES = 120
+# block kernel's 112, all held while _Counts.bounds computes a block's last
+# corner: k, the bounds lo and hi and the word thresholds below and above
+# (5 x 8); X_n and T_n of the last checkpoint, which the kernel keeps while
+# it steps on (2 x 8); and X at the first two corners, the last corner's
+# k + rows - 1, the white, black and total counts that urn_counts gives
+# there and X divided out of them (7 x 8).  A replay (_traces) also holds
+# X_{n-1} (8); a run does not.  While the kernel decides a batch of
+# ambiguous draws it holds the whites found per path (8) instead of the
+# corners.  A batch's own arrays, about a dozen values a draw, hold fewer
+# than _BLOCK_ELEMENTS / 8 draws plus one tile's, whatever the path count.
+# A synthetic run adds z and its share of the RNG block and scratch
+# (3 x 8).  The urn kernel's tile is fixed for the chunk and holds at most
+# _BLOCK_ELEMENTS words however many paths run (_urn_tile).  Its two masks
+# and their uint64 lanes add 3 bytes a draw, rows padded to 8 columns: at
+# most _BLOCK_ELEMENTS + 8 x tile rows draws, about 200 KB, and as much
+# again for a narrower last column panel of a chunk wider than
+# _BLOCK_ELEMENTS.  The caller's receive buffers (8) hold only the
+# workers' paths.  So none of these raises the lower bounds.
+_PATH_BYTES = 136
 _SYNTHETIC_PATH_BYTES = 48
 # Rows per block of the urn kernel: a block of a chunk of p paths, from
 # state n on, takes sqrt((n + 1) max(4, _URN_ROW_PATHS / p)) rows while
-# they fit one panel (_urn_block_rows).  Fitted to the fastest fixed rows
+# they fit one tile (_urn_block_rows).  Fitted to the fastest fixed rows
 # per octave of n (kernel alone, 2-core Xeon): about 2.5 sqrt(n) at 250
 # paths, 1.5-1.7 at 500, 1.2 at 1000 and 0.6-1.6 from 4000 paths up, where
-# rows past one panel cost a panel each.  scripts/block_sweep.py step 5
+# rows past one tile cost a slab each.  scripts/block_sweep.py step 5, run
+# while a block was cut into panels of columns rather than slabs of rows
 # (urn-narrow's urn in one chunk; 2-core Xeon, 2 MiB L2 per core, shared):
 # the rule's rows at the first block and the last, the share of draws left
 # ambiguous, _resolve's passes per batch (mean, most), and ms per run of
@@ -175,6 +185,37 @@ _SYNTHETIC_PATH_BYTES = 48
 # one path, where the two ran level (35 ms).  At 250 paths it beat 128
 # rows, which the 255-row rule before it lost to.
 _URN_ROW_PATHS = 1500
+# Tallest tile whose running sum of sure whites takes one uint64-lane add
+# per row, rows - 1 np.add calls, rather than one np.add.accumulate along
+# the rows, whose cost per draw grows as a tile gets shorter and wider.
+# scripts/block_sweep.py step 6 (toy urn in one chunk, 2^25 path-steps per
+# run; 2-core Xeon, 2 MiB L2 per core, shared with other tenants): per
+# chunk width its tile, the running sum alone in ns per draw by row adds
+# and by accumulate, and ms per run of the kernel with accumulate against
+# row adds, medians of ten alternating pairs, with the pairs that row adds
+# won, in two runs:
+#
+#    paths      tile  adds accum    accum vs adds
+#      250   255x250  1.64  0.39   307 421  0/10
+#                     1.62  0.37   219 261  1/10
+#      500   131x500  0.82  0.37   296 332  0/10
+#                     0.86  0.37   283 356  1/10
+#     1000   65x1000  0.89  0.42   285 278  4/10
+#                     0.79  0.44   326 353  1/10
+#     2000   32x2000  0.28  0.41   219 204  8/10
+#                     0.47  0.48   252 272  4/10
+#     5000   13x5000  0.13  0.46   207 192  8/10
+#                     0.23  0.57   271 257  9/10
+#    10000   6x10000  0.14  0.71   253 282  6/10
+#                     0.13  0.72   302 279 10/10
+#    20000   3x20000  0.06  0.87   328 283  9/10
+#                     0.09  1.00   419 374 10/10
+#
+# Row adds cost less per draw up to 32 rows, in these runs and two before
+# them, and as much or more from 65 rows up, where accumulate also won the
+# kernel pairs in 6 to 10 of 10; at 32 rows the kernel pairs ran level
+# (row adds won 5, 8, 8 and 4 of 10 in the four runs).
+_ROW_SUM_ROWS = 32
 # the scale of a uniform's top 31 bits, which sign_block's words hold final
 _TOP_BITS = 2.0 ** 31
 # a float64's sign bit, read as uint64
@@ -475,9 +516,12 @@ def _urn_states(
     b0: float,
     keys: np.ndarray,
     cps: list[int],
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    *,
+    prev: bool = True,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Step the urn paths with these keys; yield (X_n, T_n, X_{n-1}) at
-    each checkpoint n (X_{n-1} is NaN at n = 0).
+    each checkpoint n (X_{n-1} is NaN at n = 0, and None throughout
+    where prev is False).
 
     Every path's state is its white-draw count k, stepped a block of
     _urn_block_rows(paths, s) draws at a time, rows that grow with the
@@ -487,101 +531,99 @@ def _urn_states(
     sign_block word holds the final top 31 bits q of its uniform u, and
     q 2^-31 <= u < (q+1) 2^-31, so the word alone decides white where
     (q+1) 2^-31 <= lo and black where q 2^-31 >= hi.  A block is filled
-    and compared a panel of columns at a time, at most _BLOCK_ELEMENTS
-    words, so it stays in cache whatever its row count; each panel's
-    ambiguous draws are finished to uniforms (_ambiguous_draws), and those
-    of several panels are decided exactly at once (_resolve).  Blocks end
-    at n - 1 and at n for each checkpoint n, which yields X_{n-1} from
-    k_{n-1}.  The yielded arrays may be the kernel's live buffers: read
-    or copy them before asking for the next checkpoint.
+    and compared one tile at a time: a slab of rows across the chunk, in
+    column panels only where the chunk is wider than _BLOCK_ELEMENTS, in
+    one shape for the whole chunk (_urn_tile), so that it stays in cache
+    whatever the block's rows.  An ambiguous draw's base is k plus the
+    sure whites above it in its column.  After each slab k absorbs the
+    slab's sure whites, so that the next slab's ambiguous draws, finished
+    to uniforms (_ambiguous_draws), read the earlier slabs' from k.  The
+    ambiguous draws of several tiles are decided exactly at once
+    (_resolve), each carrying its row in the block, so that the whites a
+    batch finds among a column's earlier draws count toward its later
+    ones; they join k when the batch closes, before any later draw reads
+    k.  A slab's running sum of sure whites takes one uint64-lane add per
+    row in a tile of at most _ROW_SUM_ROWS rows, one np.add.accumulate in
+    a taller one (_running_sum).  Blocks end at each checkpoint n, and
+    where prev is set also at n - 1, which yields X_{n-1} from k_{n-1}.
+    The yielded arrays may be the kernel's live buffers: read or copy them
+    before asking for the next checkpoint.
     """
     counts = _Counts(m, w0, b0, cps[-1])
     size = keys.size
-    # rows grow with n, so no block takes more than the horizon's rows; a
-    # block of r rows is filled in panels of min(size, _BLOCK_ELEMENTS // r)
-    # columns, and each mask row is padded to whole uint64 words, so that a
-    # uint64 view adds eight columns' uint8 counts at once, one per byte lane
-    rows_max = _urn_block_rows(size, cps[-1])
-    elements = min(rows_max * -(-size // 8) * 8, _BLOCK_ELEMENTS + 8 * rows_max)
+    tall, width = _urn_tile(size)
+    row_adds = tall <= _ROW_SUM_ROWS
     k = np.zeros(size)
-    x_prev = np.full(size, np.nan)
+    x_prev = np.full(size, np.nan) if prev else None
     lo, hi = np.empty(size), np.empty(size)
     below, above = np.empty(size, np.uint64), np.empty(size, np.uint64)
-    block = np.empty(elements)
-    scratch = np.empty(elements, dtype=np.uint64)
-    white = np.zeros(elements, dtype=bool)
-    ambiguous = np.zeros(elements, dtype=bool)
-    lanes = np.empty(elements // 8, dtype=np.uint64)
-    tall = width = 0  # the last block's rows by the rule, and its panel width
-
-    @functools.cache
-    def masks(rows: int, padded: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The two masks and their uint64 lanes, rows x padded columns."""
-        cut = rows * padded
-        return (
-            white[:cut].reshape(rows, padded),
-            ambiguous[:cut].reshape(rows, padded),
-            lanes[: cut // 8].reshape(rows, padded // 8),
-        )
+    block = np.empty(tall * width)
+    scratch = np.empty(tall * width, dtype=np.uint64)
+    # the column panels and their masks, allocated once.  Each mask row is
+    # padded to whole uint64 words, so that a uint64 view adds eight
+    # columns' uint8 counts at once, one per byte lane; the compares never
+    # write the padding, and a narrower last panel has masks of its own,
+    # so that every padding column always reads False
+    tiles = {}
+    panels = []
+    for c0 in range(0, size, width):
+        cols = min(width, size - c0)
+        if cols not in tiles:
+            padded = -(-cols // 8) * 8
+            sure = np.zeros((tall, padded), dtype=bool)
+            unsure = np.zeros((tall, padded), dtype=bool)
+            tiles[cols] = sure, unsure, _running_sum(sure, row_adds)
+        panels.append((c0, c0 + cols, *tiles[cols]))
 
     def advance(first: int, last: int) -> None:
         """Step k from n = first to n = last."""
-        nonlocal tall, width
         s = first
         while s < last:
-            if tall < rows_max:
-                tall = _urn_block_rows(size, s)
-                panel = min(size, max(1, _BLOCK_ELEMENTS // tall))
-                if panel != width:
-                    width = panel
-                    # a new layout: every mask row's padding must read False
-                    white[:] = False
-                    ambiguous[:] = False
-            rows = min(tall, last - s)
-            sure, unsure, counted = masks(rows, -(-width // 8) * 8)
+            rows = min(_urn_block_rows(size, s), last - s)
             counts.bounds(k, s, rows, lo, hi)
             _word_thresholds(lo, hi, below, above)
             draws, pending = [], 0
-            for c0 in range(0, size, width):
-                c1 = min(c0 + width, size)
-                cols = c1 - c0
-                z = rng.sign_block(
-                    keys[c0:c1], s + 1, rows,
-                    out=block[: rows * cols].reshape(rows, cols), scratch=scratch,
-                ).view(np.uint64)
-                np.less(z, below[c0:c1], out=sure[:, :cols])
-                np.less_equal(z, above[c0:c1], out=unsure[:, :cols])
-                if cols < width:  # a narrower last panel
-                    sure[:, cols:] = False
-                    unsure[:, cols:] = False
-                np.logical_xor(unsure, sure, out=unsure)
-                # sure whites in rows <= r, per column: row r of a running sum
-                whites = np.add.accumulate(
-                    sure.view(np.uint64), axis=0, out=counted
-                ).view(np.uint8)
-                kp = k[c0:c1]
-                at = np.flatnonzero(unsure)
-                if at.size:
-                    draws.append(_ambiguous_draws(z, whites, at, kp, c0))
-                    pending += at.size
-                kp += whites[-1, :cols]
-                # decide ambiguous draws a batch of panels at a time; a batch
-                # closes once it holds _BLOCK_ELEMENTS / 8 draws, so that its
-                # arrays stay near a panel's size whatever the path count
-                if pending >= _BLOCK_ELEMENTS // 8 or (c1 == size and draws):
-                    batch = draws[0]
-                    if len(draws) > 1:
-                        batch = map(np.concatenate, zip(*draws))
-                    np.add(k, _resolve(counts, s, *batch, size), out=k)
-                    draws, pending = [], 0
+            for r0 in range(0, rows, tall):
+                slab = min(tall, rows - r0)
+                for c0, c1, sure, unsure, running in panels:
+                    cols = c1 - c0
+                    sure, unsure = sure[:slab], unsure[:slab]
+                    z = rng.sign_block(
+                        keys[c0:c1], s + 1 + r0, slab,
+                        out=block[: slab * cols].reshape(slab, cols),
+                        scratch=scratch,
+                    ).view(np.uint64)
+                    np.less(z, below[c0:c1], out=sure[:, :cols])
+                    np.less_equal(z, above[c0:c1], out=unsure[:, :cols])
+                    np.logical_xor(unsure, sure, out=unsure)
+                    whites = running(slab)
+                    kp = k[c0:c1]
+                    at = np.flatnonzero(unsure)
+                    if at.size:
+                        draws.append(_ambiguous_draws(z, whites, at, kp, r0, c0))
+                        pending += at.size
+                    kp += whites[-1, :cols]
+                    # decide ambiguous draws a batch of tiles at a time; a
+                    # batch closes once it holds _BLOCK_ELEMENTS / 8 draws,
+                    # so that its arrays stay near a tile's size whatever
+                    # the path count, and at the block's end
+                    end = r0 + slab == rows and c1 == size
+                    if draws and (end or pending >= _BLOCK_ELEMENTS // 8):
+                        batch = draws[0]
+                        if len(draws) > 1:
+                            batch = map(np.concatenate, zip(*draws))
+                        np.add(k, _resolve(counts, s, *batch, size), out=k)
+                        draws, pending = [], 0
             s += rows
 
     n = 0
     for cp in cps:
         if cp > n:
-            advance(n, cp - 1)
-            x_prev, _ = counts.fraction(k, counts.at(cp - 1))
-            advance(cp - 1, cp)
+            if prev:
+                advance(n, cp - 1)
+                x_prev, _ = counts.fraction(k, counts.at(cp - 1))
+                n = cp - 1
+            advance(n, cp)
             n = cp
         x, t = counts.fraction(k, counts.at(n))
         yield x, t, x_prev
@@ -668,18 +710,28 @@ def _urn_block_rows(paths: int, n: int) -> int:
     of them draw n + 1.
 
     A block's ambiguous draws per path grow about as rows^2 / n, while its
-    fixed cost is paid per panel of _BLOCK_ELEMENTS words, so its rows grow
-    as sqrt(n): sqrt((n + 1) max(4, _URN_ROW_PATHS / paths)) while they fit
-    one panel across the chunk, more for fewer paths.  Rows past one panel
-    add a panel each, so there a block takes sqrt(n + 1) rows rounded down
-    to whole panels, and at least one.  At most 255, which a column's uint8
-    counts hold.  Rows never fall as n grows.
+    fixed cost is paid per slab of _BLOCK_ELEMENTS words across the chunk
+    (_urn_tile), so its rows grow as sqrt(n):
+    sqrt((n + 1) max(4, _URN_ROW_PATHS / paths)) while they fit one slab,
+    more for fewer paths.  Rows past one slab add a slab each, so there a
+    block takes sqrt(n + 1) rows rounded down to whole slabs, and at least
+    one.  At most 255, which a column's uint8 counts hold.  Rows never fall
+    as n grows.
     """
     rows = math.isqrt((n + 1) * max(4, _URN_ROW_PATHS // paths))
-    panel = max(1, _BLOCK_ELEMENTS // paths)
-    if rows > panel:
-        rows = max(panel, rows // 2 // panel * panel)
+    slab = _urn_tile(paths)[0]
+    if rows > slab:
+        rows = max(slab, rows // 2 // slab * slab)
     return min(rows, 255)
+
+
+def _urn_tile(paths: int) -> tuple[int, int]:
+    """(rows, columns) of the urn kernel's tile for a chunk of `paths`:
+    min(paths, _BLOCK_ELEMENTS) columns, and as many rows as fit
+    _BLOCK_ELEMENTS words, at most 255, which a column's uint8 counts hold.
+    """
+    columns = min(paths, _BLOCK_ELEMENTS)
+    return min(255, _BLOCK_ELEMENTS // columns), columns
 
 
 def _word_thresholds(
@@ -709,20 +761,51 @@ def _word_thresholds(
 
 
 def _ambiguous_draws(
-    z: np.ndarray, whites: np.ndarray, at: np.ndarray, k: np.ndarray, c0: int
+    z: np.ndarray,
+    whites: np.ndarray,
+    at: np.ndarray,
+    k: np.ndarray,
+    r0: int,
+    c0: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, base, u) of a panel's ambiguous draws, in row order.
+    """(row, column, base, u) of a tile's ambiguous draws, in row order.
 
-    z holds the panel's sign_block words, one column per path from path
-    c0 on; at holds the ambiguous draws' flat indices in the masks, padded
-    as whites is, which counts each column's sure whites in rows <= r; k
-    holds the panel's white draws before the block.  base is k plus the
-    sure whites above the draw, u its finished uniform.
+    z holds the tile's sign_block words, rows r0.. of the block and one
+    column per path from path c0 on; at holds the ambiguous draws' flat
+    indices in the masks, padded as whites is, which counts each column's
+    sure whites in the tile's rows <= r; k holds the tile's white draws
+    before it.  row is the draw's row in the block, base is k plus the
+    sure whites above the draw in the tile, u its finished uniform.
     """
     row, col = np.divmod(at, whites.shape[1])
     base = k[col] + whites.ravel()[at]
     u = rng._finish_uniforms(z[row, col])
-    return row, col + c0, base, u
+    return row + r0, col + c0, base, u
+
+
+def _running_sum(sure: np.ndarray, row_adds: bool) -> Callable[[int], np.ndarray]:
+    """A tile's running sum of sure whites: a function of a slab's rows r
+    that returns, in row i of r rows of uint8 counts, each column's sure
+    whites in rows <= i of the tile's sure mask, whose rows are padded to
+    whole uint64 words.  With row_adds it adds each row's uint64 lanes into
+    the next, in place in the mask; otherwise it takes one
+    np.add.accumulate into a buffer of its own."""
+    if row_adds:
+        lanes = list(sure.view(np.uint64))
+
+        def whites(rows: int) -> np.ndarray:
+            for above, row in zip(lanes, lanes[1:rows]):
+                np.add(above, row, out=row)
+            return sure[:rows].view(np.uint8)
+
+        return whites
+    counted = np.empty((sure.shape[0], sure.shape[1] // 8), dtype=np.uint64)
+
+    def accumulated(rows: int) -> np.ndarray:
+        lanes = sure[:rows].view(np.uint64)
+        return np.add.accumulate(lanes, axis=0, out=counted[:rows]).view(np.uint8)
+
+    return accumulated
 
 
 def _resolve(
@@ -907,7 +990,7 @@ def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
         raise ConfigError("forced scaling needs a center for this regime")
 
     def kernel(keys: np.ndarray) -> Iterator[np.ndarray]:
-        for x, _, _ in _urn_states(m, w0, b0, keys, cps):
+        for x, _, _ in _urn_states(m, w0, b0, keys, cps, prev=False):
             yield x
 
     return _Source(

@@ -444,12 +444,13 @@ class TestKernelEquivalence:
     ):
         counts = self._small_blocks(monkeypatch)
         self._check_urn(m, w0, b0)
-        # the block kernel fills every block in two panels, of 5 and 2
-        # paths: blocks of up to 20 rows, cut at each checkpoint n and at
-        # n - 1, the one-row blocks
-        assert sum(counts) == 2 * 300
-        assert max(counts) == 20
+        # the block kernel fills every block in slabs of at most 14 rows
+        # across all 7 paths: blocks of up to 20 rows (a slab of 14 and one
+        # of 6), cut at each checkpoint n, the one-row blocks to n = 1, 2
+        assert sum(counts) == 300
+        assert max(counts) == 14
         assert min(counts) == 1
+        assert 6 in counts
 
     @given(
         st.tuples(*[st.floats(0.0, 8.0)] * 4).filter(
@@ -481,8 +482,8 @@ class TestKernelEquivalence:
         m = ReplacementMatrix(*entries)
         w0, b0 = counts
         with pytest.MonkeyPatch.context() as mp:
-            # blocks of up to 3 rows in one panel of 3 paths, cut at each
-            # checkpoint n and n - 1: 40 steps in 20 blocks
+            # blocks of up to 3 rows in one tile of 3 paths, cut at each
+            # checkpoint n: 40 steps in 17 blocks
             mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 10)
             mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: 3)
             res = run_ensemble(
@@ -497,7 +498,7 @@ class TestKernelEquivalence:
 
     def test_integer_urns_match_scalar_across_blocks(self):
         """The block kernel replays urn_step bit for bit over integer
-        matrices, with 4-row blocks in panels of 2 paths (and 1).  Hooks
+        matrices, with 12-row blocks in slabs of 8 rows of 3 paths.  Hooks
         check the block shape of every example and that each column's
         ambiguous draws reach _resolve in row order, and that the examples
         together met ambiguous draws, three of them in one column of one
@@ -531,6 +532,133 @@ class TestKernelEquivalence:
 
         check()
         assert met == {"ambiguous", "three in a column", "top bucket"}
+
+    def test_tiles_match_scalar(self):
+        """The block kernel replays urn_step bit for bit in random tile
+        shapes, with _BLOCK_ELEMENTS, the block rows and _ROW_SUM_ROWS
+        patched.  Hooks check that each column's ambiguous draws reach
+        _resolve in row order, and that the examples together met blocks
+        spanning several slabs, a batch closed before its block's end, a
+        batch holding one column's draws from two slabs, a narrower last
+        column panel, and both running sums over slabs of several rows."""
+        met: set[str] = set()
+
+        @given(
+            st.sampled_from(
+                [(9.0, 0.0, 0.0, 9.0), (4.0, 5.0, 3.0, 2.0), (3.0, 0.0, 2.0, 5.0)]
+            ),
+            st.integers(1, 4).map(float),
+            st.integers(1, 12),
+            st.integers(1, 64),
+            st.integers(1, 24),
+            st.integers(0, 8),
+            st.integers(0, 2**64 - 1),
+        )
+        @settings(max_examples=40, deadline=None)
+        # the toy urn in 20-row blocks of 8-row slabs summed by row adds: a
+        # batch closes after a first slab, and another holds one column's
+        # draws from a block's first two slabs
+        @example(
+            entries=(4.0, 5.0, 3.0, 2.0), w0=1.0, paths=3, elements=24, rows=20,
+            crossover=8, seed=1,
+        )
+        # 16-row slabs summed by np.add.accumulate
+        @example(
+            entries=(4.0, 5.0, 3.0, 2.0), w0=1.0, paths=3, elements=48, rows=20,
+            crossover=0, seed=1,
+        )
+        # 5 paths in column panels of 2, 2 and 1, one row each
+        @example(
+            entries=(9.0, 0.0, 0.0, 9.0), w0=1.0, paths=5, elements=2, rows=6,
+            crossover=8, seed=2,
+        )
+        def check(entries, w0, paths, elements, rows, crossover, seed):
+            met.update(
+                self._check_tiles(entries, w0, paths, elements, rows, crossover, seed)
+            )
+
+        check()
+        assert met == {
+            "several slabs", "batch closed mid-block", "column across slabs",
+            "narrower last panel", "row adds", "accumulate",
+        }
+
+    @staticmethod
+    def _check_tiles(entries, w0, paths, elements, rows, crossover, seed) -> set[str]:
+        """Run one urn from (w0, w0) in blocks of `rows` rows and tiles of
+        _BLOCK_ELEMENTS = elements through the block kernel, as a run and
+        as a replay, and check it against urn_step; return what the hooks
+        met."""
+        m = ReplacementMatrix(*entries)
+        horizon = 60
+        cfg = EnsembleConfig(
+            matrix=m, w0=w0, b0=w0, horizon=horizon, paths=paths, master_seed=seed,
+            forced_scaling=(0.0, 0.0), forced_center=0.5,
+        )
+        met: set[str] = set()
+        widths: set[int] = set()  # paths per tile
+        slabs: set[int] = set()  # the first draws of this block's slabs
+        blocks: list[int] = []  # each batch's block, by its first state s
+        sign_block = rng.sign_block
+        resolve = montecarlo._resolve
+        running_sum = montecarlo._running_sum
+        word_thresholds = montecarlo._word_thresholds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
+            mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: rows)
+            mp.setattr(montecarlo, "_ROW_SUM_ROWS", crossover)
+            tall, width = montecarlo._urn_tile(paths)
+
+            def filling(keys, first_draw, count, **buffers):
+                widths.add(keys.size)
+                if keys.size < width:
+                    met.add("narrower last panel")
+                slabs.add(first_draw)
+                if len(slabs) > 1:
+                    met.add("several slabs")
+                return sign_block(keys, first_draw, count, **buffers)
+
+            def thresholds(lo, hi, below, above):  # once per block
+                slabs.clear()
+                word_thresholds(lo, hi, below, above)
+
+            def resolving(counts, s, row, col, base, u, size):
+                by_column = np.lexsort((np.arange(col.size), col))
+                same = col[by_column][1:] == col[by_column][:-1]
+                assert (np.diff(row[by_column])[same] > 0).all()
+                slab = row[by_column] // tall
+                if (np.diff(slab)[same] > 0).any():
+                    met.add("column across slabs")
+                if blocks and blocks[-1] == s:
+                    met.add("batch closed mid-block")
+                blocks.append(s)
+                return resolve(counts, s, row, col, base, u, size)
+
+            def summing(sure, row_adds):
+                whites = running_sum(sure, row_adds)
+
+                def counted(slab):
+                    if slab > 1:
+                        met.add("row adds" if row_adds else "accumulate")
+                    return whites(slab)
+
+                return counted
+
+            mp.setattr(rng, "sign_block", filling)
+            mp.setattr(montecarlo, "_resolve", resolving)
+            mp.setattr(montecarlo, "_running_sum", summing)
+            mp.setattr(montecarlo, "_word_thresholds", thresholds)
+            res = run_ensemble(cfg)
+            traces = montecarlo._traces(cfg, range(paths))
+        assert widths <= {width, paths % width}
+        for i in range(paths):
+            _, states = run_path_scalar(m, w0, w0, horizon, rng.path_key(seed, i))
+            assert res.final_x[i] == states[-1].fraction
+            for j, n in enumerate(traces.ns):
+                assert traces.x[j, i] == states[n].fraction
+                assert traces.t[j, i] == states[n].total
+                assert traces.x_prev[j, i] == states[n - 1].fraction
+        return met
 
     @given(
         st.one_of(
@@ -605,18 +733,34 @@ class TestKernelEquivalence:
         assert counting.calls == passes
 
     @pytest.mark.parametrize(
-        "paths,rows,panels",
+        "paths,rows,slabs",
         [(1, 255, 1), (250, 255, 1), (500, 131, 1), (1000, 65, 1), (10_000, 60, 10)],
     )
-    def test_block_rows_follow_chunk_width(self, paths, rows, panels):
+    def test_block_rows_follow_chunk_width(self, paths, rows, slabs):
         """The last block of each width's run in scripts/block_sweep.py
-        step 5: up to 1000 paths it fills one panel of _BLOCK_ELEMENTS
+        step 5: up to 1000 paths it fills one tile of _BLOCK_ELEMENTS
         words across the chunk, at most 255 rows, and 10000 paths take
-        sqrt(n + 1) rows in whole panels."""
+        sqrt(n + 1) rows in whole slabs."""
         horizon = {1: 1 << 17, 250: 1 << 15, 500: 1 << 15, 1000: 1 << 14}
         n = horizon.get(paths, 1 << 12) - 1
         assert montecarlo._urn_block_rows(paths, n) == rows
-        assert -(-paths // (montecarlo._BLOCK_ELEMENTS // rows)) == panels
+        tall, width = montecarlo._urn_tile(paths)
+        assert width == paths
+        assert -(-rows // tall) == slabs
+        assert rows % tall == 0 or slabs == 1
+
+    @pytest.mark.parametrize(
+        "paths,tile",
+        [
+            (1, (255, 1)), (250, (255, 250)), (500, (131, 500)),
+            (2_000, (32, 2_000)), (5_000, (13, 5_000)), (10_000, (6, 10_000)),
+            (65_536, (1, 65_536)), (100_000, (1, 65_536)),
+        ],
+    )
+    def test_tile_spans_the_chunk(self, paths, tile):
+        """A tile spans the chunk up to _BLOCK_ELEMENTS paths, in as many
+        rows as fit _BLOCK_ELEMENTS words, at most 255."""
+        assert montecarlo._urn_tile(paths) == tile
 
     @pytest.mark.parametrize(
         "paths,n,rows",
@@ -662,7 +806,7 @@ class TestKernelEquivalence:
 
         def resolving(counts, s, row, col, base, u, size):
             nonlocal deepest
-            if fills[-1] == 255:  # this block's one panel
+            if fills[-1] == 255:  # this block's one slab
                 deepest = max(deepest, int(np.bincount(col).max()))
             return resolve(counts, s, row, col, base, u, size)
 
@@ -717,18 +861,21 @@ class TestKernelEquivalence:
                 met.add("top bucket")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: 4)
-            mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 8)  # 2 paths per panel
+            mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: 12)
+            mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 24)  # 8 rows of 3 paths
             mp.setattr(rng, "sign_block", filling)
             mp.setattr(montecarlo, "_resolve", resolving)
             mp.setattr(montecarlo, "_word_thresholds", thresholds)
             res = run_ensemble(cfg)
             traces = montecarlo._traces(cfg, range(3))
-        # every block in two panels; full blocks, and blocks cut short by a
-        # checkpoint n (1 row, from n - 1) or by n - 1 (3 rows, as 13..15)
-        assert {size for size, _ in fills} == {2, 1}
-        assert sum(count for _, count in fills) == 2 * 2 * 40  # run and replay
-        assert {count for _, count in fills} == {1, 3, 4}
+        # every slab across the 3 paths.  The run cuts blocks at each
+        # checkpoint n: 1, 1, 2, 4 and 8 rows, 16..32 as 12 + 4 rows (slabs
+        # of 8, 4 and 4), 32..40 as 8.  The replay also cuts them at n - 1:
+        # 1 row from n - 1, and 3, 7 (8..15), 12 + 3 (slabs of 8, 4 and 3)
+        # and 7 rows up to n - 1
+        assert {size for size, _ in fills} == {3}
+        assert sum(count for _, count in fills) == 2 * 40  # run and replay
+        assert {count for _, count in fills} == {1, 2, 3, 4, 7, 8}
         for i in range(3):
             _, states = run_path_scalar(m, w0, b0, 40, rng.path_key(seed, i))
             assert res.final_x[i] == states[-1].fraction
@@ -823,8 +970,8 @@ class TestKernelEquivalence:
     @staticmethod
     def _small_blocks(monkeypatch) -> list[int]:
         """Shrink the synthetic kernel's RNG blocks to 14 rows of 7 (or 20
-        rows of 5) paths, and the urn kernel's to 20 rows in panels of 5
-        paths.
+        rows of 5) paths, and the urn kernel's to 20-row blocks in slabs of
+        14 rows of 7 paths.
 
         Returns the list that records the row count of every sign_block
         fill, the one fill both kernels draw with.

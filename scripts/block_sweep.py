@@ -323,8 +323,8 @@ def time_running_sums(width: int, min_draws: int = 1 << 24) -> tuple[float, floa
     """ns per draw of montecarlo._running_sum over one full tile of a chunk
     of `width` paths, by row adds and by np.add.accumulate; the sure mask is
     refilled before each call, and the refill's own time taken out."""
-    rows, columns = montecarlo._urn_tile(width)
-    mask = np.random.default_rng(SEED).random((rows, -(-columns // 8) * 8)) < 0.5
+    rows = montecarlo._urn_tile(width)
+    mask = np.random.default_rng(SEED).random((rows, -(-width // 8) * 8)) < 0.5
     sure = np.empty_like(mask)
     calls = max(3, min_draws // mask.size)
 
@@ -393,7 +393,7 @@ def tile_step(against: str | None) -> None:
                 lambda: kernel_seconds(montecarlo, paths),
             )
             cells.append(f"{old * 1e3:.0f} {new * 1e3:.0f} {wins:>2}/{SPLIT_PAIRS}")
-        tile = "%dx%d" % montecarlo._urn_tile(paths)
+        tile = f"{montecarlo._urn_tile(paths)}x{paths}"
         print(f"{paths:>6} {tile:>10} {adds:>6.2f} {accumulate:>6.2f}"
               + "".join(f"{c:>22}" for c in cells))
     print(f"_ROW_SUM_ROWS = {montecarlo._ROW_SUM_ROWS}: row adds in tiles of at "

@@ -20,19 +20,20 @@ and fractional urns alike: bounds on X over the block, padded by the
 largest rounding error, and the top 31 bits of each draw's sign_block word
 decide most draws at once, and only the draws near their threshold are
 finished to uniforms and stepped exactly (_urn_states).  A block is
-stepped in slabs of rows across the whole chunk, each one tile of a shape
-fixed for the chunk (_urn_tile): as many rows of the chunk's paths as fit
-_BLOCK_ELEMENTS words, 6 rows at 10000 paths and 255 at 250.  A slab
+stepped in slabs of rows across the whole chunk, of a height fixed for
+the chunk (_urn_tile): as many whole rows of the chunk's paths as fit
+_BLOCK_ELEMENTS words, at least one and at most 255, so 6 rows at 10000
+paths, 255 at 250 and one row past 2^16 paths.  A slab
 costs a few dozen numpy calls, whatever its width, and after each slab k
 absorbs its sure whites, so that the next slab's ambiguous draws read
 their base from k.  X at the block's three corners comes from three
 passes over the paths, and the ambiguous draws, 0.3-1.4% of the draws in
-the benchmark urns, are decided once per batch of tiles by a fixed point
+the benchmark urns, are decided once per batch of slabs by a fixed point
 (_resolve): sorted by column once, every draw is decided from the whites
 that the last pass found above it in its column, until a recount changes
 nothing, in two or three passes for most batches.  A block's ambiguous
 draws grow about as rows^2 / n, so its rows grow as sqrt(n), more in a
-chunk of few paths, whose tiles are tall, up to 255 (_urn_block_rows).
+chunk of few paths, whose slabs are tall, up to 255 (_urn_block_rows).
 The synthetic update reads only the sign of each draw against 1/2
 (rng.sign_block) and adds +-step exactly as the scalar branch does.
 
@@ -126,8 +127,8 @@ _MIN_CHUNK_PATHS = 250
 # The floor stays at 2^21: no shape lies between 2.05 M and 2.56 M, so it
 # splits these shapes from 2.56 M up, where every run passed.
 _MIN_CHUNK_PATH_STEPS = 1 << 21
-# RNG block budget in uniforms: it caps the synthetic kernel's blocks (whole
-# rows of a chunk's paths) and the urn kernel's tiles (_urn_tile).  2^16
+# RNG block budget in uniforms: it caps the synthetic kernel's blocks and the
+# urn kernel's slabs at whole rows of a chunk's paths (_block_rows).  2^16
 # float64 plus their uint64 scratch is 1 MiB, which fits a 2 MiB L2.  In
 # two runs of scripts/block_sweep.py (2-core Xeon, 2 MiB L2 per core)
 # 2^15-2^16 filled blocks at 4.3-5.4 ns/draw against 7.6-8.8 from 2^18 up,
@@ -145,15 +146,14 @@ _BLOCK_ELEMENTS = 1 << 16
 # X_{n-1} (8); a run does not.  While the kernel decides a batch of
 # ambiguous draws it holds the whites found per path (8) instead of the
 # corners.  A batch's own arrays, about a dozen values a draw, hold fewer
-# than _BLOCK_ELEMENTS / 8 draws plus one tile's, whatever the path count.
+# than _BLOCK_ELEMENTS / 8 draws plus one slab's, whatever the path count.
 # A synthetic run adds z and its share of the RNG block and scratch
-# (3 x 8).  The urn kernel's tile is fixed for the chunk and holds at most
-# _BLOCK_ELEMENTS words however many paths run (_urn_tile).  Its two masks
-# and their uint64 lanes add 3 bytes a draw, rows padded to 8 columns: at
-# most _BLOCK_ELEMENTS + 8 x tile rows draws, about 200 KB, and as much
-# again for a narrower last column panel of a chunk wider than
-# _BLOCK_ELEMENTS.  The caller's receive buffers (8) hold only the
-# workers' paths.  So none of these raises the lower bounds.
+# (3 x 8).  The bounds leave out the caller's receive buffers (8), which
+# hold only the workers' paths, and the urn kernel's slab, fixed for the
+# chunk (_urn_tile): its RNG block and scratch, 16 bytes a draw, and its
+# two masks and their uint64 lanes, 3 bytes a draw with rows padded to 8
+# columns.  A slab holds at most _BLOCK_ELEMENTS draws, about 1.2 MiB,
+# except that a chunk wider than 2^16 paths holds one row of its paths.
 _PATH_BYTES = 136
 _SYNTHETIC_PATH_BYTES = 48
 # Rows per block of the urn kernel: a block of a chunk of p paths, from
@@ -515,13 +515,10 @@ def _urn_states(
     w0: float,
     b0: float,
     keys: np.ndarray,
-    cps: list[int],
-    *,
-    prev: bool = True,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Step the urn paths with these keys; yield (X_n, T_n, X_{n-1}) at
-    each checkpoint n (X_{n-1} is NaN at n = 0, and None throughout
-    where prev is False).
+    ns: list[int],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Step the urn paths with these keys; yield (X_n, T_n) at each n of
+    the increasing list ns.
 
     Every path's state is its white-draw count k, stepped a block of
     _urn_block_rows(paths, s) draws at a time, rows that grow with the
@@ -531,102 +528,74 @@ def _urn_states(
     sign_block word holds the final top 31 bits q of its uniform u, and
     q 2^-31 <= u < (q+1) 2^-31, so the word alone decides white where
     (q+1) 2^-31 <= lo and black where q 2^-31 >= hi.  A block is filled
-    and compared one tile at a time: a slab of rows across the chunk, in
-    column panels only where the chunk is wider than _BLOCK_ELEMENTS, in
-    one shape for the whole chunk (_urn_tile), so that it stays in cache
-    whatever the block's rows.  An ambiguous draw's base is k plus the
-    sure whites above it in its column.  After each slab k absorbs the
-    slab's sure whites, so that the next slab's ambiguous draws, finished
-    to uniforms (_ambiguous_draws), read the earlier slabs' from k.  The
-    ambiguous draws of several tiles are decided exactly at once
+    and compared one slab at a time: _urn_tile(paths) rows across the
+    whole chunk, a height fixed for the chunk, so that a slab stays in
+    cache whatever the block's rows.  An ambiguous draw's base is k plus
+    the sure whites above it in its column.  After each slab k absorbs
+    the slab's sure whites, so that the next slab's ambiguous draws,
+    finished to uniforms (_ambiguous_draws), read the earlier slabs' from
+    k.  The ambiguous draws of several slabs are decided exactly at once
     (_resolve), each carrying its row in the block, so that the whites a
     batch finds among a column's earlier draws count toward its later
     ones; they join k when the batch closes, before any later draw reads
     k.  A slab's running sum of sure whites takes one uint64-lane add per
-    row in a tile of at most _ROW_SUM_ROWS rows, one np.add.accumulate in
-    a taller one (_running_sum).  Blocks end at each checkpoint n, and
-    where prev is set also at n - 1, which yields X_{n-1} from k_{n-1}.
-    The yielded arrays may be the kernel's live buffers: read or copy them
-    before asking for the next checkpoint.
+    row in a slab of at most _ROW_SUM_ROWS rows, one np.add.accumulate in
+    a taller one (_running_sum).  Blocks end at each n of ns.
     """
-    counts = _Counts(m, w0, b0, cps[-1])
+    counts = _Counts(m, w0, b0, ns[-1])
     size = keys.size
-    tall, width = _urn_tile(size)
-    row_adds = tall <= _ROW_SUM_ROWS
+    tall = _urn_tile(size)
     k = np.zeros(size)
-    x_prev = np.full(size, np.nan) if prev else None
     lo, hi = np.empty(size), np.empty(size)
     below, above = np.empty(size, np.uint64), np.empty(size, np.uint64)
-    block = np.empty(tall * width)
-    scratch = np.empty(tall * width, dtype=np.uint64)
-    # the column panels and their masks, allocated once.  Each mask row is
-    # padded to whole uint64 words, so that a uint64 view adds eight
-    # columns' uint8 counts at once, one per byte lane; the compares never
-    # write the padding, and a narrower last panel has masks of its own,
-    # so that every padding column always reads False
-    tiles = {}
-    panels = []
-    for c0 in range(0, size, width):
-        cols = min(width, size - c0)
-        if cols not in tiles:
-            padded = -(-cols // 8) * 8
-            sure = np.zeros((tall, padded), dtype=bool)
-            unsure = np.zeros((tall, padded), dtype=bool)
-            tiles[cols] = sure, unsure, _running_sum(sure, row_adds)
-        panels.append((c0, c0 + cols, *tiles[cols]))
+    block = np.empty(tall * size)
+    scratch = np.empty(tall * size, dtype=np.uint64)
+    # the slab's masks, allocated once.  Each mask row is padded to whole
+    # uint64 words, so that a uint64 view adds eight columns' uint8 counts
+    # at once, one per byte lane; the compares never write the padding, so
+    # every padding column always reads False
+    padded = -(-size // 8) * 8
+    sure = np.zeros((tall, padded), dtype=bool)
+    unsure = np.zeros((tall, padded), dtype=bool)
+    running = _running_sum(sure, tall <= _ROW_SUM_ROWS)
 
-    def advance(first: int, last: int) -> None:
-        """Step k from n = first to n = last."""
-        s = first
-        while s < last:
-            rows = min(_urn_block_rows(size, s), last - s)
+    s = 0
+    for n in ns:
+        while s < n:
+            rows = min(_urn_block_rows(size, s), n - s)
             counts.bounds(k, s, rows, lo, hi)
             _word_thresholds(lo, hi, below, above)
             draws, pending = [], 0
             for r0 in range(0, rows, tall):
                 slab = min(tall, rows - r0)
-                for c0, c1, sure, unsure, running in panels:
-                    cols = c1 - c0
-                    sure, unsure = sure[:slab], unsure[:slab]
-                    z = rng.sign_block(
-                        keys[c0:c1], s + 1 + r0, slab,
-                        out=block[: slab * cols].reshape(slab, cols),
-                        scratch=scratch,
-                    ).view(np.uint64)
-                    np.less(z, below[c0:c1], out=sure[:, :cols])
-                    np.less_equal(z, above[c0:c1], out=unsure[:, :cols])
-                    np.logical_xor(unsure, sure, out=unsure)
-                    whites = running(slab)
-                    kp = k[c0:c1]
-                    at = np.flatnonzero(unsure)
-                    if at.size:
-                        draws.append(_ambiguous_draws(z, whites, at, kp, r0, c0))
-                        pending += at.size
-                    kp += whites[-1, :cols]
-                    # decide ambiguous draws a batch of tiles at a time; a
-                    # batch closes once it holds _BLOCK_ELEMENTS / 8 draws,
-                    # so that its arrays stay near a tile's size whatever
-                    # the path count, and at the block's end
-                    end = r0 + slab == rows and c1 == size
-                    if draws and (end or pending >= _BLOCK_ELEMENTS // 8):
-                        batch = draws[0]
-                        if len(draws) > 1:
-                            batch = map(np.concatenate, zip(*draws))
-                        np.add(k, _resolve(counts, s, *batch, size), out=k)
-                        draws, pending = [], 0
+                z = rng.sign_block(
+                    keys, s + 1 + r0, slab,
+                    out=block[: slab * size].reshape(slab, size),
+                    scratch=scratch,
+                ).view(np.uint64)
+                sure_rows, unsure_rows = sure[:slab], unsure[:slab]
+                np.less(z, below, out=sure_rows[:, :size])
+                np.less_equal(z, above, out=unsure_rows[:, :size])
+                np.logical_xor(unsure_rows, sure_rows, out=unsure_rows)
+                whites = running(slab)
+                at = np.flatnonzero(unsure_rows)
+                if at.size:
+                    draws.append(_ambiguous_draws(z, whites, at, k, r0))
+                    pending += at.size
+                k += whites[-1, :size]
+                # decide ambiguous draws a batch of slabs at a time; a batch
+                # closes once it holds _BLOCK_ELEMENTS / 8 draws, so that its
+                # arrays stay near a slab's size whatever the path count,
+                # and at the block's end
+                end = r0 + slab == rows
+                if draws and (end or pending >= _BLOCK_ELEMENTS // 8):
+                    batch = draws[0]
+                    if len(draws) > 1:
+                        batch = map(np.concatenate, zip(*draws))
+                    np.add(k, _resolve(counts, s, *batch, size), out=k)
+                    draws, pending = [], 0
             s += rows
-
-    n = 0
-    for cp in cps:
-        if cp > n:
-            if prev:
-                advance(n, cp - 1)
-                x_prev, _ = counts.fraction(k, counts.at(cp - 1))
-                n = cp - 1
-            advance(n, cp)
-            n = cp
-        x, t = counts.fraction(k, counts.at(n))
-        yield x, t, x_prev
+        yield counts.fraction(k, counts.at(n))
 
 
 class _Counts:
@@ -719,19 +688,23 @@ def _urn_block_rows(paths: int, n: int) -> int:
     as n grows.
     """
     rows = math.isqrt((n + 1) * max(4, _URN_ROW_PATHS // paths))
-    slab = _urn_tile(paths)[0]
+    slab = _urn_tile(paths)
     if rows > slab:
         rows = max(slab, rows // 2 // slab * slab)
     return min(rows, 255)
 
 
-def _urn_tile(paths: int) -> tuple[int, int]:
-    """(rows, columns) of the urn kernel's tile for a chunk of `paths`:
-    min(paths, _BLOCK_ELEMENTS) columns, and as many rows as fit
-    _BLOCK_ELEMENTS words, at most 255, which a column's uint8 counts hold.
-    """
-    columns = min(paths, _BLOCK_ELEMENTS)
-    return min(255, _BLOCK_ELEMENTS // columns), columns
+def _urn_tile(paths: int) -> int:
+    """Rows of the urn kernel's slab across a chunk of `paths`: as many
+    whole rows as fit _BLOCK_ELEMENTS words (_block_rows), at most 255,
+    which a column's uint8 counts hold."""
+    return min(255, _block_rows(paths))
+
+
+def _block_rows(paths: int) -> int:
+    """Whole rows of `paths` draws in _BLOCK_ELEMENTS words, at least one:
+    the shape of both kernels' RNG fills."""
+    return max(1, _BLOCK_ELEMENTS // paths)
 
 
 def _word_thresholds(
@@ -766,21 +739,20 @@ def _ambiguous_draws(
     at: np.ndarray,
     k: np.ndarray,
     r0: int,
-    c0: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, base, u) of a tile's ambiguous draws, in row order.
+    """(row, column, base, u) of a slab's ambiguous draws, in row order.
 
-    z holds the tile's sign_block words, rows r0.. of the block and one
-    column per path from path c0 on; at holds the ambiguous draws' flat
-    indices in the masks, padded as whites is, which counts each column's
-    sure whites in the tile's rows <= r; k holds the tile's white draws
-    before it.  row is the draw's row in the block, base is k plus the
-    sure whites above the draw in the tile, u its finished uniform.
+    z holds the slab's sign_block words, rows r0.. of the block and one
+    column per path; at holds the ambiguous draws' flat indices in the
+    masks, padded as whites is, which counts each column's sure whites in
+    the slab's rows <= r; k holds the white draws before the slab.  row
+    is the draw's row in the block, base is k plus the sure whites above
+    the draw in the slab, u its finished uniform.
     """
     row, col = np.divmod(at, whites.shape[1])
     base = k[col] + whites.ravel()[at]
     u = rng._finish_uniforms(z[row, col])
-    return row + r0, col + c0, base, u
+    return row + r0, col, base, u
 
 
 def _running_sum(sure: np.ndarray, row_adds: bool) -> Callable[[int], np.ndarray]:
@@ -844,13 +816,13 @@ def _run_synthetic_chunk(
     proc: SyntheticProcess, horizon: int, keys: np.ndarray, cps: list[int]
 ) -> Iterator[np.ndarray]:
     """Step the synthetic paths with these keys; yield Z_n at each
-    checkpoint n, as a live buffer like _urn_states'.
+    checkpoint n, as a live buffer that the next step overwrites.
 
     Draw n moves Z_{n-1} to Z_n with noise +step_n where u < 1/2 and -step_n
     otherwise, step_n = size/sqrt(g_{n-1}).  Draws are filled a block at a
     time into one block and RNG scratch, allocated once: up to
-    _BLOCK_ELEMENTS draws (whole rows, at least one), so both stay in cache
-    while the step loop reads them.  Each block is read through its sign
+    _BLOCK_ELEMENTS draws (whole rows, at least one: _block_rows), so both
+    stay in cache while the step loop reads them.  Each block is read through its sign
     bits (rng.sign_block) and turned into +-step_n once, so a step is two
     ufunc passes, z *= 1 - Gamma/g_{n-1} and z += row.
     """
@@ -858,7 +830,7 @@ def _run_synthetic_chunk(
     # draw n moves Z_{n-1} to Z_n; the process only starts moving at `start`
     start = proc.family.first_positive_index()
     size = proc.noise_size
-    rows = max(1, min(_BLOCK_ELEMENTS // keys.size, horizon - start))
+    rows = min(_block_rows(keys.size), max(1, horizon - start))
     block = np.empty((rows, keys.size), dtype=np.float64)
     scratch = np.empty(block.size, dtype=np.uint64)
 
@@ -901,12 +873,18 @@ def _traces(config: EnsembleConfig, indices: range) -> PathCheckpointData:
         raise ConfigError("checkpoint traces exist only for urn runs")
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
     keys = rng.path_keys(config.master_seed, indices.start, len(indices))
-    rows = [np.empty((len(cps), keys.size)) for _ in range(3)]
-    m, w0, b0 = config.matrix, config.w0, config.b0
-    for ci, state in enumerate(_urn_states(m, w0, b0, keys, cps)):
-        for row, value in zip(rows, state):
-            row[ci] = value
-    return PathCheckpointData(np.asarray(cps, dtype=np.int64), *rows)
+    x, t, x_prev = (np.empty((len(cps), keys.size)) for _ in range(3))
+    # the kernel also stops at each n - 1, just before n, for X_{n-1}
+    ns = sorted({*cps, *(n - 1 for n in cps if n > 0)})
+    states = _urn_states(config.matrix, config.w0, config.b0, keys, ns)
+    last = np.full(keys.size, np.nan)  # X_{n-1} at n = 0
+    ci = 0
+    for n, (xn, tn) in zip(ns, states):
+        if n == cps[ci]:
+            x[ci], t[ci], x_prev[ci] = xn, tn, last
+            ci += 1
+        last = xn
+    return PathCheckpointData(np.asarray(cps, dtype=np.int64), x, t, x_prev)
 
 
 def _path_trace(config: EnsembleConfig, i: int) -> PathCheckpointData:
@@ -988,13 +966,8 @@ def _source(config: EnsembleConfig, cps: list[int]) -> _Source:
         )
     if config.forced_center is None and pred.p is None:
         raise ConfigError("forced scaling needs a center for this regime")
-
-    def kernel(keys: np.ndarray) -> Iterator[np.ndarray]:
-        for x, _, _ in _urn_states(m, w0, b0, keys, cps, prev=False):
-            yield x
-
     return _Source(
-        kernel=kernel,
+        kernel=lambda keys: (x for x, _ in _urn_states(m, w0, b0, keys, cps)),
         prediction=pred,
         scaling=scaling,
         center=center,

@@ -539,8 +539,8 @@ class TestKernelEquivalence:
         patched.  Hooks check that each column's ambiguous draws reach
         _resolve in row order, and that the examples together met blocks
         spanning several slabs, a batch closed before its block's end, a
-        batch holding one column's draws from two slabs, a narrower last
-        column panel, and both running sums over slabs of several rows."""
+        batch holding one column's draws from two slabs, and both running
+        sums over slabs of several rows, each fill spanning every path."""
         met: set[str] = set()
 
         @given(
@@ -567,7 +567,7 @@ class TestKernelEquivalence:
             entries=(4.0, 5.0, 3.0, 2.0), w0=1.0, paths=3, elements=48, rows=20,
             crossover=0, seed=1,
         )
-        # 5 paths in column panels of 2, 2 and 1, one row each
+        # 5 paths, wider than _BLOCK_ELEMENTS = 2: one-row slabs
         @example(
             entries=(9.0, 0.0, 0.0, 9.0), w0=1.0, paths=5, elements=2, rows=6,
             crossover=8, seed=2,
@@ -580,7 +580,7 @@ class TestKernelEquivalence:
         check()
         assert met == {
             "several slabs", "batch closed mid-block", "column across slabs",
-            "narrower last panel", "row adds", "accumulate",
+            "row adds", "accumulate",
         }
 
     @staticmethod
@@ -596,7 +596,6 @@ class TestKernelEquivalence:
             forced_scaling=(0.0, 0.0), forced_center=0.5,
         )
         met: set[str] = set()
-        widths: set[int] = set()  # paths per tile
         slabs: set[int] = set()  # the first draws of this block's slabs
         blocks: list[int] = []  # each batch's block, by its first state s
         sign_block = rng.sign_block
@@ -607,12 +606,10 @@ class TestKernelEquivalence:
             mp.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
             mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: rows)
             mp.setattr(montecarlo, "_ROW_SUM_ROWS", crossover)
-            tall, width = montecarlo._urn_tile(paths)
+            tall = montecarlo._urn_tile(paths)
 
             def filling(keys, first_draw, count, **buffers):
-                widths.add(keys.size)
-                if keys.size < width:
-                    met.add("narrower last panel")
+                assert keys.size == paths
                 slabs.add(first_draw)
                 if len(slabs) > 1:
                     met.add("several slabs")
@@ -650,7 +647,6 @@ class TestKernelEquivalence:
             mp.setattr(montecarlo, "_word_thresholds", thresholds)
             res = run_ensemble(cfg)
             traces = montecarlo._traces(cfg, range(paths))
-        assert widths <= {width, paths % width}
         for i in range(paths):
             _, states = run_path_scalar(m, w0, w0, horizon, rng.path_key(seed, i))
             assert res.final_x[i] == states[-1].fraction
@@ -704,7 +700,7 @@ class TestKernelEquivalence:
             cols.append(np.full(depth, path))
             bases.append(np.floor(s * gen.random()) + sure)
         row, col, base = (np.concatenate(a) for a in (rows, cols, bases))
-        flat = np.argsort(row * size + col)  # one panel's order, row by row
+        flat = np.argsort(row * size + col)  # one batch's order, row by row
         row, col, base = row[flat], col[flat], base[flat]
         u = gen.random(row.size)
         counting = _CountingCounts(urn)
@@ -744,8 +740,7 @@ class TestKernelEquivalence:
         horizon = {1: 1 << 17, 250: 1 << 15, 500: 1 << 15, 1000: 1 << 14}
         n = horizon.get(paths, 1 << 12) - 1
         assert montecarlo._urn_block_rows(paths, n) == rows
-        tall, width = montecarlo._urn_tile(paths)
-        assert width == paths
+        tall = montecarlo._urn_tile(paths)
         assert -(-rows // tall) == slabs
         assert rows % tall == 0 or slabs == 1
 
@@ -754,13 +749,13 @@ class TestKernelEquivalence:
         [
             (1, (255, 1)), (250, (255, 250)), (500, (131, 500)),
             (2_000, (32, 2_000)), (5_000, (13, 5_000)), (10_000, (6, 10_000)),
-            (65_536, (1, 65_536)), (100_000, (1, 65_536)),
+            (65_536, (1, 65_536)), (100_000, (1, 100_000)),
         ],
     )
     def test_tile_spans_the_chunk(self, paths, tile):
-        """A tile spans the chunk up to _BLOCK_ELEMENTS paths, in as many
-        rows as fit _BLOCK_ELEMENTS words, at most 255."""
-        assert montecarlo._urn_tile(paths) == tile
+        """A tile, rows x columns, spans the chunk in as many whole rows
+        as fit _BLOCK_ELEMENTS words, at least one and at most 255."""
+        assert (montecarlo._urn_tile(paths), paths) == tile
 
     @pytest.mark.parametrize(
         "paths,n,rows",
@@ -771,8 +766,8 @@ class TestKernelEquivalence:
         ],
     )
     def test_block_rows_grow_as_sqrt_n(self, paths, n, rows):
-        """sqrt((n + 1) max(4, 1500 / paths)) rows within one panel, and
-        past it sqrt(n + 1) rounded down to whole panels (131 rows at 500
+        """sqrt((n + 1) max(4, 1500 / paths)) rows within one slab, and
+        past it sqrt(n + 1) rounded down to whole slabs (131 rows at 500
         paths, 65 at 1000)."""
         assert montecarlo._urn_block_rows(paths, n) == rows
 
@@ -819,6 +814,48 @@ class TestKernelEquivalence:
         assert deepest >= 8
         for i in range(3):
             _, states = run_path_scalar(m, w0, b0, 1000, rng.path_key(0, i))
+            assert res.final_x[i] == states[-1].fraction
+            for j, n in enumerate(traces.ns):
+                assert traces.x[j, i] == states[n].fraction
+                assert traces.t[j, i] == states[n].total
+                assert traces.x_prev[j, i] == states[n - 1].fraction
+
+    def test_chunk_wider_than_the_block_budget(self, toy_matrix):
+        """2^16 + 3 paths, more than _BLOCK_ELEMENTS words a row, run as
+        one chunk (2^20 path-steps, under _MIN_CHUNK_PATH_STEPS) in
+        one-row slabs across every path, and its first and last paths, run
+        and replayed, match urn_step; ambiguous draws past column 2^16
+        reach _resolve."""
+        paths, horizon = (1 << 16) + 3, 16
+        cfg = EnsembleConfig(
+            matrix=toy_matrix, w0=1.0, b0=1.0, horizon=horizon, paths=paths,
+            master_seed=3,
+        )
+        fills: list[tuple[int, int]] = []
+        far = 0
+        sign_block, resolve = rng.sign_block, montecarlo._resolve
+
+        def filling(keys, first_draw, count, **buffers):
+            fills.append((keys.size, count))
+            return sign_block(keys, first_draw, count, **buffers)
+
+        def resolving(counts, s, row, col, base, u, size):
+            nonlocal far
+            far += int(np.count_nonzero(col >= 1 << 16))
+            return resolve(counts, s, row, col, base, u, size)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "sign_block", filling)
+            mp.setattr(montecarlo, "_resolve", resolving)
+            res = run_ensemble(cfg)
+            traces = montecarlo._traces(cfg, range(paths))
+        assert set(fills) == {(paths, 1)}
+        assert len(fills) == 2 * horizon  # run and replay
+        assert far > 0
+        for i in (0, paths - 1):
+            _, states = run_path_scalar(
+                toy_matrix, 1.0, 1.0, horizon, rng.path_key(3, i)
+            )
             assert res.final_x[i] == states[-1].fraction
             for j, n in enumerate(traces.ns):
                 assert traces.x[j, i] == states[n].fraction

@@ -1,4 +1,4 @@
-"""Time the RNG fills and the ensemble kernels across block budgets.
+"""Time the RNG fill and the ensemble kernels across block budgets.
 
 montecarlo._BLOCK_ELEMENTS caps how many draws one rng.sign_block fill
 writes: a block of whole rows of a chunk's paths in the synthetic kernel,
@@ -7,8 +7,8 @@ reproduces the measurement behind that constant, and behind
 montecarlo._MIN_CHUNK_PATHS, _MIN_CHUNK_PATH_STEPS, _URN_ROW_PATHS and
 _ROW_SUM_ROWS:
 
-1. each fill alone, filling reused buffers, in ns per draw, for 20000 and
-   500 paths at each budget;
+1. rng.sign_block alone, filling reused buffers, in ns per draw, for 20000
+   and 500 paths at each budget;
 2. one single-chunk run_ensemble per benchmark workload shape (see
    urnbench/workloads.py) at each budget, in million path-steps per second,
    the median of --repeats runs;
@@ -104,20 +104,18 @@ def machine() -> str:
     return f"usable cores {cores}, L2 per core (cpu0) {l2}"
 
 
-FILLS = (rng.uniform_block, rng.sign_block)
-
-
-def time_fill(fill, k: int, budget: int, min_draws: int = 1 << 24) -> float:
-    """ns per draw of refilling one budget-sized block with reused buffers."""
+def time_fill(k: int, budget: int, min_draws: int = 1 << 24) -> float:
+    """ns per draw of refilling one budget-sized sign_block with reused
+    buffers."""
     keys = rng.path_keys(SEED, 0, k)
     rows = max(1, budget // k)
     out = np.empty((rows, k), dtype=np.float64)
     scratch = np.empty(rows * k, dtype=np.uint64)
     calls = max(3, min_draws // (rows * k))
-    fill(keys, 1, rows, out=out, scratch=scratch)
+    rng.sign_block(keys, 1, rows, out=out, scratch=scratch)
     t0 = time.perf_counter()
     for c in range(calls):
-        fill(keys, 1 + c * rows, rows, out=out, scratch=scratch)
+        rng.sign_block(keys, 1 + c * rows, rows, out=out, scratch=scratch)
     return (time.perf_counter() - t0) / (calls * rows * k) * 1e9
 
 
@@ -431,11 +429,10 @@ def main() -> None:
           f"_MIN_CHUNK_PATHS = {saved[1]}, "
           f"_MIN_CHUNK_PATH_STEPS = 2^{saved[2].bit_length() - 1}")
     try:
-        print("\nRNG fills, ns/draw (reused out= and scratch= buffers)")
-        print(f"{'':>8}" + "".join(f"{f.__name__:>20}" for f in FILLS))
-        print(f"{'budget':>8}" + f"{'k=20000':>10}{'k=500':>10}" * len(FILLS))
+        print("\nrng.sign_block, ns/draw (reused out= and scratch= buffers)")
+        print(f"{'budget':>8}{'k=20000':>10}{'k=500':>10}")
         for b in budgets:
-            cells = [time_fill(f, k, b) for f in FILLS for k in (20_000, 500)]
+            cells = [time_fill(k, b) for k in (20_000, 500)]
             print(f"{'2^%d' % (b.bit_length() - 1):>8}"
                   + "".join(f"{c:>10.2f}" for c in cells))
 

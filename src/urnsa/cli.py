@@ -47,6 +47,8 @@ def _fraction(text: str) -> float:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"too large for a double: {text!r}") from exc
 
 
 def _matrix(text: str) -> ReplacementMatrix:

@@ -17,8 +17,8 @@ the scalar urn_step decision for decision (white iff u < W/T).  It steps
 the white-draw count k a block of draws at a time, and computes every W
 and T from (n, k) through urn.urn_counts, as urn_step does, for integer
 and fractional urns alike: bounds on X over the block, padded by the
-largest rounding error, and the top 31 bits of each draw's sign_block word
-decide most draws at once, and only the draws near their threshold are
+largest rounding error, decide most draws at once from their sign_block
+words (rng.word_thresholds), and only the draws near their threshold are
 finished to uniforms and stepped exactly (_urn_states).  A block is
 stepped in slabs of rows across the whole chunk, of a height fixed for
 the chunk (_urn_tile): as many whole rows of the chunk's paths as fit
@@ -34,8 +34,9 @@ that the last pass found above it in its column, until a recount changes
 nothing, in two or three passes for most batches.  A block's ambiguous
 draws grow about as rows^2 / n, so its rows grow as sqrt(n), more in a
 chunk of few paths, whose slabs are tall, up to 255 (_urn_block_rows).
-The synthetic update reads only the sign of each draw against 1/2
-(rng.sign_block) and adds +-step exactly as the scalar branch does.
+The synthetic update reads only the sign of each draw against 1/2, as
++-step rows (rng.step_block), and adds them exactly as the scalar branch
+does.
 
 An ensemble splits only where each chunk keeps _MIN_CHUNK_PATHS paths and
 _MIN_CHUNK_PATH_STEPS path-steps.  The path floor is the smallest
@@ -130,9 +131,10 @@ _MIN_CHUNK_PATH_STEPS = 1 << 21
 # RNG block budget in uniforms: it caps the synthetic kernel's blocks and the
 # urn kernel's slabs at whole rows of a chunk's paths (_block_rows).  2^16
 # float64 plus their uint64 scratch is 1 MiB, which fits a 2 MiB L2.  In
-# two runs of scripts/block_sweep.py (2-core Xeon, 2 MiB L2 per core)
-# 2^15-2^16 filled blocks at 4.3-5.4 ns/draw against 7.6-8.8 from 2^18 up,
-# and the three benchmark shapes ran within noise of their best there.
+# two runs of scripts/block_sweep.py step 1 (2-core Xeon, 2 MiB L2 per core,
+# shared) rng.sign_block filled 2^15-2^16 blocks at 1.9-2.2 ns/draw against
+# 3.4-3.8 from 2^18 up, at 20000 and at 500 paths; in earlier runs the three
+# benchmark shapes ran within noise of their best there.
 _BLOCK_ELEMENTS = 1 << 16
 # Bytes per path that a run holds at once, at least, summed over the calling
 # process and its workers.  Every run holds the path's key (8) and the
@@ -216,10 +218,6 @@ _URN_ROW_PATHS = 1500
 # kernel pairs in 6 to 10 of 10; at 32 rows the kernel pairs ran level
 # (row adds won 5, 8, 8 and 4 of 10 in the four runs).
 _ROW_SUM_ROWS = 32
-# the scale of a uniform's top 31 bits, which sign_block's words hold final
-_TOP_BITS = 2.0 ** 31
-# a float64's sign bit, read as uint64
-_SIGN_BIT = np.uint64(1 << 63)
 
 _SCALED_REGIMES = (
     Regime.CLT_SQRT_N,
@@ -285,8 +283,15 @@ class EnsembleConfig:
                 f"{self.paths} paths need at least {self.paths * per_path} bytes,"
                 f" more than the {memory} bytes of physical memory"
             )
+        if self.forced_scaling is not None and not all(
+            map(math.isfinite, self.forced_scaling)
+        ):
+            raise ConfigError("forced scaling exponents must be finite")
+        if self.forced_center is not None and not math.isfinite(self.forced_center):
+            raise ConfigError("forced center must be finite")
         if self.matrix is not None:
-            if self.w0 <= 0.0 or self.b0 <= 0.0:
+            # written so that NaN counts fail too; infinite ones fail below
+            if not (self.w0 > 0.0 and self.b0 > 0.0):
                 raise ConfigError("initial counts must be positive")
             max_row = max(self.matrix.row_white, self.matrix.row_black)
             if self.w0 + self.b0 + self.horizon * max_row >= COUNT_LIMIT:
@@ -372,35 +377,30 @@ def sample_moments(values: Sequence[float]) -> Moments:
     the skewness undefined and raise DegenerateVarianceError.
     """
     v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    if n < 2:
+    if v.size < 2:
         raise ConfigError("moments need at least two values")
-    mean = float(np.mean(v))
-    variance = float(np.var(v, ddof=1))
-    if n == 2:
-        return Moments(mean=mean, variance=variance, skewness=None, count=2)
-    d = v - mean
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
+    moments = _with_skewness(_checkpoint_summary(0, v), v)
+    if moments.skewness is None and v.size > 2:
         raise DegenerateVarianceError("skewness undefined for constant sample")
-    m3 = float(np.mean(d * d * d))
-    return Moments(mean=mean, variance=variance, skewness=m3 / m2**1.5, count=n)
-
-
-def _summary_moments(values: np.ndarray) -> Moments:
-    """sample_moments, with zero variance for one value or no spread."""
-    try:
-        return sample_moments(values)
-    except (ConfigError, DegenerateVarianceError):
-        mean = float(np.mean(values))
-        return Moments(mean=mean, variance=0.0, skewness=None, count=values.size)
+    return moments
 
 
 def _checkpoint_summary(n: int, values: np.ndarray) -> CheckpointSummary:
-    """Checkpoint n's mean and variance, those of _summary_moments(values)
-    bit for bit, without its skewness."""
+    """Checkpoint n's mean and unbiased variance, zero for one value."""
     variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
     return CheckpointSummary(n, float(np.mean(values)), variance)
+
+
+def _with_skewness(summary: CheckpointSummary, values: np.ndarray) -> Moments:
+    """The summary of values as Moments, with their skewness m3/m2^(3/2)
+    about its mean: None for fewer than three values or no spread."""
+    skewness = None
+    if values.size > 2:
+        d = values - summary.mean
+        m2 = float(np.mean(d * d))
+        if m2 != 0.0:
+            skewness = float(np.mean(d * d * d)) / m2**1.5
+    return Moments(summary.mean, summary.variance, skewness, values.size)
 
 
 def ks_statistic(values: Sequence[float], cdf: Callable[[float], float]) -> float:
@@ -524,12 +524,11 @@ def _urn_states(
     _urn_block_rows(paths, s) draws at a time, rows that grow with the
     block's first state n = s.  Draws s+1..e+1 of a block read states
     (n, k) with s <= n <= e and k0 <= k <= k0 + n - s, whose X lie within
-    _Counts.bounds' padded bounds lo <= hi.  A draw's
-    sign_block word holds the final top 31 bits q of its uniform u, and
-    q 2^-31 <= u < (q+1) 2^-31, so the word alone decides white where
-    (q+1) 2^-31 <= lo and black where q 2^-31 >= hi.  A block is filled
-    and compared one slab at a time: _urn_tile(paths) rows across the
-    whole chunk, a height fixed for the chunk, so that a slab stays in
+    _Counts.bounds' padded bounds lo <= hi.  A draw's sign_block word
+    alone decides white where its uniform is surely below lo and black
+    where it is surely at least hi (rng.word_thresholds).  A block is
+    filled and compared one slab at a time: _urn_tile(paths) rows across
+    the whole chunk, a height fixed for the chunk, so that a slab stays in
     cache whatever the block's rows.  An ambiguous draw's base is k plus
     the sure whites above it in its column.  After each slab k absorbs
     the slab's sure whites, so that the next slab's ambiguous draws,
@@ -564,7 +563,7 @@ def _urn_states(
         while s < n:
             rows = min(_urn_block_rows(size, s), n - s)
             counts.bounds(k, s, rows, lo, hi)
-            _word_thresholds(lo, hi, below, above)
+            rng.word_thresholds(lo, hi, below, above)
             draws, pending = [], 0
             for r0 in range(0, rows, tall):
                 slab = min(tall, rows - r0)
@@ -707,32 +706,6 @@ def _block_rows(paths: int) -> int:
     return max(1, _BLOCK_ELEMENTS // paths)
 
 
-def _word_thresholds(
-    lo: np.ndarray, hi: np.ndarray, below: np.ndarray, above: np.ndarray
-) -> None:
-    """Turn bounds lo <= X <= hi into uint64 thresholds on sign_block
-    words: u < lo for every word < below, u >= hi for every word > above.
-    lo and hi are overwritten.
-
-    A word's top 31 bits q give q 2^-31 <= u < (q+1) 2^-31.  So
-    below = floor(lo 2^31) 2^33, capped at (2^31 - 1) 2^33 so that it fits
-    uint64 (lo = 1.0 leaves the top bucket ambiguous), and
-    above = ceil(hi 2^31) 2^33 - 1, which is 2^64 - 1, above every word,
-    where hi 2^31 rounds up to 2^31.
-    """
-    np.multiply(lo, _TOP_BITS, out=lo)
-    np.floor(lo, out=lo)
-    np.minimum(lo, _TOP_BITS - 1, out=lo)
-    np.copyto(below, lo, casting="unsafe")
-    below <<= np.uint64(33)
-    np.multiply(hi, _TOP_BITS, out=hi)
-    np.ceil(hi, out=hi)
-    hi -= 1.0
-    np.copyto(above, hi, casting="unsafe")
-    above <<= np.uint64(33)
-    above |= np.uint64((1 << 33) - 1)
-
-
 def _ambiguous_draws(
     z: np.ndarray,
     whites: np.ndarray,
@@ -751,7 +724,7 @@ def _ambiguous_draws(
     """
     row, col = np.divmod(at, whites.shape[1])
     base = k[col] + whites.ravel()[at]
-    u = rng._finish_uniforms(z[row, col])
+    u = rng.finish_uniforms(z[row, col])
     return row + r0, col, base, u
 
 
@@ -822,9 +795,9 @@ def _run_synthetic_chunk(
     otherwise, step_n = size/sqrt(g_{n-1}).  Draws are filled a block at a
     time into one block and RNG scratch, allocated once: up to
     _BLOCK_ELEMENTS draws (whole rows, at least one: _block_rows), so both
-    stay in cache while the step loop reads them.  Each block is read through its sign
-    bits (rng.sign_block) and turned into +-step_n once, so a step is two
-    ufunc passes, z *= 1 - Gamma/g_{n-1} and z += row.
+    stay in cache while the step loop reads them.  Each block is filled as
+    rows of +-step_n (rng.step_block), so a step is two ufunc passes,
+    z *= 1 - Gamma/g_{n-1} and z += row.
     """
     z = np.full(keys.size, proc.z0, dtype=np.float64)
     # draw n moves Z_{n-1} to Z_n; the process only starts moving at `start`
@@ -839,10 +812,10 @@ def _run_synthetic_chunk(
         is overwritten by the next block."""
         for j in range(start + 1, horizon + 1, rows):
             count = min(rows, horizon - j + 1)
-            signs = rng.sign_block(keys, j, count, out=block, scratch=scratch)
             g = map(proc.family.value_at, range(j - 1, j - 1 + count))
             steps = np.fromiter((size / math.sqrt(v) for v in g), np.float64, count)
-            yield from zip(range(j, j + count), _copysign_rows(steps, signs))
+            signed = rng.step_block(keys, j, steps, out=block, scratch=scratch)
+            yield from zip(range(j, j + count), signed)
 
     noise = noise_rows()
     for prev, cp in zip([0, *cps], cps):
@@ -850,16 +823,6 @@ def _run_synthetic_chunk(
             z *= 1.0 - proc.big_gamma / proc.family.value_at(n - 1)
             z += row
         yield z
-
-
-def _copysign_rows(steps: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """np.copysign(steps[:, np.newaxis], block, out=block) for steps >= 0,
-    in two uint64 passes over the block: keep each entry's sign bit, then
-    or in its row's step, whose own sign bit is clear."""
-    bits = block.view(np.uint64)
-    bits &= _SIGN_BIT
-    bits |= steps.view(np.uint64)[:, np.newaxis]
-    return block
 
 
 def _traces(config: EnsembleConfig, indices: range) -> PathCheckpointData:
@@ -1031,7 +994,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
             values = weight(n, sx, sy) * (x - src.center)
             summaries.append(_checkpoint_summary(n, values))
 
-    moments = _summary_moments(values)
+    moments = _with_skewness(summaries[-1], values)
 
     return EnsembleResult(
         config=config,

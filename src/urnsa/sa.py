@@ -97,10 +97,12 @@ class SyntheticProcess:
     z0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.big_gamma <= 0.0:
-            raise ConfigError("big_gamma must be positive")
-        if self.sigma2 <= 0.0:
-            raise ConfigError("sigma2 must be positive")
+        if not 0.0 < self.big_gamma < math.inf:
+            raise ConfigError("big_gamma must be positive and finite")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ConfigError("sigma2 must be positive and finite")
+        if not math.isfinite(self.z0):
+            raise ConfigError("z0 must be finite")
 
     @property
     def noise_size(self) -> float:

@@ -104,6 +104,22 @@ class TestUsageErrors:
     def test_non_integer_horizon(self, capsys):
         usage_error(capsys, "simulate", "-m", "4,5,3,2", "--horizon", "ten")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "-m", "1e400,1,1,1"),
+            ("simulate", "-m", "4,5,3,2", "--w0", "1e400"),
+            ("synthetic", "--gamma", "1e400", "--sigma2", "1"),
+            ("synthetic", "--gamma", "1", "--sigma2", "1", "--z0", "1e400"),
+            ("simulate", "-m", "4,5,3,2", "--force-center", "1e400"),
+        ],
+        ids=["-m", "--w0", "--gamma", "--z0", "--force-center"],
+    )
+    def test_number_too_large_for_a_double(self, capsys, argv):
+        err = usage_error(capsys, *argv)
+        assert "error:" in err and "too large for a double" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     def test_toy_human_report(self, capsys):

@@ -127,14 +127,29 @@ class TestSampleMoments:
          [0.0, 0.0, 0.0, 4.0], [1.0, math.nan, 2.0], list(np.linspace(-3, 7, 1001) ** 3)],
     )
     def test_checkpoint_summary_keeps_summary_moments_bits(self, values):
-        """A checkpoint's mean and variance are _summary_moments' bit for
-        bit: zero variance for one value or no spread."""
+        """A result's moments, its last checkpoint's mean and variance with
+        the values' skewness, are bit for bit those of sample_moments'
+        formulas, with zero variance and no skewness for one value or no
+        spread, as the summary reported them when it reduced the final
+        row a second time."""
         v = np.asarray(values)
-        got = montecarlo._checkpoint_summary(7, v)
-        want = montecarlo._summary_moments(v)
-        assert got.n == 7
-        assert np.array([got.mean, got.variance]).tobytes() == (
-            np.array([want.mean, want.variance]).tobytes()
+        mean = float(np.mean(v))
+        variance, skewness = 0.0, None
+        if v.size > 1:
+            variance = float(np.var(v, ddof=1))
+        if v.size > 2:
+            d = v - mean
+            m2 = float(np.mean(d * d))
+            if m2 == 0.0:
+                variance = 0.0
+            else:
+                skewness = float(np.mean(d * d * d)) / m2**1.5
+        summary = montecarlo._checkpoint_summary(7, v)
+        got = montecarlo._with_skewness(summary, v)
+        assert summary.n == 7 and got.count == v.size
+        assert (got.skewness is None) == (skewness is None)
+        assert np.array([got.mean, got.variance, got.skewness or 0.0]).tobytes() == (
+            np.array([mean, variance, skewness or 0.0]).tobytes()
         )
 
 
@@ -328,6 +343,36 @@ class TestEnsembleConfig:
             EnsembleConfig(matrix=toy_matrix, w0=0.0)
         with pytest.raises(ConfigError):
             EnsembleConfig(matrix=toy_matrix, checkpoint_factor=1)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(w0=math.nan), "initial counts"),
+            (dict(b0=math.nan), "initial counts"),
+            (dict(forced_scaling=(math.nan, 0.0)), "forced scaling"),
+            (dict(forced_scaling=(math.inf, 0.0)), "forced scaling"),
+            (dict(forced_center=math.nan), "forced center"),
+            (dict(big_gamma=math.nan), "big_gamma"),
+            (dict(big_gamma=math.inf), "big_gamma"),
+            (dict(sigma2=math.nan), "sigma2"),
+            (dict(sigma2=math.inf), "sigma2"),
+            (dict(z0=math.nan), "z0"),
+            (dict(z0=math.inf), "z0"),
+        ],
+        ids=[
+            "w0-nan", "b0-nan", "scaling-nan", "scaling-inf", "center-nan",
+            "gamma-nan", "gamma-inf", "sigma2-nan", "sigma2-inf", "z0-nan", "z0-inf",
+        ],
+    )
+    def test_non_finite_numbers_refused(self, toy_matrix, fields, message):
+        """A NaN or infinite number is refused where the config is built,
+        before it could reach a kernel and the summary."""
+        with pytest.raises(ConfigError, match=message):
+            if {"big_gamma", "sigma2", "z0"} & fields.keys():
+                proc = SyntheticProcess(**{"big_gamma": 1.0, "sigma2": 1.0, **fields})
+                EnsembleConfig(synthetic=proc, horizon=16, paths=4)
+            else:
+                EnsembleConfig(matrix=toy_matrix, horizon=16, paths=4, **fields)
 
     def test_path_count_beyond_memory_refused(self, toy_matrix):
         """10^13 paths are refused by the config, before any key, buffer or
@@ -601,7 +646,7 @@ class TestKernelEquivalence:
         sign_block = rng.sign_block
         resolve = montecarlo._resolve
         running_sum = montecarlo._running_sum
-        word_thresholds = montecarlo._word_thresholds
+        word_thresholds = rng.word_thresholds
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
             mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: rows)
@@ -644,7 +689,7 @@ class TestKernelEquivalence:
             mp.setattr(rng, "sign_block", filling)
             mp.setattr(montecarlo, "_resolve", resolving)
             mp.setattr(montecarlo, "_running_sum", summing)
-            mp.setattr(montecarlo, "_word_thresholds", thresholds)
+            mp.setattr(rng, "word_thresholds", thresholds)
             res = run_ensemble(cfg)
             traces = montecarlo._traces(cfg, range(paths))
         for i in range(paths):
@@ -876,7 +921,7 @@ class TestKernelEquivalence:
         fills: list[tuple[int, int]] = []
         sign_block = rng.sign_block
         resolve = montecarlo._resolve
-        word_thresholds = montecarlo._word_thresholds
+        word_thresholds = rng.word_thresholds
 
         def filling(keys, first_draw, count, **buffers):
             fills.append((keys.size, count))
@@ -902,7 +947,7 @@ class TestKernelEquivalence:
             mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 24)  # 8 rows of 3 paths
             mp.setattr(rng, "sign_block", filling)
             mp.setattr(montecarlo, "_resolve", resolving)
-            mp.setattr(montecarlo, "_word_thresholds", thresholds)
+            mp.setattr(rng, "word_thresholds", thresholds)
             res = run_ensemble(cfg)
             traces = montecarlo._traces(cfg, range(3))
         # every slab across the 3 paths.  The run cuts blocks at each
@@ -968,29 +1013,6 @@ class TestKernelEquivalence:
         k = k0 + np.arange(n.size) - np.repeat(np.cumsum(size) - size, size)
         x, _ = urn.fraction(k.astype(np.float64), urn.at(n))
         assert lo[0] <= x.min() and x.max() <= hi[0]
-
-    @given(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True))
-    @example(lo=1.0, hi=1.0)
-    @example(lo=1.0 - 2.0**-53, hi=1.0 - 2.0**-40)
-    @example(lo=2.0**-53, hi=0.5)
-    def test_word_thresholds_bound_the_uniforms(self, lo, hi):
-        """Every word below `below` finishes to a uniform < lo, every word
-        above `above` to one >= hi, whatever its low 33 bits; thresholds
-        that would pass 2^64 stay in range."""
-        below, above = np.empty(1, np.uint64), np.empty(1, np.uint64)
-        montecarlo._word_thresholds(np.array([lo]), np.array([hi]), below, above)
-        below, above = int(below[0]), int(above[0])
-        assert below % 2**33 == 0 and below <= (2**31 - 1) * 2**33
-        assert above % 2**33 == 2**33 - 1
-        low_bits = np.array([0, 2**33 - 1, 0x1_5555_5555], dtype=np.uint64)
-        if below > 0:
-            words = np.uint64(below - 2**33) | low_bits
-            assert (rng._finish_uniforms(words) < lo).all()
-        if above < 2**64 - 1:
-            words = np.uint64(above + 1) | low_bits
-            assert (rng._finish_uniforms(words) >= hi).all()
-        else:
-            assert math.ceil(hi * 2**31) == 2**31
 
     def _check_urn(self, m, w0, b0):
         horizon, paths, seed = 300, 7, 2024
@@ -1108,26 +1130,6 @@ class TestKernelEquivalence:
         self._check_synthetic()
         start = self.SYNTHETIC.family.first_positive_index()
         self._assert_crossed_blocks(counts, steps=300 - start)
-
-    def test_copysign_rows_matches_np_copysign(self):
-        """The synthetic kernel's sign transfer equals np.copysign bit for
-        bit: a zero step (sigma2 = 0) gives -0.0 under a set sign bit, and
-        block words that read as NaN or inf only lend their sign."""
-        words = np.array(
-            [
-                0, 1 << 63, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
-                0x7FF8_0000_0000_0001, 0xFFFF_FFFF_FFFF_FFFF, 0x8000_0000_0000_0001,
-                0x3FE0_0000_0000_0000,
-            ],
-            dtype=np.uint64,
-        )
-        more = np.random.default_rng(5).integers(0, 2**64, 24, dtype=np.uint64)
-        block = np.concatenate([words, more]).view(np.float64).reshape(4, 8)
-        steps = np.array([0.0, 1.0, 5e-324, 1.7976931348623157e308])
-        want = np.copysign(steps[:, np.newaxis], block)
-        got = montecarlo._copysign_rows(steps, block.copy())
-        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
-        assert np.signbit(got[0, 1]) and got[0, 1] == 0.0
 
     def _check_synthetic(self):
         proc = self.SYNTHETIC

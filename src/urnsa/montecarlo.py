@@ -283,14 +283,16 @@ class EnsembleConfig:
                 f"{self.paths} paths need at least {self.paths * per_path} bytes,"
                 f" more than the {memory} bytes of physical memory"
             )
-        if self.forced_scaling is not None and not all(
-            map(math.isfinite, self.forced_scaling)
-        ):
-            raise ConfigError("forced scaling exponents must be finite")
+        if self.forced_scaling is not None:
+            if len(self.forced_scaling) != 2:
+                raise ConfigError("forced scaling needs exactly two exponents")
+            if not all(map(math.isfinite, self.forced_scaling)):
+                raise ConfigError("forced scaling exponents must be finite")
         if self.forced_center is not None and not math.isfinite(self.forced_center):
             raise ConfigError("forced center must be finite")
         if self.matrix is not None:
-            # written so that NaN counts fail too; infinite ones fail below
+            if not (math.isfinite(self.w0) and math.isfinite(self.b0)):
+                raise ConfigError("initial counts must be finite")
             if not (self.w0 > 0.0 and self.b0 > 0.0):
                 raise ConfigError("initial counts must be positive")
             max_row = max(self.matrix.row_white, self.matrix.row_black)
@@ -869,22 +871,21 @@ def _prediction_and_scaling(
 ) -> tuple[LimitPrediction, tuple[float, float], float]:
     """classify(m), and the weight exponents and center of the scaled statistic.
 
-    Forced values win; otherwise the prediction's scaling, which is (0, 0)
-    for regimes without a distributional one, around the target p, or
-    around 0 when there is no target.  With both forced, a matrix that
-    classify refuses (its prediction is not a finite double) runs as
-    NOT_APPLICABLE.
+    Each forced value wins on its own; otherwise the prediction's scaling,
+    which is (0, 0) for regimes without a distributional one, around the
+    target p, or around 0 when there is no target.  With both forced, a
+    matrix that classify refuses (its prediction is not a finite double)
+    runs as NOT_APPLICABLE.
     """
-    forced = forced_scaling is not None and forced_center is not None
     try:
         pred = classify(m)
     except ConfigError:
-        if not forced:
+        if forced_scaling is None or forced_center is None:
             raise
         pred = LimitPrediction(regime=Regime.NOT_APPLICABLE, scaling=(0.0, 0.0))
-    if forced:
-        return pred, forced_scaling, forced_center
-    scaling = forced_scaling if forced_scaling is not None else pred.scaling
+    scaling = pred.scaling if forced_scaling is None else forced_scaling
+    if forced_center is not None:
+        return pred, scaling, forced_center
     return pred, scaling, pred.p if pred.p is not None else 0.0
 
 

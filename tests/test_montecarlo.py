@@ -15,7 +15,8 @@ import os
 import signal
 import threading
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -349,6 +350,8 @@ class TestEnsembleConfig:
         [
             (dict(w0=math.nan), "initial counts"),
             (dict(b0=math.nan), "initial counts"),
+            (dict(w0=math.inf), "initial counts must be finite"),
+            (dict(b0=-math.inf), "initial counts must be finite"),
             (dict(forced_scaling=(math.nan, 0.0)), "forced scaling"),
             (dict(forced_scaling=(math.inf, 0.0)), "forced scaling"),
             (dict(forced_center=math.nan), "forced center"),
@@ -360,7 +363,7 @@ class TestEnsembleConfig:
             (dict(z0=math.inf), "z0"),
         ],
         ids=[
-            "w0-nan", "b0-nan", "scaling-nan", "scaling-inf", "center-nan",
+            "w0-nan", "b0-nan", "w0-inf", "b0-inf", "scaling-nan", "scaling-inf", "center-nan",
             "gamma-nan", "gamma-inf", "sigma2-nan", "sigma2-inf", "z0-nan", "z0-inf",
         ],
     )
@@ -373,6 +376,13 @@ class TestEnsembleConfig:
                 EnsembleConfig(synthetic=proc, horizon=16, paths=4)
             else:
                 EnsembleConfig(matrix=toy_matrix, horizon=16, paths=4, **fields)
+
+    @pytest.mark.parametrize(
+        "scaling", [(), (1.0,), (1.0, 2.0, 3.0)], ids=["none", "one", "three"]
+    )
+    def test_forced_scaling_needs_two_exponents(self, toy_matrix, scaling):
+        with pytest.raises(ConfigError, match="exactly two exponents"):
+            EnsembleConfig(matrix=toy_matrix, horizon=16, paths=4, forced_scaling=scaling)
 
     def test_path_count_beyond_memory_refused(self, toy_matrix):
         """10^13 paths are refused by the config, before any key, buffer or
@@ -448,6 +458,19 @@ class TestEnsembleConfig:
         assert res.center == 0.5
         assert np.array_equal(res.values, res.final_x - 0.5)
 
+    def test_forced_center_alone_wins(self, toy_matrix):
+        """A forced center without a forced scaling centers the predicted
+        scaling's statistic, in a run and in a path's rows."""
+        cfg = EnsembleConfig(
+            matrix=toy_matrix, horizon=64, paths=4, master_seed=0, forced_center=0.3
+        )
+        res = run_ensemble(cfg)
+        assert (res.scaling, res.center) == ((0.5, 0.0), 0.3)
+        assert np.array_equal(res.values, weight(64, 0.5, 0.0) * (res.final_x - 0.3))
+        _, rows = inspect_path(cfg)
+        for row in rows:
+            assert row.scaled == weight(row.n, 0.5, 0.0) * (row.x - 0.3)
+
     def test_forced_run_needs_no_finite_prediction(self):
         # classify refuses the toy urn scaled by 1e-320: gamma overflows
         m = ReplacementMatrix(4e-320, 5e-320, 3e-320, 2e-320)
@@ -464,6 +487,108 @@ class TestEnsembleConfig:
         assert rows[-1].x == res.final_x[0]
 
 
+class Fill(NamedTuple):
+    replay: bool  # a fill of the replay, not of the run
+    block: int  # urn blocks begun before it, over the run and the replay
+    paths: int
+    rows: int
+
+
+class Batch(NamedTuple):
+    block: int
+    row: np.ndarray
+    col: np.ndarray
+    slab: int  # rows of the fill before it
+
+
+@dataclass
+class KernelLog:
+    """What the kernel did in one run_and_replay: its RNG fills and _resolve
+    batches, whether each urn block's thresholds reached the top bucket
+    (above = 2^64 - 1), each slab's running sum of sure whites as (row
+    adds, rows), and the rows of the urn kernel's tile."""
+
+    tile: int
+    replay: bool = False
+    fills: list[Fill] = field(default_factory=list)
+    batches: list[Batch] = field(default_factory=list)
+    tops: list[bool] = field(default_factory=list)
+    sums: list[tuple[bool, int]] = field(default_factory=list)
+
+
+def run_and_replay(cfg, check=None, elements=None, rows=None, crossover=None):
+    """Run cfg with montecarlo's _BLOCK_ELEMENTS, block rows and
+    _ROW_SUM_ROWS set where given, and hooks that log the kernel's work
+    and assert that each column's ambiguous draws reach _resolve in row
+    order.  For an urn, replay the paths from the first to the last in
+    `check` (default every path) in one _traces call, and check the
+    final_x and every replayed X_n, T_n and X_{n-1} of the paths in
+    `check` against run_path_scalar bit for bit.  Return (result, log)."""
+    patches = dict(_BLOCK_ELEMENTS=elements, _ROW_SUM_ROWS=crossover)
+    if rows is not None:
+        patches["_urn_block_rows"] = lambda paths, n: rows
+    sign_block, word_thresholds = rng.sign_block, rng.word_thresholds
+    resolve, running_sum = montecarlo._resolve, montecarlo._running_sum
+
+    def filling(keys, first_draw, count, **buffers):
+        log.fills.append(Fill(log.replay, len(log.tops), keys.size, count))
+        return sign_block(keys, first_draw, count, **buffers)
+
+    def thresholds(lo, hi, below, above):
+        word_thresholds(lo, hi, below, above)
+        log.tops.append(bool((above == np.uint64(2**64 - 1)).any()))
+
+    def summing(sure, row_adds):
+        whites = running_sum(sure, row_adds)
+
+        def counted(slab):
+            log.sums.append((row_adds, slab))
+            return whites(slab)
+
+        return counted
+
+    def resolving(counts, s, row, col, base, u, size):
+        by_column = np.lexsort((np.arange(col.size), col))
+        same = col[by_column][1:] == col[by_column][:-1]
+        assert (np.diff(row[by_column])[same] > 0).all()
+        log.batches.append(Batch(len(log.tops), row, col, log.fills[-1].rows))
+        return resolve(counts, s, row, col, base, u, size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patches.items():
+            if value is not None:
+                mp.setattr(montecarlo, name, value)
+        log = KernelLog(montecarlo._urn_tile(cfg.paths))
+        mp.setattr(rng, "sign_block", filling)
+        mp.setattr(rng, "word_thresholds", thresholds)
+        mp.setattr(montecarlo, "_running_sum", summing)
+        mp.setattr(montecarlo, "_resolve", resolving)
+        res = run_ensemble(cfg)
+        if cfg.matrix is None:
+            return res, log
+        check = range(cfg.paths) if check is None else check
+        first, log.replay = min(check), True
+        traces = montecarlo._traces(cfg, range(first, max(check) + 1))
+    for i in check:
+        key = rng.path_key(cfg.master_seed, i)
+        _, states = run_path_scalar(cfg.matrix, cfg.w0, cfg.b0, cfg.horizon, key)
+        assert res.final_x[i] == states[-1].fraction
+        for j, n in enumerate(traces.ns):
+            assert traces.x[j, i - first] == states[n].fraction
+            assert traces.t[j, i - first] == states[n].total
+            assert traces.x_prev[j, i - first] == states[n - 1].fraction
+    return res, log
+
+
+def forced_urn(entries, w0, b0, horizon, paths, seed) -> EnsembleConfig:
+    """An urn config forced to unit weights around 1/2, so that any matrix
+    runs, whatever its regime."""
+    return EnsembleConfig(
+        matrix=ReplacementMatrix(*entries), w0=w0, b0=b0, horizon=horizon,
+        paths=paths, master_seed=seed, forced_scaling=(0.0, 0.0), forced_center=0.5,
+    )
+
+
 class TestKernelEquivalence:
     """The vectorized chunk kernels replay the scalar steppers bit for bit."""
 
@@ -475,23 +600,27 @@ class TestKernelEquivalence:
         ("integer-a-below-c", ReplacementMatrix(1, 6, 4, 2), 3.0, 2.0),
     ]
 
-    @pytest.mark.parametrize(
-        "m,w0,b0", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
-    )
-    def test_urn_final_states_match_scalar(self, m, w0, b0):
-        self._check_urn(m, w0, b0)
+    @staticmethod
+    def _case(m, w0, b0) -> EnsembleConfig:
+        return EnsembleConfig(
+            matrix=m, w0=w0, b0=b0, horizon=300, paths=7, master_seed=2024
+        )
 
     @pytest.mark.parametrize(
         "m,w0,b0", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
     )
-    def test_urn_final_states_match_scalar_across_blocks(
-        self, m, w0, b0, monkeypatch
-    ):
-        counts = self._small_blocks(monkeypatch)
-        self._check_urn(m, w0, b0)
+    def test_urn_final_states_match_scalar(self, m, w0, b0):
+        run_and_replay(self._case(m, w0, b0))
+
+    @pytest.mark.parametrize(
+        "m,w0,b0", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    )
+    def test_urn_final_states_match_scalar_across_blocks(self, m, w0, b0):
+        _, log = run_and_replay(self._case(m, w0, b0), elements=100, rows=20)
         # the block kernel fills every block in slabs of at most 14 rows
         # across all 7 paths: blocks of up to 20 rows (a slab of 14 and one
         # of 6), cut at each checkpoint n, the one-row blocks to n = 1, 2
+        counts = [fill.rows for fill in log.fills if not fill.replay]
         assert sum(counts) == 300
         assert max(counts) == 14
         assert min(counts) == 1
@@ -524,31 +653,17 @@ class TestKernelEquivalence:
         seed=2,
     )
     def test_fractional_urns_match_scalar_across_blocks(self, entries, counts, seed):
-        m = ReplacementMatrix(*entries)
-        w0, b0 = counts
-        with pytest.MonkeyPatch.context() as mp:
-            # blocks of up to 3 rows in one tile of 3 paths, cut at each
-            # checkpoint n: 40 steps in 17 blocks
-            mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 10)
-            mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: 3)
-            res = run_ensemble(
-                EnsembleConfig(
-                    matrix=m, w0=w0, b0=b0, horizon=40, paths=3, master_seed=seed,
-                    forced_scaling=(0.0, 0.0), forced_center=0.5,
-                )
-            )
-        for i in range(3):
-            _, states = run_path_scalar(m, w0, b0, 40, rng.path_key(seed, i))
-            assert res.final_x[i] == states[-1].fraction
+        # blocks of up to 3 rows in one tile of 3 paths, cut at each
+        # checkpoint n: 40 steps in 17 blocks
+        cfg = forced_urn(entries, *counts, horizon=40, paths=3, seed=seed)
+        run_and_replay(cfg, elements=10, rows=3)
 
     def test_integer_urns_match_scalar_across_blocks(self):
         """The block kernel replays urn_step bit for bit over integer
-        matrices, with 12-row blocks in slabs of 8 rows of 3 paths.  Hooks
-        check the block shape of every example and that each column's
-        ambiguous draws reach _resolve in row order, and that the examples
-        together met ambiguous draws, three of them in one column of one
-        block (ranks 0, 1 and 2), and the top-bucket threshold
-        above = 2^64 - 1."""
+        matrices, with 12-row blocks in slabs of 8 rows of 3 paths.  Each
+        example checks its block shape, and the examples together met
+        ambiguous draws, three of them in one column of one block (ranks
+        0, 1 and 2), and the top-bucket threshold above = 2^64 - 1."""
         met: set[str] = set()
 
         @given(
@@ -573,7 +688,22 @@ class TestKernelEquivalence:
         # bounds leave three draws of one column of a block ambiguous
         @example(entries=(9.0, 0.0, 0.0, 9.0), counts=(1.0, 1.0), seed=0)
         def check(entries, counts, seed):
-            met.update(self._check_integer_blocks(entries, counts, seed))
+            cfg = forced_urn(entries, *counts, horizon=40, paths=3, seed=seed)
+            _, log = run_and_replay(cfg, elements=24, rows=12)  # 8 rows of 3 paths
+            # every slab across the 3 paths.  The run cuts blocks at each
+            # checkpoint n: 1, 1, 2, 4 and 8 rows, 16..32 as 12 + 4 rows
+            # (slabs of 8, 4 and 4), 32..40 as 8.  The replay also cuts them
+            # at n - 1: 1 row from n - 1, and 3, 7 (8..15), 12 + 3 (slabs of
+            # 8, 4 and 3) and 7 rows up to n - 1
+            assert {fill.paths for fill in log.fills} == {3}
+            assert sum(fill.rows for fill in log.fills) == 2 * 40  # run and replay
+            assert {fill.rows for fill in log.fills} == {1, 2, 3, 4, 7, 8}
+            if log.batches:
+                met.add("ambiguous")
+            if any(np.bincount(b.col).max() >= 3 for b in log.batches):
+                met.add("three in a column")
+            if any(log.tops):
+                met.add("top bucket")
 
         check()
         assert met == {"ambiguous", "three in a column", "top bucket"}
@@ -581,11 +711,10 @@ class TestKernelEquivalence:
     def test_tiles_match_scalar(self):
         """The block kernel replays urn_step bit for bit in random tile
         shapes, with _BLOCK_ELEMENTS, the block rows and _ROW_SUM_ROWS
-        patched.  Hooks check that each column's ambiguous draws reach
-        _resolve in row order, and that the examples together met blocks
-        spanning several slabs, a batch closed before its block's end, a
-        batch holding one column's draws from two slabs, and both running
-        sums over slabs of several rows, each fill spanning every path."""
+        patched.  The examples together met blocks spanning several slabs,
+        a batch closed before its block's end, a batch holding one
+        column's draws from two slabs, and both running sums over slabs of
+        several rows, each fill spanning every path."""
         met: set[str] = set()
 
         @given(
@@ -618,89 +747,27 @@ class TestKernelEquivalence:
             crossover=8, seed=2,
         )
         def check(entries, w0, paths, elements, rows, crossover, seed):
-            met.update(
-                self._check_tiles(entries, w0, paths, elements, rows, crossover, seed)
-            )
+            cfg = forced_urn(entries, w0, w0, horizon=60, paths=paths, seed=seed)
+            _, log = run_and_replay(cfg, elements=elements, rows=rows, crossover=crossover)
+            assert {fill.paths for fill in log.fills} == {paths}
+            if np.bincount([fill.block for fill in log.fills]).max() > 1:
+                met.add("several slabs")
+            if any(a.block == b.block for a, b in itertools.pairwise(log.batches)):
+                met.add("batch closed mid-block")
+            for batch in log.batches:
+                by_column = np.lexsort((batch.row, batch.col))
+                same = batch.col[by_column][1:] == batch.col[by_column][:-1]
+                if (np.diff(batch.row[by_column] // log.tile)[same] > 0).any():
+                    met.add("column across slabs")
+            for row_adds, slab in log.sums:
+                if slab > 1:
+                    met.add("row adds" if row_adds else "accumulate")
 
         check()
         assert met == {
             "several slabs", "batch closed mid-block", "column across slabs",
             "row adds", "accumulate",
         }
-
-    @staticmethod
-    def _check_tiles(entries, w0, paths, elements, rows, crossover, seed) -> set[str]:
-        """Run one urn from (w0, w0) in blocks of `rows` rows and tiles of
-        _BLOCK_ELEMENTS = elements through the block kernel, as a run and
-        as a replay, and check it against urn_step; return what the hooks
-        met."""
-        m = ReplacementMatrix(*entries)
-        horizon = 60
-        cfg = EnsembleConfig(
-            matrix=m, w0=w0, b0=w0, horizon=horizon, paths=paths, master_seed=seed,
-            forced_scaling=(0.0, 0.0), forced_center=0.5,
-        )
-        met: set[str] = set()
-        slabs: set[int] = set()  # the first draws of this block's slabs
-        blocks: list[int] = []  # each batch's block, by its first state s
-        sign_block = rng.sign_block
-        resolve = montecarlo._resolve
-        running_sum = montecarlo._running_sum
-        word_thresholds = rng.word_thresholds
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
-            mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: rows)
-            mp.setattr(montecarlo, "_ROW_SUM_ROWS", crossover)
-            tall = montecarlo._urn_tile(paths)
-
-            def filling(keys, first_draw, count, **buffers):
-                assert keys.size == paths
-                slabs.add(first_draw)
-                if len(slabs) > 1:
-                    met.add("several slabs")
-                return sign_block(keys, first_draw, count, **buffers)
-
-            def thresholds(lo, hi, below, above):  # once per block
-                slabs.clear()
-                word_thresholds(lo, hi, below, above)
-
-            def resolving(counts, s, row, col, base, u, size):
-                by_column = np.lexsort((np.arange(col.size), col))
-                same = col[by_column][1:] == col[by_column][:-1]
-                assert (np.diff(row[by_column])[same] > 0).all()
-                slab = row[by_column] // tall
-                if (np.diff(slab)[same] > 0).any():
-                    met.add("column across slabs")
-                if blocks and blocks[-1] == s:
-                    met.add("batch closed mid-block")
-                blocks.append(s)
-                return resolve(counts, s, row, col, base, u, size)
-
-            def summing(sure, row_adds):
-                whites = running_sum(sure, row_adds)
-
-                def counted(slab):
-                    if slab > 1:
-                        met.add("row adds" if row_adds else "accumulate")
-                    return whites(slab)
-
-                return counted
-
-            mp.setattr(rng, "sign_block", filling)
-            mp.setattr(montecarlo, "_resolve", resolving)
-            mp.setattr(montecarlo, "_running_sum", summing)
-            mp.setattr(rng, "word_thresholds", thresholds)
-            res = run_ensemble(cfg)
-            traces = montecarlo._traces(cfg, range(paths))
-        for i in range(paths):
-            _, states = run_path_scalar(m, w0, w0, horizon, rng.path_key(seed, i))
-            assert res.final_x[i] == states[-1].fraction
-            for j, n in enumerate(traces.ns):
-                assert traces.x[j, i] == states[n].fraction
-                assert traces.t[j, i] == states[n].total
-                assert traces.x_prev[j, i] == states[n - 1].fraction
-        return met
-
     @given(
         st.one_of(
             st.tuples(*[st.integers(0, 9).map(float)] * 4),
@@ -832,38 +899,12 @@ class TestKernelEquivalence:
         """Three paths run in 255-row blocks, the most a column's uint8
         counts hold, with eight or more ambiguous draws in one column of
         one 255-row block (ranks 0 to 7 and up), and match urn_step."""
-        cfg = EnsembleConfig(
-            matrix=m, w0=w0, b0=b0, horizon=1000, paths=3, master_seed=0,
-            forced_scaling=(0.0, 0.0), forced_center=0.5,
-        )
-        fills: list[int] = []
-        deepest = 0
-        sign_block, resolve = rng.sign_block, montecarlo._resolve
-
-        def filling(keys, first_draw, count, **buffers):
-            fills.append(count)
-            return sign_block(keys, first_draw, count, **buffers)
-
-        def resolving(counts, s, row, col, base, u, size):
-            nonlocal deepest
-            if fills[-1] == 255:  # this block's one slab
-                deepest = max(deepest, int(np.bincount(col).max()))
-            return resolve(counts, s, row, col, base, u, size)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng, "sign_block", filling)
-            mp.setattr(montecarlo, "_resolve", resolving)
-            res = run_ensemble(cfg)
-            traces = montecarlo._traces(cfg, range(3))
-        assert max(fills) == 255
-        assert deepest >= 8
-        for i in range(3):
-            _, states = run_path_scalar(m, w0, b0, 1000, rng.path_key(0, i))
-            assert res.final_x[i] == states[-1].fraction
-            for j, n in enumerate(traces.ns):
-                assert traces.x[j, i] == states[n].fraction
-                assert traces.t[j, i] == states[n].total
-                assert traces.x_prev[j, i] == states[n - 1].fraction
+        cfg = forced_urn(m.entries(), w0, b0, horizon=1000, paths=3, seed=0)
+        _, log = run_and_replay(cfg)
+        assert max(fill.rows for fill in log.fills) == 255
+        # batches of a block that is one slab of 255 rows
+        full = [np.bincount(b.col).max() for b in log.batches if b.slab == 255]
+        assert max(full) >= 8
 
     def test_chunk_wider_than_the_block_budget(self, toy_matrix):
         """2^16 + 3 paths, more than _BLOCK_ELEMENTS words a row, run as
@@ -876,96 +917,10 @@ class TestKernelEquivalence:
             matrix=toy_matrix, w0=1.0, b0=1.0, horizon=horizon, paths=paths,
             master_seed=3,
         )
-        fills: list[tuple[int, int]] = []
-        far = 0
-        sign_block, resolve = rng.sign_block, montecarlo._resolve
-
-        def filling(keys, first_draw, count, **buffers):
-            fills.append((keys.size, count))
-            return sign_block(keys, first_draw, count, **buffers)
-
-        def resolving(counts, s, row, col, base, u, size):
-            nonlocal far
-            far += int(np.count_nonzero(col >= 1 << 16))
-            return resolve(counts, s, row, col, base, u, size)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng, "sign_block", filling)
-            mp.setattr(montecarlo, "_resolve", resolving)
-            res = run_ensemble(cfg)
-            traces = montecarlo._traces(cfg, range(paths))
-        assert set(fills) == {(paths, 1)}
-        assert len(fills) == 2 * horizon  # run and replay
-        assert far > 0
-        for i in (0, paths - 1):
-            _, states = run_path_scalar(
-                toy_matrix, 1.0, 1.0, horizon, rng.path_key(3, i)
-            )
-            assert res.final_x[i] == states[-1].fraction
-            for j, n in enumerate(traces.ns):
-                assert traces.x[j, i] == states[n].fraction
-                assert traces.t[j, i] == states[n].total
-                assert traces.x_prev[j, i] == states[n - 1].fraction
-
-    @staticmethod
-    def _check_integer_blocks(entries, counts, seed) -> set[str]:
-        """Run one integer urn through the block kernel and check it
-        against urn_step; return what the hooks met."""
-        m = ReplacementMatrix(*entries)
-        w0, b0 = counts
-        cfg = EnsembleConfig(
-            matrix=m, w0=w0, b0=b0, horizon=40, paths=3, master_seed=seed,
-            forced_scaling=(0.0, 0.0), forced_center=0.5,
-        )
-        met: set[str] = set()
-        fills: list[tuple[int, int]] = []
-        sign_block = rng.sign_block
-        resolve = montecarlo._resolve
-        word_thresholds = rng.word_thresholds
-
-        def filling(keys, first_draw, count, **buffers):
-            fills.append((keys.size, count))
-            return sign_block(keys, first_draw, count, **buffers)
-
-        def resolving(counts, s, row, col, base, u, size):
-            met.add("ambiguous")
-            # each column's draws arrive in row order, which _resolve ranks
-            by_column = np.lexsort((np.arange(col.size), col))
-            same = col[by_column][1:] == col[by_column][:-1]
-            assert (np.diff(row[by_column])[same] > 0).all()
-            if np.bincount(col).max() >= 3:
-                met.add("three in a column")
-            return resolve(counts, s, row, col, base, u, size)
-
-        def thresholds(lo, hi, below, above):
-            word_thresholds(lo, hi, below, above)
-            if (above == np.uint64(2**64 - 1)).any():
-                met.add("top bucket")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_urn_block_rows", lambda paths, n: 12)
-            mp.setattr(montecarlo, "_BLOCK_ELEMENTS", 24)  # 8 rows of 3 paths
-            mp.setattr(rng, "sign_block", filling)
-            mp.setattr(montecarlo, "_resolve", resolving)
-            mp.setattr(rng, "word_thresholds", thresholds)
-            res = run_ensemble(cfg)
-            traces = montecarlo._traces(cfg, range(3))
-        # every slab across the 3 paths.  The run cuts blocks at each
-        # checkpoint n: 1, 1, 2, 4 and 8 rows, 16..32 as 12 + 4 rows (slabs
-        # of 8, 4 and 4), 32..40 as 8.  The replay also cuts them at n - 1:
-        # 1 row from n - 1, and 3, 7 (8..15), 12 + 3 (slabs of 8, 4 and 3)
-        # and 7 rows up to n - 1
-        assert {size for size, _ in fills} == {3}
-        assert sum(count for _, count in fills) == 2 * 40  # run and replay
-        assert {count for _, count in fills} == {1, 2, 3, 4, 7, 8}
-        for i in range(3):
-            _, states = run_path_scalar(m, w0, b0, 40, rng.path_key(seed, i))
-            assert res.final_x[i] == states[-1].fraction
-            for j, n in enumerate(traces.ns):
-                assert traces.x[j, i] == states[n].fraction
-                assert traces.t[j, i] == states[n].total
-                assert traces.x_prev[j, i] == states[n - 1].fraction
-        return met
+        _, log = run_and_replay(cfg, check=(0, paths - 1))
+        assert {(fill.paths, fill.rows) for fill in log.fills} == {(paths, 1)}
+        assert len(log.fills) == 2 * horizon  # run and replay
+        assert any((b.col >= 1 << 16).any() for b in log.batches)
 
     @given(
         st.tuples(*[st.floats(0.0, 8.0)] * 4),
@@ -1014,58 +969,12 @@ class TestKernelEquivalence:
         x, _ = urn.fraction(k.astype(np.float64), urn.at(n))
         assert lo[0] <= x.min() and x.max() <= hi[0]
 
-    def _check_urn(self, m, w0, b0):
-        horizon, paths, seed = 300, 7, 2024
-        cfg = EnsembleConfig(
-            matrix=m, w0=w0, b0=b0, horizon=horizon, paths=paths, master_seed=seed
-        )
-        res = run_ensemble(cfg)
-        for i in range(paths):
-            _, states = run_path_scalar(
-                m, w0, b0, horizon, rng.path_key(seed, i)
-            )
-            assert res.final_x[i] == states[-1].fraction
-
-    @staticmethod
-    def _small_blocks(monkeypatch) -> list[int]:
-        """Shrink the synthetic kernel's RNG blocks to 14 rows of 7 (or 20
-        rows of 5) paths, and the urn kernel's to 20-row blocks in slabs of
-        14 rows of 7 paths.
-
-        Returns the list that records the row count of every sign_block
-        fill, the one fill both kernels draw with.
-        """
-        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 100)
-        monkeypatch.setattr(montecarlo, "_urn_block_rows", lambda paths, n: 20)
-        counts: list[int] = []
-        sign_block = rng.sign_block
-
-        def fill_and_count(keys, first_draw, count, *args, **kwargs):
-            counts.append(count)
-            return sign_block(keys, first_draw, count, *args, **kwargs)
-
-        monkeypatch.setattr(rng, "sign_block", fill_and_count)
-        return counts
-
-    @staticmethod
-    def _assert_crossed_blocks(counts: list[int], steps: int):
-        assert sum(counts) == steps
-        assert len(counts) >= 11  # at least ten block boundaries
-        assert 0 < counts[-1] < counts[0]  # a ragged last block
-
     def test_urn_checkpoints_match_scalar(self, toy_matrix):
-        horizon, seed = 200, 11
         cfg = EnsembleConfig(
-            matrix=toy_matrix,
-            w0=1,
-            b0=1,
-            horizon=horizon,
-            paths=3,
-            master_seed=seed,
+            matrix=toy_matrix, w0=1, b0=1, horizon=200, paths=3, master_seed=11
         )
-        res = run_ensemble(cfg)
-        for i in range(3):
-            self._assert_trace_matches_scalar(res, i)
+        for i in range(3):  # each path replayed on its own, keyed from i
+            run_and_replay(cfg, check=[i])
 
     def test_replayed_trace_in_second_chunk_matches_scalar(
         self, toy_matrix, monkeypatch
@@ -1075,9 +984,7 @@ class TestKernelEquivalence:
             matrix=toy_matrix, w0=1, b0=1, horizon=200, paths=23, master_seed=11,
         )
         _, (start, count), _ = montecarlo._chunk_plan(cfg.paths, cfg.horizon, 3)
-        res = run_ensemble(cfg)
-        i = start + count // 2
-        self._assert_trace_matches_scalar(res, i)
+        res, _ = run_and_replay(cfg, check=[start + count // 2])
         last = res.path_checkpoints(-1)
         assert np.array_equal(last.x, res.path_checkpoints(cfg.paths - 1).x)
         assert last.x[-1] == res.final_x[-1]
@@ -1104,20 +1011,6 @@ class TestKernelEquivalence:
                 assert trace.ndim == 1
                 assert record[:, i].tobytes() == trace.tobytes()
 
-    @staticmethod
-    def _assert_trace_matches_scalar(res, i):
-        cfg = res.config
-        _, states = run_path_scalar(
-            cfg.matrix, cfg.w0, cfg.b0, cfg.horizon,
-            rng.path_key(cfg.master_seed, i),
-        )
-        data = res.path_checkpoints(i)
-        assert data.x[-1] == res.final_x[i]
-        for j, n in enumerate(data.ns):
-            assert data.x[j] == states[n].fraction
-            assert data.t[j] == states[n].total
-            assert data.x_prev[j] == states[n - 1].fraction
-
     SYNTHETIC = SyntheticProcess(
         big_gamma=0.75, sigma2=2.0, family=StepFamily.N_LOG_N, z0=0.25
     )
@@ -1125,19 +1018,20 @@ class TestKernelEquivalence:
     def test_synthetic_matches_scalar(self):
         self._check_synthetic()
 
-    def test_synthetic_matches_scalar_across_blocks(self, monkeypatch):
-        counts = self._small_blocks(monkeypatch)
-        self._check_synthetic()
-        start = self.SYNTHETIC.family.first_positive_index()
-        self._assert_crossed_blocks(counts, steps=300 - start)
+    def test_synthetic_matches_scalar_across_blocks(self):
+        # RNG blocks of 20 rows of the 5 paths
+        counts = [fill.rows for fill in self._check_synthetic(elements=100).fills]
+        assert sum(counts) == 300 - self.SYNTHETIC.family.first_positive_index()
+        assert len(counts) >= 11  # at least ten block boundaries
+        assert 0 < counts[-1] < counts[0]  # a ragged last block
 
-    def _check_synthetic(self):
+    def _check_synthetic(self, elements=None) -> KernelLog:
         proc = self.SYNTHETIC
         horizon, paths, seed = 300, 5, 99
         cfg = EnsembleConfig(
             synthetic=proc, horizon=horizon, paths=paths, master_seed=seed
         )
-        res = run_ensemble(cfg)
+        res, log = run_and_replay(cfg, elements=elements)
         size = proc.noise_size
         start = proc.family.first_positive_index()
         for i in range(paths):
@@ -1150,6 +1044,7 @@ class TestKernelEquivalence:
                     z, proc.big_gamma, noise, proc.family.value_at(n)
                 )
             assert res.values[i] == z
+        return log
 
 
 def split_into(monkeypatch, cores: int) -> None:

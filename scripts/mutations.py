@@ -7,7 +7,9 @@ For each entry the files that git tracks in this checkout, plus those it
 would track (not ignored), are copied into a fresh temporary directory.
 The entry's old snippet, which must occur exactly once in its file, is
 replaced there, and only the entry's tests are run, one run at a time:
-python -m pytest -q -p no:cacheprovider --hypothesis-seed=0 <ids>.  No
+python -m pytest -q -p no:cacheprovider --hypothesis-seed=0
+--hypothesis-profile=ledger <ids>.  The ledger profile (tests/conftest.py)
+skips hypothesis's shrink phase, which only makes a failure smaller.  No
 .hypothesis or .pytest_cache state of the checkout reaches a run.  Each
 test is reported as failed (an error counts), passed, not collected (an
 id that the unmutated copy does not collect) or no result (a run that
@@ -157,8 +159,8 @@ LEDGER = [
     Mutation(
         "scaled values not centered",
         "CHANGES.md:11", SRC_MC,
-        "values = weight(n, sx, sy) * (x - src.center)",
-        "values = weight(n, sx, sy) * x",
+        "return weight(n, sx, sy) * (x - src.center)",
+        "return weight(n, sx, sy) * x",
         (
             CRITERION + "[determinism]",
             CLI + "TestVerify::test_quick_suite_passes",
@@ -618,6 +620,42 @@ LEDGER = [
         ),
     ),
     Mutation(
+        "a worker numbering its rows from 0",
+        "CHANGES.md:142", SRC_MC,
+        "enumerate(values.tolist(), start)",
+        "enumerate(values.tolist())",
+        (
+            MC + "TestDeterminism::test_thread_count_is_invisible_urn",
+            MC + "TestDeterminism::test_split_chunks_are_invisible",
+            MC + "TestDeterminism::test_csv_equals_one_process_formula[urn-2]",
+            MC + "TestDeterminism::test_csv_equals_one_process_formula[urn-3]",
+            MC + "TestDeterminism::test_csv_equals_one_process_formula[synthetic-2]",
+            MC + "TestDeterminism::test_csv_equals_one_process_formula[synthetic-3]",
+        ),
+    ),
+    Mutation(
+        "the pipe capacity left at its default",
+        "CHANGES.md:142", SRC_MC,
+        "            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, size)\n",
+        "            pass\n",
+        (
+            MC + "TestForkedWorkers::test_worker_runs_ahead",
+        ),
+    ),
+    Mutation(
+        "a worker formatting the checkpoint before the last",
+        "CHANGES.md:142", SRC_MC,
+        "    for _, row in zip(range(checkpoints), rows):\n",
+        "    for _, row in zip(range(checkpoints - 1), rows):\n",
+        (
+            MC + "TestDeterminism::test_csv_equals_one_process_formula[urn-2]",
+            MC + "TestDeterminism::test_csv_equals_one_process_formula[urn-3]",
+            MC + "TestDeterminism::test_csv_equals_one_process_formula[synthetic-2]",
+            MC + "TestDeterminism::test_csv_equals_one_process_formula[synthetic-3]",
+            MC + "TestForkedWorkers::test_worker_runs_ahead",
+        ),
+    ),
+    Mutation(
         "white count's k term off by 1% of a",
         "CHANGES.md:105", "src/urnsa/urn.py",
         "white = drawn[0] + (m.a - m.c) * k",
@@ -682,7 +720,8 @@ def collected(tree: Path, files: set[str]) -> set[str]:
 
 def outcomes(tree: Path, ids: list[str]) -> dict[str, str]:
     """failed or passed for each id, run together in tree."""
-    out = pytest(tree, ["-q", "-rA", "--hypothesis-seed=0", *ids]).stdout
+    args = ["-q", "-rA", "--hypothesis-seed=0", "--hypothesis-profile=ledger"]
+    out = pytest(tree, [*args, *ids]).stdout
     seen = {}
     for line in out.splitlines():
         status, _, rest = line.partition(" ")

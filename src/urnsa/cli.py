@@ -12,7 +12,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import acceptance
 from .errors import UrnsaError
 from .montecarlo import (
     EnsembleConfig,
@@ -263,6 +262,9 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here, so that no other command pays for compiling it
+    from . import acceptance
+
     results = acceptance.run_suite(args.suite)
     return 0 if all(r.passed for r in results) else 3
 

@@ -4,13 +4,16 @@ Every path's randomness is a pure function of (master_seed, path_index),
 so an ensemble is simulated in path chunks, about one per usable core
 where a chunk holds enough paths and path-steps to pay for its fork: the
 first in the calling process, each other in a forked worker process that
-sends its rows back over a pipe.  Rows are reassembled by path index and
-reduced in a fixed order, so running the same EnsembleConfig twice, on any
-number of cores, produces bit-identical results.  Where os.fork does not
-exist, a run is one chunk.  Each checkpoint's row of X_n is reduced as the
-chunks reach it, so a result keeps only the final X_n and scaled values; a
-path's full trace is replayed from its key.  Urn and synthetic runs share
-one pipeline once their source is resolved.
+sends its rows back over a pipe, raised to hold them, so that it steps
+its whole chunk without waiting for the caller.  Rows are reassembled by
+path index and reduced in a fixed order, so running the same
+EnsembleConfig twice, on any number of cores, produces bit-identical
+results.  Where os.fork does not exist, a run is one chunk.  Each
+checkpoint's row of X_n is reduced as the caller reaches it, so a result
+keeps only the final X_n and scaled values and the values CSV's rows,
+which each worker formats for its own paths after its last row; a path's
+full trace is replayed from its key.  Urn and synthetic runs share one
+pipeline once their source is resolved.
 
 The urn kernel is vectorized across the paths of a chunk and reproduces
 the scalar urn_step decision for decision (white iff u < W/T).  It steps
@@ -156,6 +159,14 @@ _BLOCK_ELEMENTS = 1 << 16
 # two masks and their uint64 lanes, 3 bytes a draw with rows padded to 8
 # columns.  A slab holds at most _BLOCK_ELEMENTS draws, about 1.2 MiB,
 # except that a chunk wider than 2^16 paths holds one row of its paths.
+# The result also holds the values CSV's rows, at least 6 bytes a path
+# and 23-26 in the benchmark's runs, but only from the last checkpoint on,
+# when the kernel holds neither corners nor a batch, so they raise no
+# bound: a traced run of 20000 toy-urn paths x 64 steps in two chunks
+# peaked in the calling process at 167.2 bytes a path before the rows
+# were formatted in the run and at 168.4 after (a synthetic run: 136.3,
+# 137.5).  A worker's pipe, up to _PIPE_BYTES, is kernel memory, which no
+# process's heap holds.
 _PATH_BYTES = 136
 _SYNTHETIC_PATH_BYTES = 48
 # Rows per block of the urn kernel: a block of a chunk of p paths, from
@@ -359,6 +370,8 @@ class EnsembleResult:
     ks: KSReport | None
     checkpoints: list[int]
     checkpoint_summaries: list[CheckpointSummary]
+    # values_csv's rows, "path_id,z_value" for each path in path order
+    csv_rows: str
     reference_scaled_mean: float | None = None
 
     def path_checkpoints(self, path_index: int) -> PathCheckpointData:
@@ -974,9 +987,12 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
     The paths are split into one chunk per usable core where that pays
     (_chunk_plan).  This process steps the first chunk and a forked worker
     process steps each other one (_forked_rows); where os.fork does not
-    exist the plan has one chunk.  The chunks advance in lockstep: each
-    checkpoint's row, the chunks' parts in path order, is reduced before
-    this process steps further.  Results are a pure function of the config,
+    exist the plan has one chunk.  Each checkpoint's row, the chunks' parts
+    in path order, is reduced as this process reaches it; a worker does
+    not wait for that, it steps its whole chunk ahead of this process.
+    After its last row each worker formats the values-CSV rows of its own
+    paths while this process formats its chunk's, and the result joins
+    them in chunk order.  Results are a pure function of the config,
     whatever the number of cores or chunk shape.
     """
     cps = checkpoint_schedule(config.horizon, config.checkpoint_factor)
@@ -988,14 +1004,23 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         for start, count in plan
     )
     sx, sy = src.scaling
+
+    def scaled(n: int, x: np.ndarray) -> np.ndarray:
+        return weight(n, sx, sy) * (x - src.center)
+
+    def worker_csv(start: int, x: np.ndarray) -> str:
+        # elementwise, so each value equals the caller's bit for bit
+        return _csv_rows(start, scaled(config.horizon, x))
+
     summaries = []
-    with _forked_rows(rest, plan[1:]) as worker_rows:
+    with _forked_rows(rest, plan[1:], len(cps), worker_csv) as (worker_rows, texts):
         for n in cps:
             x = np.concatenate([next(first), *worker_rows()])
-            values = weight(n, sx, sy) * (x - src.center)
+            values = scaled(n, x)
             summaries.append(_checkpoint_summary(n, values))
-
-    moments = _with_skewness(summaries[-1], values)
+        moments = _with_skewness(summaries[-1], values)
+        ks = _reference_ks(values, moments, src.predicted_variance)
+        csv_rows = "".join([_csv_rows(0, values[: plan[0][1]]), *texts()])
 
     return EnsembleResult(
         config=config,
@@ -1005,30 +1030,52 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
         values=values,
         final_x=x,
         moments=moments,
-        ks=_reference_ks(values, moments, src.predicted_variance),
+        ks=ks,
         checkpoints=cps,
         checkpoint_summaries=summaries,
+        csv_rows=csv_rows,
         reference_scaled_mean=src.reference_mean,
     )
 
 
+def _csv_rows(start: int, values: np.ndarray) -> str:
+    """values_csv's rows for the paths start.., one per value."""
+    return "".join([f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), start)])
+
+
 # Python 3.12+ warns on fork while other threads exist, and numpy's OpenBLAS
-# starts its pool on import.  A worker runs only rng and numpy ufunc loops:
-# no BLAS call, no import and no lock another thread could hold.
+# starts its pool on import.  A worker runs only rng, numpy ufunc loops and
+# float formatting: no BLAS call, no import and no lock another thread
+# could hold.
 _FORK_WARNING = r"This process .* is multi-threaded, use of fork\(\) may lead"
+# Largest capacity a worker's pipe is raised to, so that a worker writes
+# its checkpoint rows without waiting for the caller to read one: all 13
+# of synthetic-wide's 10000-path chunk, 80000 bytes each, 13 of urn-wide's
+# 14 and all of urn-narrow's.  It is Linux's default pipe-max-size, the
+# most an unprivileged process may set.  A pipe's buffer is kernel memory,
+# at most this much per worker, and costs the caller nothing.
+_PIPE_BYTES = 1 << 20
 
 
 @contextlib.contextmanager
 def _forked_rows(
-    streams: list[Iterator[np.ndarray]], chunks: list[tuple[int, int]]
-) -> Iterator[Callable[[], list[np.ndarray]]]:
-    """Step each stream, the rows of chunk (start, count), in a forked worker.
+    streams: list[Iterator[np.ndarray]],
+    chunks: list[tuple[int, int]],
+    checkpoints: int,
+    csv_rows: Callable[[int, np.ndarray], str],
+) -> Iterator[tuple[Callable[[], list[np.ndarray]], Callable[[], list[str]]]]:
+    """Step each stream, the `checkpoints` rows of chunk (start, count), in
+    a forked worker.
 
-    Yields a function that returns every worker's next row, in chunk
+    Yields (rows, texts).  rows returns every worker's next row, in chunk
     order, read into one buffer per worker that the next call overwrites.
-    A worker writes each row's float64 bytes to its own pipe, whose
-    backpressure keeps it about one row ahead.  A worker that exits before
-    sending a whole row raises UrnsaError.  On the way out, for any reason,
+    texts, called once every row has been read, returns each worker's
+    csv_rows(start, last row), in chunk order.  A worker writes each row's
+    float64 bytes to its own pipe, raised before the fork to hold all of
+    its rows up to _PIPE_BYTES (_widen_pipe), so it steps its whole chunk
+    without waiting for the caller.  Then it formats its CSV text and sends
+    it behind its length.  A worker that exits before sending a whole row
+    or its whole text raises UrnsaError.  On the way out, for any reason,
     every worker still running is killed and every worker reaped.
     """
     fds: list[int] = []
@@ -1039,33 +1086,60 @@ def _forked_rows(
         for stream, (start, count) in zip(streams, chunks):
             read_fd, write_fd = os.pipe()
             fds += (read_fd, write_fd)
+            _widen_pipe(write_fd, checkpoints * count * 8)
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
                 pid = os.fork()
             if pid == 0:
-                _worker(stream, write_fd, [fd for fd in fds if fd != write_fd])
+                _worker(
+                    _payload(stream, checkpoints, start, csv_rows),
+                    write_fd,
+                    [fd for fd in fds if fd != write_fd],
+                )
             running.add(pid)
             os.close(write_fd)
             fds.remove(write_fd)
-            readers.append((read_fd, pid, start, count))
+            readers.append((read_fd, (pid, start, count)))
             rows.append(np.empty(count))
 
+        def failed(worker: tuple[int, int, int], what: str) -> NoReturn:
+            pid, start, count = worker
+            running.discard(pid)
+            status = os.waitpid(pid, 0)[1]
+            raise UrnsaError(
+                f"the worker stepping paths {start}..{start + count - 1}"
+                f" {_exit_text(status)} before sending {what}"
+            )
+
         def next_rows() -> list[np.ndarray]:
-            for (fd, pid, start, count), row in zip(readers, rows):
+            for (fd, worker), row in zip(readers, rows):
                 view = memoryview(row).cast("B")
                 while view:
                     got = os.readv(fd, [view])
                     if got == 0:
-                        running.discard(pid)
-                        status = os.waitpid(pid, 0)[1]
-                        raise UrnsaError(
-                            f"the worker stepping paths {start}..{start + count - 1}"
-                            f" {_exit_text(status)} before sending a whole row"
-                        )
+                        failed(worker, "a whole row")
                     view = view[got:]
             return rows
 
-        yield next_rows
+        def received(fd: int, worker: tuple[int, int, int], size: int) -> bytes:
+            # size bytes, held only as they arrive, whatever size says
+            parts = []
+            while size:
+                got = os.read(fd, min(size, _PIPE_BYTES))
+                if not got:
+                    failed(worker, "its CSV rows")
+                parts.append(got)
+                size -= len(got)
+            return b"".join(parts)
+
+        def texts() -> list[str]:
+            out = []
+            for fd, worker in readers:
+                size = int.from_bytes(received(fd, worker, 8), "little")
+                out.append(received(fd, worker, size).decode())
+            return out
+
+        yield next_rows, texts
     finally:
         for pid in running:
             os.kill(pid, signal.SIGKILL)
@@ -1075,8 +1149,42 @@ def _forked_rows(
             os.waitpid(pid, 0)
 
 
-def _worker(rows: Iterator[np.ndarray], fd: int, inherited: list[int]) -> NoReturn:
-    """A forked worker's whole life: write each row's bytes to fd and exit.
+def _widen_pipe(fd: int, size: int) -> None:
+    """Raise the capacity of the pipe at fd to size bytes, at most
+    _PIPE_BYTES, where the platform sets pipe capacities (Linux's
+    F_SETPIPE_SZ).  A pipe keeps its capacity where it holds size already,
+    where the platform cannot set it or where the kernel refuses, as it
+    does past a user's pipe-user-pages-soft; its worker then only waits
+    for the caller to read."""
+    import fcntl  # every platform with os.fork has it
+
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        return
+    size = min(size, _PIPE_BYTES)
+    with contextlib.suppress(OSError):
+        if size > fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ):
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, size)
+
+
+def _payload(
+    rows: Iterator[np.ndarray],
+    checkpoints: int,
+    start: int,
+    csv_rows: Callable[[int, np.ndarray], str],
+) -> Iterator[bytes | np.ndarray]:
+    """A worker's buffers: its checkpoints rows, then csv_rows(start, last
+    row) as ASCII behind its length, 8 little-endian bytes."""
+    # zip stops at the last checkpoint before it resumes rows, so the last
+    # row is still the kernel's when it is formatted
+    for _, row in zip(range(checkpoints), rows):
+        yield row
+    text = csv_rows(start, row).encode()
+    yield len(text).to_bytes(8, "little") + text
+
+
+def _worker(payload: Iterator, fd: int, inherited: list[int]) -> NoReturn:
+    """A forked worker's whole life: write each buffer of payload to fd and
+    exit.
 
     It never returns into the caller's stack.  It ignores SIGINT, which
     reaches the whole process group; the caller handles it and kills its
@@ -1087,8 +1195,8 @@ def _worker(rows: Iterator[np.ndarray], fd: int, inherited: list[int]) -> NoRetu
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         for other in inherited:
             os.close(other)
-        for row in rows:
-            view = memoryview(row).cast("B")
+        for buffer in payload:
+            view = memoryview(buffer).cast("B")
             while view:
                 view = view[os.write(fd, view):]
         status = 0
@@ -1246,6 +1354,8 @@ def summary_json(result: EnsembleResult) -> str:
 
 
 def values_csv(result: EnsembleResult) -> str:
-    """Per-path scaled values, shortest round-trip decimal, LF endings."""
-    rows = [f"{i},{v!r}\n" for i, v in enumerate(result.values.tolist())]
-    return "".join(["path_id,z_value\n", *rows])
+    """Per-path scaled values, shortest round-trip decimal, LF endings.
+
+    The rows were formatted by run_ensemble, each chunk's in the process
+    that stepped it."""
+    return "path_id,z_value\n" + result.csv_rows

@@ -5,12 +5,20 @@ from __future__ import annotations
 import sys
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from urnsa import ReplacementMatrix
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+# scripts/mutations.py loads this one (--hypothesis-profile=ledger): a
+# mutation only needs to know that a property fails, not its smallest
+# failing example, so the ledger skips the shrink phase and its explain
+settings.register_profile(
+    "ledger",
+    settings.get_profile("suite"),
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
 )
 settings.load_profile("suite")
 

@@ -529,7 +529,7 @@ class TestVerify:
             seen.append(suite)
             return [CriterionResult(1, "stub", True, "ok")]
 
-        monkeypatch.setattr(cli.acceptance, "run_suite", fake_run_suite)
+        monkeypatch.setattr("urnsa.acceptance.run_suite", fake_run_suite)
         assert run_cli(capsys, "verify")[0] == 0
         assert run_cli(capsys, "verify", "--suite", "full")[0] == 0
         assert seen == ["quick", "full"]
@@ -539,9 +539,7 @@ class TestVerify:
             CriterionResult(1, "good", True, "ok"),
             CriterionResult(2, "bad", False, "off"),
         ]
-        monkeypatch.setattr(
-            cli.acceptance, "run_suite", lambda suite: results
-        )
+        monkeypatch.setattr("urnsa.acceptance.run_suite", lambda suite: results)
         assert run_cli(capsys, "verify")[0] == 3
 
 
@@ -604,6 +602,20 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_import_leaves_acceptance_unloaded(self):
+        """Only verify imports the acceptance suite."""
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, urnsa.cli; print('urnsa.acceptance' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.skipif(
         shutil.which("urnsa") is None,

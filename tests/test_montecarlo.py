@@ -14,6 +14,7 @@ import math
 import os
 import signal
 import threading
+import time
 import tracemalloc
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -56,6 +57,11 @@ from urnsa import acceptance, cli, montecarlo
 from urnsa.urn import COUNT_LIMIT
 
 from sa_helpers import synthetic_step
+
+try:
+    import fcntl
+except ImportError:  # a platform without os.fork
+    fcntl = None
 
 
 class _CountingCounts:
@@ -1047,6 +1053,12 @@ class TestKernelEquivalence:
         return log
 
 
+def one_process_csv(values: np.ndarray) -> str:
+    """values_csv as one process formatted it from a result's values."""
+    rows = [f"{i},{v!r}\n" for i, v in enumerate(values.tolist())]
+    return "".join(["path_id,z_value\n", *rows])
+
+
 def split_into(monkeypatch, cores: int) -> None:
     """Make run_ensemble see `cores` usable cores and split even small,
     short ensembles, one chunk per core."""
@@ -1113,6 +1125,24 @@ class TestDeterminism:
             assert outs[0] == outs[1] == outs[2]
         assert montecarlo._chunk_plan(23, 150, 3) == [(0, 8), (8, 8), (16, 7)]
         assert montecarlo._chunk_plan(500, 1 << 12, 2) == [(0, 250), (250, 250)]
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["urn", "synthetic"])
+    def test_csv_equals_one_process_formula(self, toy_matrix, monkeypatch, kind, cores):
+        """Each chunk's rows, formatted where the chunk was stepped, join
+        into the CSV that one process formats from the values.  101 paths
+        in three chunks put the last one's ids past two digits; the urn's
+        forced center, above its target 1/2, makes values of both signs."""
+        split_into(monkeypatch, cores)
+        source = {
+            "urn": dict(matrix=toy_matrix, forced_center=0.502),
+            "synthetic": dict(synthetic=SyntheticProcess(big_gamma=1.0, sigma2=1.0)),
+        }[kind]
+        cfg = EnsembleConfig(**source, horizon=150, paths=101, master_seed=17)
+        res = run_ensemble(cfg)
+        assert len(montecarlo._chunk_plan(cfg.paths, cfg.horizon, cores)) == cores
+        assert (res.values < 0).any() and (res.values > 0).any()
+        assert values_csv(res) == one_process_csv(res.values)
 
     def test_summaries_equal_one_call_replay(self, toy_matrix, monkeypatch):
         # rows reduced as three chunks yield them equal one seamless replay
@@ -1228,17 +1258,28 @@ def killed(status: int) -> bool:
     return os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
 
+def exits_within(pid: int, seconds: float) -> bool:
+    """Whether child pid exits within seconds, polled with WNOHANG.
+    WNOWAIT leaves it unreaped, for its owner to reap."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+            return True
+        time.sleep(0.01)
+    return False
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="chunks are forked workers")
 class TestForkedWorkers:
     """A worker's failure surfaces as UrnsaError, a failure in the calling
     process propagates unchanged, and no worker outlives run_ensemble.
-    10000 paths and 1024 steps give each worker 11 rows of 80000 bytes,
-    more than a pipe holds, so a worker is still running when its rows
-    stop being read."""
+    10000 paths and 2^14 steps give each worker 15 rows of 80000 bytes,
+    more than even a raised pipe holds (montecarlo._PIPE_BYTES), so a
+    worker is still running when its rows stop being read."""
 
     def test_worker_failure_raises(self, toy_matrix, monkeypatch, capfd):
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
-        cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 10, paths=30_000)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 14, paths=30_000)
         last_key = rng.path_keys(cfg.master_seed, 20_000, 1)[0]
 
         sign_block = rng.sign_block
@@ -1261,7 +1302,7 @@ class TestForkedWorkers:
 
     def test_caller_failure_propagates(self, toy_matrix, monkeypatch):
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
-        cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 10, paths=20_000)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=1 << 14, paths=20_000)
         failure = KeyError("third checkpoint")
         calls = []
         checkpoint_summary = montecarlo._checkpoint_summary
@@ -1279,6 +1320,54 @@ class TestForkedWorkers:
         assert info.value is failure
         assert len(pids) == 1
         assert killed(statuses[pids[0]])
+        assert_reaped(pids)
+
+    def test_worker_failure_after_its_last_row_raises(
+        self, toy_matrix, monkeypatch, capfd
+    ):
+        """A worker that sent every row but died formatting its CSV text."""
+        split_into(monkeypatch, 2)
+        csv_rows = montecarlo._csv_rows
+
+        def failing_rows(start, values):
+            if start:
+                raise RuntimeError("formatting failure in the worker")
+            return csv_rows(start, values)
+
+        monkeypatch.setattr(montecarlo, "_csv_rows", failing_rows)
+        _, pids, statuses = record_workers(monkeypatch)
+        cfg = EnsembleConfig(matrix=toy_matrix, horizon=150, paths=23)
+        with pytest.raises(
+            UrnsaError,
+            match=r"paths 12\.\.22 exited with status 1 before sending its CSV rows",
+        ):
+            run_ensemble(cfg)
+        assert "formatting failure in the worker" in capfd.readouterr().err
+        assert len(pids) == 1
+        assert os.WEXITSTATUS(statuses[pids[0]]) == 1
+        assert_reaped(pids)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "waitid") or not hasattr(fcntl, "F_SETPIPE_SZ"),
+        reason="needs os.waitid and pipe capacities that can be set",
+    )
+    def test_worker_runs_ahead(self, monkeypatch):
+        """A worker sends all 11 of its 80000-byte rows and its CSV text,
+        more than a default 64 KiB pipe holds, and exits before the caller
+        reads its first row."""
+        rows = [np.full(10_000, float(n)) for n in range(11)]
+        _, pids, _ = record_workers(monkeypatch)
+
+        def text(start, x):
+            return f"{start},{float(x[0])!r}\n"
+
+        with montecarlo._forked_rows(
+            [iter(rows)], [(10_000, 10_000)], len(rows), text
+        ) as (next_rows, texts):
+            assert exits_within(pids[0], 10.0)
+            for row in rows:
+                assert np.array_equal(next_rows()[0], row)
+            assert texts() == ["10000,10.0\n"]
         assert_reaped(pids)
 
     def test_workers_reaped_after_a_run(self, toy_matrix, monkeypatch):
